@@ -233,8 +233,10 @@ def build_parser():
     p_train.add_argument("--eps-tiny", type=float, default=1e-10)
     p_train.add_argument("--scale", type=float, default=0.01, help="Gaussian init std")
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--cg-tol", type=float, default=1e-8)
-    p_train.add_argument("--cg-max-iters", type=int, default=None)
+    p_train.add_argument("--cg-tol", type=float, default=1e-8,
+                         help="per-column relative residual the V solve must meet, on its Woodbury and CG paths")
+    p_train.add_argument("--cg-max-iters", type=int, default=None,
+                         help="CG iteration cap for square or widening layers (default 10x width)")
     p_train.add_argument("--derive-beta", action="store_true",
                          help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
     p_train.add_argument("--early-stop-tol", type=float, default=None)

@@ -2,8 +2,9 @@
 
 One outer iteration sweeps the blocks from the output layer inward:
 the output pre-activation (hardmax prox), the output weights (proximal
-gradient), then for each hidden layer the state solve (CG), the
-pre-activation fit (entrywise step prox), and the weights.  Every
+gradient), then for each hidden layer the state solve (Woodbury below a
+narrower layer, CG otherwise), the pre-activation fit (entrywise step
+prox), and the weights.  Every
 sub-problem consumes exactly the iterate versions the update scheme
 prescribes: the pre-activation targets ``b = W_i V_(i-1)`` always use the
 not-yet-updated weights and states from the previous sweep.

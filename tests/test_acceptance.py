@@ -34,7 +34,7 @@ from stepbcd.dataio import (
     write_idx_labels,
 )
 from stepbcd.metrics import filter_count, flops_estimate
-from stepbcd.prox import hardmax, prox_hardmax_column, prox_l20_rows, prox_step_scalar
+from stepbcd.prox import hardmax, prox_hardmax_column, prox_l20_rows, prox_step_scalar, step
 from stepbcd.solvers import (
     CgConfig,
     PgmConfig,
@@ -42,6 +42,7 @@ from stepbcd.solvers import (
     composite_objective,
     p_stationarity_residual,
     pgm,
+    solve_v,
 )
 from stepbcd.trainer import check_descent, train
 
@@ -213,7 +214,7 @@ def test_criterion_3_quadratic_growth():
 
 
 def test_criterion_4_cg_solver():
-    with criterion(4, "CG solver vs dense factorization", limit_seconds=30):
+    with criterion(4, "state solvers (CG and Woodbury) vs dense factorization", limit_seconds=30):
         rng = make_rng(404)
         tau, pi = 1.0, 0.5
         for _ in range(100):
@@ -232,6 +233,31 @@ def test_criterion_4_cg_solver():
                 cur = (e * (a @ e)).sum(axis=0)
                 assert np.all(cur <= prev * (1 + 1e-10) + 1e-14)
                 prev = cur
+
+        # solve_v picks Woodbury below a narrower layer (m < d) and CG
+        # otherwise; both must match the dense d x d factorization and meet
+        # the tolerance column by column.
+        tol = 1e-10
+        paths = set()
+        for _ in range(60):
+            d = int(rng.integers(2, 121))
+            m = int(rng.integers(1, 2 * d + 1))
+            ncols = int(rng.integers(1, 9))
+            tau, pi = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 1.0))
+            w = rng.standard_normal((m, d)) / np.sqrt(d)
+            u_next = rng.standard_normal((m, ncols))
+            u_cur = rng.standard_normal((d, ncols))
+            a = tau * (w.T @ w) + pi * np.eye(d)
+            b = tau * (w.T @ u_next) + pi * step(u_cur)
+            ref = np.linalg.solve(a, b)
+            v = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            assert np.linalg.norm(v - ref) / np.linalg.norm(ref) <= 1e-8
+            col_res = np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
+            # CG stops on its recursive residual, which rounding moves
+            # slightly away from the true one computed here.
+            assert np.all(col_res <= tol * (1 + 1e-3))
+            paths.add(m < d)
+        assert paths == {True, False}
 
 
 # --------------------------------------------------------------------------

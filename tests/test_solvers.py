@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stepbcd import solvers
 from stepbcd.core import make_rng
 from stepbcd.prox import step
 from stepbcd.solvers import (
@@ -160,22 +161,49 @@ def spd_system(seed, d=50, n=20, tau=1.0, pi=0.5):
     return w, u_next, u_cur, a, b
 
 
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Record every ``cg_solve`` call that ``solve_v`` makes."""
+    calls = []
+
+    def spy(a, b, *args, **kwargs):
+        calls.append(a.shape)
+        return cg_solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "cg_solve", spy)
+    return calls
+
+
+def column_residuals(w, u_next, u_cur, v, tau, pi):
+    """Relative residual of each column of ``v`` in the dense ``d x d`` system."""
+    a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
+    b = tau * (w.T @ u_next) + pi * step(u_cur)
+    return np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
+
+
+def narrow_system(seed, m=10, d=200, n=20, scale=3.0):
+    rng = make_rng(seed)
+    return scale * rng.standard_normal((m, d)), rng.standard_normal((m, n)), rng.standard_normal((d, n))
+
+
 class TestSolveV:
-    def test_zero_weights_give_step_of_u(self):
+    def test_zero_weights_give_step_of_u(self, cg_calls):
         rng = make_rng(11)
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
         out = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, cfg=CgConfig(tol=1e-12), v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
+        assert cg_calls == []
 
-    def test_tau_zero_guard(self):
+    def test_tau_zero_guard(self, cg_calls):
         rng = make_rng(12)
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
         out = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, cfg=CgConfig(tol=1e-12), v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
+        assert cg_calls == []
 
     def test_matches_dense_factorization_oracle(self):
         w, u_next, u_cur, a, b = spd_system(13)
@@ -200,6 +228,52 @@ class TestSolveV:
         with pytest.raises(CgError, match="relative residual") as exc:
             cg_solve(a, b, np.zeros_like(b), tol=1e-14, max_iters=1)
         assert exc.value.residual > 1e-14
+
+    def test_error_reports_the_worst_column(self):
+        # Column 0 is an eigenvector, so one CG step solves it; column 1 is
+        # tiny and still far off.  The Frobenius ratio of the two sits below
+        # tol, but the failing column's own ratio does not.
+        _, _, _, a, _ = spd_system(19, d=40, n=1)
+        eigvec = np.linalg.eigh(a)[1][:, -1]
+        small = 1e-6 * make_rng(20).standard_normal(40)
+        b = np.column_stack([eigvec, small])
+        tol = 1e-5
+        iterates = []
+        with pytest.raises(CgError) as exc:
+            cg_solve(a, b, np.zeros_like(b), tol=tol, max_iters=1, callback=iterates.append)
+        assert np.linalg.norm(b - a @ iterates[-1]) / np.linalg.norm(b) < tol
+        assert exc.value.residual > tol
+        assert exc.value.iters == 1
+
+    @pytest.mark.parametrize("m, d, n, cg_expected", [(3, 8, 5, False), (10, 200, 4, False),
+                                                      (8, 8, 5, True), (12, 8, 5, True)])
+    def test_path_follows_layer_shape(self, cg_calls, m, d, n, cg_expected):
+        rng = make_rng(21)
+        w = rng.standard_normal((m, d)) / np.sqrt(d)
+        solve_v(w, rng.standard_normal((m, n)), rng.standard_normal((d, n)), 1.0, 0.5,
+                CgConfig(), v_init=np.zeros((d, n)))
+        assert cg_calls == ([(d, d)] if cg_expected else [])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ill_conditioned_narrow_layer_is_refined(self, seed):
+        w, u_next, u_cur = narrow_system(40 + seed)
+        tau, pi, tol = 1.0, 1e-4, 1e-8
+        rhs = tau * (w.T @ u_next) + pi * step(u_cur)
+        z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
+        plain = (rhs - tau * (w.T @ z)) / pi
+        assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
+        out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+        assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
+        a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
+        ref = np.linalg.solve(a, rhs)
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
+
+    def test_unreachable_tolerance_raises(self):
+        w, u_next, u_cur = narrow_system(50, scale=30.0)
+        tol = 1e-8
+        with pytest.raises(CgError, match="relative residual") as exc:
+            solve_v(w, u_next, u_cur, 1.0, 1e-8, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+        assert exc.value.residual > tol
 
 
 class TestCgProperties:
