@@ -3,8 +3,9 @@
 The optimizer is a block coordinate descent over a penalty reformulation of
 the network fit: every sub-problem is solved in closed form (hardmax prox,
 entrywise step prox, rowwise hard thresholding, a Woodbury state solve) or
-by conjugate gradients, so no derivative of the discontinuous activation is ever needed.  Column
-sparsity from the group regularizer prunes whole hidden units.
+by conjugate gradients, so no derivative of the discontinuous activation is
+ever needed.  Column sparsity from the group regularizer prunes whole
+hidden units.
 """
 
 from .core import (
