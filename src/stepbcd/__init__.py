@@ -15,7 +15,6 @@ from .core import (
     forward_blocks,
     init_gaussian,
     make_rng,
-    matmul,
 )
 from .dataio import (
     Dataset,
@@ -34,7 +33,6 @@ from .metrics import (
     evaluate,
     filter_count,
     flops_estimate,
-    forward_predict,
     param_count,
     predict_classes,
 )
@@ -52,7 +50,6 @@ from .prox import (
 from .solvers import (
     CgConfig,
     CgError,
-    PgmConfig,
     cg_solve,
     composite_objective,
     grad_psi,

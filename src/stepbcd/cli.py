@@ -30,7 +30,7 @@ from .dataio import (
     to_dataset,
 )
 from .metrics import evaluate, filter_count, flops_estimate, param_count, write_metrics_csv
-from .solvers import CgConfig, CgError, PgmConfig
+from .solvers import CgConfig, CgError
 from .trainer import train
 
 EXIT_OK = 0
@@ -112,7 +112,6 @@ def cmd_train(args):
     state, report = train(
         train_data, shape, hp,
         rng=make_rng(args.seed, STAGE_INIT),
-        pgm_cfg=PgmConfig(L=hp.L, beta=hp.beta),
         cg_cfg=CgConfig(tol=args.cg_tol, max_iters=args.cg_max_iters),
         init_scale=args.scale,
         derive_beta=args.derive_beta,

@@ -1,4 +1,5 @@
-"""Shared containers and primitives: shapes, state, hyperparameters, RNG.
+"""Shared containers and primitives: shapes, state, hyperparameters, RNG
+streams and the 0/1 forward pass.
 
 Matrices are plain 2-D float64 numpy arrays (row-major).  64-bit floats are
 required throughout: the thresholding solvers sit on knife-edge equalities
@@ -19,7 +20,6 @@ __all__ = [
     "STAGE_SHUFFLE",
     "STAGE_POWER",
     "make_rng",
-    "matmul",
     "NetworkShape",
     "Hyperparams",
     "TrainState",
@@ -42,15 +42,6 @@ def make_rng(seed, *path):
     Identical keys give identical streams across runs and processes.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
-
-
-def matmul(a, b):
-    """Matrix product with an explicit conformability check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)
@@ -155,11 +146,14 @@ def forward_blocks(w_list, x):
     """Pre- and post-activation blocks of a 0/1 forward pass from ``x``.
 
     Returns ``(U, V)`` with ``U_i = W_i V_(i-1)`` and ``V_i = step(U_i)``,
-    a feasible point for the coupling constraints.
+    a feasible point for the coupling constraints.  A weight block that
+    does not accept its layer's input raises ``ValueError`` naming the layer.
     """
     u_list, v_list = [], []
     v = x
     for i, w in enumerate(w_list):
+        if w.shape[1] != v.shape[0]:
+            raise ValueError(f"layer {i}: weight {w.shape} does not accept input of dim {v.shape[0]}")
         u = w @ v
         u_list.append(u)
         if i < len(w_list) - 1:

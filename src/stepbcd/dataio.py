@@ -80,7 +80,6 @@ class Dataset:
 
     X: np.ndarray
     Y: np.ndarray
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.Y.ndim != 2:
@@ -105,7 +104,7 @@ class Dataset:
         return np.argmax(self.Y, axis=0)
 
     def subset(self, indices):
-        return Dataset(np.ascontiguousarray(self.X[:, indices]), np.ascontiguousarray(self.Y[:, indices]), self.names)
+        return Dataset(np.ascontiguousarray(self.X[:, indices]), np.ascontiguousarray(self.Y[:, indices]))
 
 
 def _check_one_hot(y):
@@ -219,7 +218,7 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
     x = data.X + rng.normal(0.0, sigma, size=data.X.shape)
     if clamp:
         np.clip(x, 0.0, 1.0, out=x)
-    return Dataset(x, data.Y.copy(), data.names)
+    return Dataset(x, data.Y.copy())
 
 
 def _pack_matrix(m):

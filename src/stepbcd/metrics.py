@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import norm_l20, step
+from .core import forward_blocks
+from .prox import norm_l20
 
 __all__ = [
     "EvalResult",
     "forward_scores",
-    "forward_predict",
     "predict_classes",
     "evaluate",
     "filter_count",
@@ -44,23 +44,12 @@ class EvalResult:
 
 def forward_scores(w_list, x):
     """Output-layer pre-activations of the 0/1 forward pass, columnwise."""
-    z = None
-    for i, w in enumerate(w_list):
-        v = x if i == 0 else step(z)
-        if w.shape[1] != v.shape[0]:
-            raise ValueError(f"layer {i}: weight {w.shape} does not accept input of dim {v.shape[0]}")
-        z = w @ v
-    return z
+    return forward_blocks(w_list, x)[0][-1]
 
 
 def predict_classes(w_list, x):
     """Predicted class per column; argmax ties break to the lowest index."""
     return np.argmax(forward_scores(w_list, x), axis=0)
-
-
-def forward_predict(w_list, x):
-    """Predicted class of a single sample vector."""
-    return int(predict_classes(w_list, np.asarray(x, dtype=np.float64).reshape(-1, 1))[0])
 
 
 def evaluate(w_list, data):

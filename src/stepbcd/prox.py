@@ -31,7 +31,7 @@ def step(x):
     Note ``step(0) == 0``; there is no epsilon floor, so any positive
     denormal maps to 1.
     """
-    return np.where(np.asarray(x, dtype=np.float64) > 0.0, 1.0, 0.0)
+    return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
 def hardmax(a):

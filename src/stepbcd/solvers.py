@@ -8,7 +8,6 @@ sparsity groups; the trainer transposes weight blocks on the way in and out.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from .core import STAGE_POWER, make_rng
 from .prox import prox_l20_rows, step
 
 __all__ = [
-    "PgmConfig",
     "CgConfig",
     "CgError",
     "grad_psi",
@@ -29,28 +27,6 @@ __all__ = [
     "cg_solve",
     "solve_v",
 ]
-
-logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PgmConfig:
-    """Proximal gradient settings: a fixed number of inner iterations.
-
-    Stationarity checking is a diagnostic, not a stopping rule; the loop
-    always runs exactly ``L`` iterations.
-    """
-
-    L: int = 1
-    beta: float = 0.00072
-    check_stationarity: bool = False
-    stationarity_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.L < 0:
-            raise ValueError(f"L must be nonnegative, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +84,8 @@ def composite_objective(w, u, v, tau, gamma, lam):
     return smooth_objective(w, u, v, tau, gamma) + lam * nnz_rows
 
 
-def pgm(u, v, w0, tau, gamma, lam, cfg):
-    """Run exactly ``cfg.L`` proximal-gradient iterations from ``w0``.
+def pgm(u, v, w0, tau, gamma, lam, L, beta):
+    """Run exactly ``L`` proximal-gradient iterations of step ``beta`` from ``w0``.
 
     Each iteration takes a gradient step on the smooth part followed by
     rowwise hard thresholding.  For step sizes below
@@ -118,14 +94,8 @@ def pgm(u, v, w0, tau, gamma, lam, cfg):
     proximal fixed-point inclusion.
     """
     w = w0.copy()
-    for _ in range(cfg.L):
-        w = prox_l20_rows(w - cfg.beta * grad_psi(w, u, v, tau, gamma), cfg.beta, lam)
-    if cfg.check_stationarity:
-        res = p_stationarity_residual(w, u, v, tau, gamma, lam, cfg.beta)
-        if res > cfg.stationarity_tol:
-            logger.warning("pgm iterate is not stationary: residual %.3e", res)
-        else:
-            logger.debug("pgm stationarity residual %.3e", res)
+    for _ in range(L):
+        w = prox_l20_rows(w - beta * grad_psi(w, u, v, tau, gamma), beta, lam)
     return w
 
 

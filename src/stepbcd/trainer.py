@@ -15,14 +15,14 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import Dataset
 from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
-from .solvers import CgConfig, PgmConfig, pgm, solve_v, spectral_norm
+from .solvers import CgConfig, pgm, solve_v, spectral_norm
 
 __all__ = [
     "BcdRecord",
@@ -91,6 +91,11 @@ class BcdReport:
         return [rec.f for rec in self.records]
 
 
+def _layer_input(state, data, i):
+    """Input of weight layer i: the data matrix for i = 0, else ``V_(i-1)``."""
+    return data.X if i == 0 else state.V[i - 1]
+
+
 def objective_f(state, data, hp):
     """Penalty objective and its term breakdown.
 
@@ -112,12 +117,9 @@ def objective_f(state, data, hp):
     frob = 0.5 * hp.gamma * sum(float((w * w).sum()) for w in state.W)
 
     upen = 0.0
-    v_in = data.X
     for i in range(h):
-        r = state.U[i] - state.W[i] @ v_in
+        r = state.U[i] - state.W[i] @ _layer_input(state, data, i)
         upen += float((r * r).sum())
-        if i < h - 1:
-            v_in = state.V[i]
     upen *= 0.5 * hp.tau
 
     vpen = 0.0
@@ -130,15 +132,16 @@ def objective_f(state, data, hp):
     return loss + l20 + frob + upen + vpen, terms
 
 
-def _pgm_update(u_new, v_old, w_old, hp, cfg, derive_beta):
+def _pgm_update(u_new, v_old, w_old, hp, derive_beta):
     """Weight-block step in the transposed frame (rows = columns of W)."""
+    beta = hp.beta
     if derive_beta:
         sigma = spectral_norm(v_old)
-        cfg = replace(cfg, beta=0.9 / (hp.tau * sigma * sigma + hp.gamma))
-    return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, cfg).T
+        beta = 0.9 / (hp.tau * sigma * sigma + hp.gamma)
+    return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta).T
 
 
-def bcd_iteration(state, data, hp, pgm_cfg=None, cg_cfg=None, derive_beta=False):
+def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False):
     """One outer sweep; returns a new state without mutating the input.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
@@ -147,28 +150,22 @@ def bcd_iteration(state, data, hp, pgm_cfg=None, cg_cfg=None, derive_beta=False)
     values; the state solve for V_i uses the just-updated W_(i+1), U_(i+1)
     and the previous U_i.
     """
-    if pgm_cfg is None:
-        pgm_cfg = PgmConfig(L=hp.L, beta=hp.beta)
     if cg_cfg is None:
         cg_cfg = CgConfig()
     h = len(state.W)
-
-    def v_in_old(i):
-        return data.X if i == 0 else state.V[i - 1]
-
     new_w = list(state.W)
     new_u = list(state.U)
     new_v = list(state.V)
 
-    top = h - 1
-    b_top = state.W[top] @ v_in_old(top)
-    new_u[top] = prox_hardmax_matrix(b_top, data.Y, hp.tau, n=data.X.shape[1], eps_tiny=hp.eps_tiny)
-    new_w[top] = _pgm_update(new_u[top], v_in_old(top), state.W[top], hp, pgm_cfg, derive_beta)
-
-    for i in range(h - 2, -1, -1):
-        new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
-        new_u[i] = prox_step_matrix(new_v[i], state.W[i] @ v_in_old(i), hp.tau, hp.pi, hp.eps_tiny)
-        new_w[i] = _pgm_update(new_u[i], v_in_old(i), state.W[i], hp, pgm_cfg, derive_beta)
+    for i in range(h - 1, -1, -1):
+        v_in = _layer_input(state, data, i)
+        if i == h - 1:
+            new_u[i] = prox_hardmax_matrix(state.W[i] @ v_in, data.Y, hp.tau, n=data.X.shape[1],
+                                           eps_tiny=hp.eps_tiny)
+        else:
+            new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
+            new_u[i] = prox_step_matrix(new_v[i], state.W[i] @ v_in, hp.tau, hp.pi, hp.eps_tiny)
+        new_w[i] = _pgm_update(new_u[i], v_in, state.W[i], hp, derive_beta)
 
     return TrainState(new_w, new_u, new_v)
 
@@ -183,12 +180,12 @@ def _record(k, state, data, hp, dw, dv, seconds):
 
 
 def _count_tied_output_columns(state, data):
-    h = len(state.W)
-    b = state.W[h - 1] @ (state.V[h - 2] if h > 1 else data.X)
+    top = len(state.W) - 1
+    b = state.W[top] @ _layer_input(state, data, top)
     return int(((b == b.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
 
 
-def _epoch_over_batches(state, data, hp, pgm_cfg, cg_cfg, derive_beta, batch_size, perm):
+def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
     """Stateless mini-batch pass: W persists, batch U/V start from a forward pass."""
     w = state.W
     n = data.X.shape[1]
@@ -197,13 +194,13 @@ def _epoch_over_batches(state, data, hp, pgm_cfg, cg_cfg, derive_beta, batch_siz
         batch = Dataset(np.ascontiguousarray(data.X[:, idx]), np.ascontiguousarray(data.Y[:, idx]))
         u, v = forward_blocks(w, batch.X)
         batch_state = TrainState(list(w), u, v)
-        batch_state = bcd_iteration(batch_state, batch, hp, pgm_cfg, cg_cfg, derive_beta)
+        batch_state = bcd_iteration(batch_state, batch, hp, cg_cfg, derive_beta)
         w = batch_state.W
     u, v = forward_blocks(w, data.X)
     return TrainState(w, u, v)
 
 
-def train(data, shape, hp, rng, pgm_cfg=None, cg_cfg=None, init_scale=0.01,
+def train(data, shape, hp, rng, cg_cfg=None, init_scale=0.01,
           derive_beta=False, early_stop_tol=None, batch_size=None,
           warmup_epochs=0, warmup_batch=256, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
@@ -220,8 +217,6 @@ def train(data, shape, hp, rng, pgm_cfg=None, cg_cfg=None, init_scale=0.01,
         raise ValueError(f"architecture input width {shape.dims[0]} != data dim {data.X.shape[0]}")
     if shape.dims[-1] != data.Y.shape[0]:
         raise ValueError(f"architecture output width {shape.dims[-1]} != label dim {data.Y.shape[0]}")
-    if pgm_cfg is None:
-        pgm_cfg = PgmConfig(L=hp.L, beta=hp.beta)
     if (batch_size is not None or warmup_epochs > 0) and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 
@@ -234,9 +229,9 @@ def train(data, shape, hp, rng, pgm_cfg=None, cg_cfg=None, init_scale=0.01,
         bs = warmup_batch if k <= warmup_epochs else batch_size
         if bs is not None:
             perm = shuffle_rng.permutation(data.X.shape[1])
-            new_state = _epoch_over_batches(state, data, hp, pgm_cfg, cg_cfg, derive_beta, int(bs), perm)
+            new_state = _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, int(bs), perm)
         else:
-            new_state = bcd_iteration(state, data, hp, pgm_cfg, cg_cfg, derive_beta)
+            new_state = bcd_iteration(state, data, hp, cg_cfg, derive_beta)
         dw = _sq_diff(new_state.W, state.W)
         dv = _sq_diff(new_state.V, state.V)
         state = new_state

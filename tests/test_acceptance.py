@@ -37,7 +37,6 @@ from stepbcd.metrics import filter_count, flops_estimate
 from stepbcd.prox import hardmax, prox_hardmax_column, prox_l20_rows, prox_step_scalar, step
 from stepbcd.solvers import (
     CgConfig,
-    PgmConfig,
     cg_solve,
     composite_objective,
     p_stationarity_residual,
@@ -176,11 +175,10 @@ def certified_points():
     if _certified_cache:
         return _certified_cache
     for u, v, w0, tau, gamma, lam, beta in pgm_instances():
-        cfg = PgmConfig(L=1, beta=beta)
         w = w0
         obj = composite_objective(w, u, v, tau, gamma, lam)
         for _ in range(500):
-            w = pgm(u, v, w, tau, gamma, lam, cfg)
+            w = pgm(u, v, w, tau, gamma, lam, L=1, beta=beta)
             cur = composite_objective(w, u, v, tau, gamma, lam)
             assert cur <= obj + 1e-12 * max(1.0, abs(obj)), "inner objective increased"
             obj = cur
@@ -274,7 +272,6 @@ def test_criterion_5_bcd_descent():
             _, report = train(
                 data, shape, hp,
                 rng=make_rng(900 + run),
-                pgm_cfg=PgmConfig(L=hp.L, beta=hp.beta),
                 cg_cfg=CgConfig(tol=1e-12),
             )
             ok, worst = check_descent(report, hp, tol=1e-9)

@@ -11,51 +11,8 @@ from stepbcd.core import (
     forward_blocks,
     init_gaussian,
     make_rng,
-    matmul,
 )
 from stepbcd.prox import step
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_counting_case(self):
-        a = np.ones((2, 3))
-        b = np.ones((3, 1))
-        assert np.array_equal(matmul(a, b), np.array([[3.0], [3.0]]))
-
-    def test_matches_naive_oracle(self):
-        rng = make_rng(5)
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((4, 6))
-        assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-12
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = make_rng(6)
-        for _ in range(20):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-9 * max(1.0, np.max(np.abs(left)))
 
 
 class TestNetworkShape:
@@ -86,6 +43,10 @@ class TestHyperparams:
             Hyperparams(lam=-1.0)
         with pytest.raises(ValueError):
             Hyperparams(K=-1)
+        with pytest.raises(ValueError):
+            Hyperparams(L=-1)
+        with pytest.raises(ValueError):
+            Hyperparams(beta=0.0)
 
 
 class TestInitGaussian:

@@ -8,7 +8,6 @@ from stepbcd.metrics import (
     evaluate,
     filter_count,
     flops_estimate,
-    forward_predict,
     param_count,
     predict_classes,
     write_metrics_csv,
@@ -29,23 +28,23 @@ def forward_oracle(w_list, x):
     return best
 
 
-class TestForwardPredict:
+class TestPredictClasses:
     def test_identity_single_layer(self):
-        assert forward_predict([np.eye(3)], np.array([0.0, 1.0, 0.0])) == 1
+        assert predict_classes([np.eye(3)], np.array([[0.0], [1.0], [0.0]]))[0] == 1
 
     def test_all_tie_resolves_to_lowest_index(self):
-        assert forward_predict([np.zeros((4, 2))], np.array([1.0, 1.0])) == 0
+        assert predict_classes([np.zeros((4, 2))], np.array([[1.0], [1.0]]))[0] == 0
 
     def test_matches_straight_line_oracle(self):
         rng = make_rng(1)
         w = [rng.standard_normal((6, 4)), rng.standard_normal((5, 6)), rng.standard_normal((3, 5))]
         for _ in range(50):
             x = rng.standard_normal(4)
-            assert forward_predict(w, x) == forward_oracle(w, x)
+            assert predict_classes(w, x.reshape(-1, 1))[0] == forward_oracle(w, x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="layer 1"):
-            forward_predict([np.zeros((3, 2)), np.zeros((2, 4))], np.zeros(2))
+            predict_classes([np.zeros((3, 2)), np.zeros((2, 4))], np.zeros((2, 1)))
 
     def test_positive_rescaling_invariance(self):
         rng = make_rng(2)

@@ -56,7 +56,13 @@ def hardmax_oracle_min(y_index, b, mu):
 
 class TestStep:
     def test_definition_at_zero_and_signs(self):
-        assert np.array_equal(step(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 1.0])
+        out = step(np.array([-1.0, 0.0, -0.0, np.nan, 2.0]))
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 0.0, 1.0])
+        assert out.dtype == np.float64
+        assert not np.signbit(out).any()
+        ints = step(np.array([-3, 0, 5]))
+        assert ints.dtype == np.float64
+        assert np.array_equal(ints, [0.0, 0.0, 1.0])
 
     def test_strict_positivity_no_floor(self):
         assert step(np.array([1e-300]))[0] == 1.0

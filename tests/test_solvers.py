@@ -7,7 +7,6 @@ from stepbcd.prox import step
 from stepbcd.solvers import (
     CgConfig,
     CgError,
-    PgmConfig,
     cg_solve,
     composite_objective,
     grad_psi,
@@ -67,7 +66,7 @@ class TestGradPsi:
 class TestPgm:
     def test_zero_iterations_returns_start(self):
         u, v, w0 = random_instance(5)
-        out = pgm(u, v, w0, 1.0, 0.1, 0.05, PgmConfig(L=0, beta=0.01))
+        out = pgm(u, v, w0, 1.0, 0.1, 0.05, L=0, beta=0.01)
         assert np.array_equal(out, w0)
         assert out is not w0
 
@@ -75,38 +74,16 @@ class TestPgm:
         u, v, w0 = random_instance(6, n=6, p=4, q=3)
         tau, gamma = 1.0, 0.5
         beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
-        out = pgm(u, v, w0, tau, gamma, 0.0, PgmConfig(L=2000, beta=beta))
+        out = pgm(u, v, w0, tau, gamma, 0.0, L=2000, beta=beta)
         assert np.max(np.abs(out - ridge_solution(u, v, tau, gamma))) < 1e-6
-
-    def test_stationarity_check_logs_without_changing_result(self, caplog):
-        import logging
-
-        u, v, w0 = random_instance(20, n=6, p=4, q=3)
-        plain = pgm(u, v, w0, 1.0, 0.5, 0.05, PgmConfig(L=2, beta=0.01))
-        with caplog.at_level(logging.DEBUG, logger="stepbcd.solvers"):
-            checked = pgm(
-                u, v, w0, 1.0, 0.5, 0.05,
-                PgmConfig(L=2, beta=0.01, check_stationarity=True, stationarity_tol=1e-12),
-            )
-        assert np.array_equal(plain, checked)
-        assert any("residual" in rec.message for rec in caplog.records)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PgmConfig(L=-1, beta=0.1)
-        with pytest.raises(ValueError):
-            PgmConfig(L=1, beta=0.0)
-        with pytest.raises(ValueError):
-            CgConfig(tol=0.0)
 
     def test_objective_nonincreasing_with_valid_step(self):
         u, v, w = random_instance(7, n=10, p=6, q=5)
         tau, gamma, lam = 1.0, 0.2, 0.1
         beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
-        cfg = PgmConfig(L=1, beta=beta)
         prev = composite_objective(w, u, v, tau, gamma, lam)
         for _ in range(500):
-            w = pgm(u, v, w, tau, gamma, lam, cfg)
+            w = pgm(u, v, w, tau, gamma, lam, L=1, beta=beta)
             cur = composite_objective(w, u, v, tau, gamma, lam)
             assert cur <= prev + 1e-12 * max(1.0, abs(prev))
             prev = cur
@@ -126,7 +103,7 @@ class TestStationarityResidual:
         u, v, w0 = random_instance(9, n=9, p=5, q=4)
         tau, gamma, lam = 1.0, 0.5, 0.08
         beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
-        w = pgm(u, v, w0, tau, gamma, lam, PgmConfig(L=500, beta=beta))
+        w = pgm(u, v, w0, tau, gamma, lam, L=500, beta=beta)
         assert p_stationarity_residual(w, u, v, tau, gamma, lam, beta) <= 1e-6
 
 
@@ -218,6 +195,10 @@ class TestSolveV:
         cold = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=np.zeros_like(u_cur))
         warm = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            CgConfig(tol=0.0)
 
     def test_pi_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import stepbcd.trainer as trainer_mod
 from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
 from stepbcd.dataio import Dataset, make_cluster_dataset
 from stepbcd.prox import hardmax, step
-from stepbcd.solvers import CgConfig, PgmConfig
+from stepbcd.solvers import CgConfig
 from stepbcd.trainer import BcdReport, bcd_iteration, check_descent, objective_f, train
 
 
@@ -89,7 +89,7 @@ class TestBcdIteration:
         )
         assert np.array_equal(out.U[0], ref_u)
         ref_w = trainer_mod.pgm(
-            ref_u.T, tiny_data.X.T, state.W[0].T, hp.tau, hp.gamma, hp.lam, PgmConfig(L=3, beta=0.05)
+            ref_u.T, tiny_data.X.T, state.W[0].T, hp.tau, hp.gamma, hp.lam, L=3, beta=0.05
         ).T
         assert np.array_equal(out.W[0], ref_w)
 
@@ -124,9 +124,9 @@ class TestBcdIteration:
             calls["hardmax"].append({"b": b.copy(), "y": y})
             return real_hardmax(b, y, tau, n=n, eps_tiny=eps_tiny)
 
-        def spy_pgm(u, v, w0, tau, gamma, lam, cfg):
+        def spy_pgm(u, v, w0, tau, gamma, lam, L, beta):
             calls["pgm"].append({"u": u, "v": v, "w0": w0})
-            return real_pgm(u, v, w0, tau, gamma, lam, cfg)
+            return real_pgm(u, v, w0, tau, gamma, lam, L, beta)
 
         def spy_solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
             calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "u_cur": u_cur, "v_init": v_init})
