@@ -153,7 +153,7 @@ def forward_blocks(w_list, x):
     v = x
     for i, w in enumerate(w_list):
         if w.shape[1] != v.shape[0]:
-            raise ValueError(f"layer {i}: weight {w.shape} does not accept input of dim {v.shape[0]}")
+            raise ValueError(f"layer {i}: weight {w.shape} does not accept input {v.shape}")
         u = w @ v
         u_list.append(u)
         if i < len(w_list) - 1:

@@ -93,6 +93,8 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta):
     non-increasing and the iterates converge to a point satisfying the
     proximal fixed-point inclusion.
     """
+    if L < 0 or beta <= 0.0:
+        raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
     w = w0.copy()
     for _ in range(L):
         w = prox_l20_rows(w - beta * grad_psi(w, u, v, tau, gamma), beta, lam)

@@ -15,6 +15,45 @@ from stepbcd.core import (
 from stepbcd.prox import step
 
 
+def naive_matmul(a, b):
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = 0.0
+            for k in range(a.shape[1]):
+                acc += a[i, k] * b[k, j]
+            out[i, j] = acc
+    return out
+
+
+def first_product(w, x):
+    """The first pre-activation ``U_1 = W_1 X`` of the 0/1 forward pass."""
+    return forward_blocks([w], x)[0][0]
+
+
+class TestMatmul:
+    """The weight product of ``forward_blocks``, the only one in the forward pass."""
+
+    def test_identity(self):
+        b = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(first_product(np.eye(3), b), b)
+
+    def test_counting_case(self):
+        a = np.ones((2, 3))
+        b = np.ones((3, 1))
+        assert np.array_equal(first_product(a, b), np.array([[3.0], [3.0]]))
+
+    def test_matches_naive_oracle(self):
+        rng = make_rng(5)
+        a = rng.standard_normal((5, 4))
+        b = rng.standard_normal((4, 6))
+        assert np.max(np.abs(first_product(a, b) - naive_matmul(a, b))) < 1e-12
+
+    def test_dimension_mismatch_reports_both_shapes(self):
+        with pytest.raises(ValueError, match=r"layer 0.*\(2, 3\).*\(2, 3\)"):
+            first_product(np.ones((2, 3)), np.ones((2, 3)))
+
+
 class TestNetworkShape:
     def test_h_and_weight_shapes(self):
         shape = NetworkShape((4, 8, 3))

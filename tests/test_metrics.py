@@ -28,7 +28,9 @@ def forward_oracle(w_list, x):
     return best
 
 
-class TestPredictClasses:
+class TestForwardPredict:
+    """Class prediction of one sample through the 0/1 forward pass."""
+
     def test_identity_single_layer(self):
         assert predict_classes([np.eye(3)], np.array([[0.0], [1.0], [0.0]]))[0] == 1
 

@@ -77,6 +77,15 @@ class TestPgm:
         out = pgm(u, v, w0, tau, gamma, 0.0, L=2000, beta=beta)
         assert np.max(np.abs(out - ridge_solution(u, v, tau, gamma))) < 1e-6
 
+    def test_config_validation(self):
+        u, v, w0 = random_instance(5)
+        with pytest.raises(ValueError):
+            pgm(u, v, w0, 1.0, 0.1, 0.05, L=-1, beta=0.1)
+        with pytest.raises(ValueError):
+            pgm(u, v, w0, 1.0, 0.1, 0.05, L=1, beta=0.0)
+        with pytest.raises(ValueError):
+            CgConfig(tol=0.0)
+
     def test_objective_nonincreasing_with_valid_step(self):
         u, v, w = random_instance(7, n=10, p=6, q=5)
         tau, gamma, lam = 1.0, 0.2, 0.1
@@ -195,10 +204,6 @@ class TestSolveV:
         cold = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=np.zeros_like(u_cur))
         warm = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CgConfig(tol=0.0)
 
     def test_pi_nonpositive_rejected(self):
         with pytest.raises(ValueError):
