@@ -235,7 +235,8 @@ def build_parser():
     p_train.add_argument("--cg-tol", type=float, default=1e-8,
                          help="per-column relative residual the V solve must meet, on its Woodbury and CG paths")
     p_train.add_argument("--cg-max-iters", type=int, default=None,
-                         help="CG iteration cap for square or widening layers (default 10x width)")
+                         help="CG iteration cap (default 10x width); CG solves square or widening "
+                              "layers, and narrower ones when Woodbury misses --cg-tol")
     p_train.add_argument("--derive-beta", action="store_true",
                          help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
     p_train.add_argument("--early-stop-tol", type=float, default=None)

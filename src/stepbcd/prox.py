@@ -152,14 +152,24 @@ def prox_step_matrix(v_target, b, tau, pi, eps_tiny=1e-10):
     if v_target.shape != b.shape:
         raise ValueError(f"target/prediction shape mismatch: {v_target.shape} vs {b.shape}")
 
-    t = 2.0 * v_target - 1.0
-    lhs = pi * t
-    quad = tau * b * b
+    # lhs = pi * t and quad = tau * b^2, each built in place in one buffer:
+    # this function's temporaries are among the largest of a sweep, so
+    # ``out`` is allocated only after they are released.
+    lhs = 2.0 * v_target
+    lhs -= 1.0
+    lhs *= pi
+    quad = tau * b
+    quad *= b
+    positive = b > 0.0
+    bump = (lhs > quad) & ~positive
+    # -lhs > quad is exactly lhs < -quad (negation is exact).
+    np.negative(lhs, out=lhs)
+    zero = (lhs > quad) & positive
+    del lhs, quad
     out = b.copy()
-    out[(b > 0.0) & (lhs < -quad)] = 0.0
-    bump = (b <= 0.0) & (lhs > quad)
+    out[zero] = 0.0
     if np.any(bump):
-        tb = t[bump]
+        tb = 2.0 * v_target[bump] - 1.0
         out[bump] = np.minimum(np.sqrt(tb * (pi / tau)) + b[bump], eps_tiny)
     return out
 

@@ -8,6 +8,13 @@ prox), and the weights.  Every
 sub-problem consumes exactly the iterate versions the update scheme
 prescribes: the pre-activation targets ``b = W_i V_(i-1)`` always use the
 not-yet-updated weights and states from the previous sweep.
+
+Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
+computes them for the objective's coupling penalty and carries them into
+the next sweep as its ``b`` targets.  After a forward pass (the init, a
+mini-batch, the state re-derived after a mini-batch epoch) they are the
+``U`` blocks themselves.  The carried products are read-only and may alias
+``state.U``.
 """
 
 from __future__ import annotations
@@ -96,7 +103,12 @@ def _layer_input(state, data, i):
     return data.X if i == 0 else state.V[i - 1]
 
 
-def objective_f(state, data, hp):
+def _coupling_products(state, data):
+    """The coupling products ``W_i V_(i-1)`` of every layer, input layer first."""
+    return [w @ _layer_input(state, data, i) for i, w in enumerate(state.W)]
+
+
+def objective_f(state, data, hp, b=None):
     """Penalty objective and its term breakdown.
 
     F = (1/2N) ||Y - hardmax(U_h)||^2
@@ -105,6 +117,8 @@ def objective_f(state, data, hp):
         + (pi/2) sum_(i<h) ||V_i - step(U_i)||^2
 
     Returns ``(F, terms)`` with terms keyed loss/l20/frob/upen/vpen.
+    ``b`` holds the products ``W_i V_(i-1)`` when the caller has them
+    (read-only); they are computed here when absent.
     """
     h = len(state.W)
     n = data.X.shape[1]
@@ -116,9 +130,11 @@ def objective_f(state, data, hp):
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
     frob = 0.5 * hp.gamma * sum(float((w * w).sum()) for w in state.W)
 
+    if b is None:
+        b = _coupling_products(state, data)
     upen = 0.0
-    for i in range(h):
-        r = state.U[i] - state.W[i] @ _layer_input(state, data, i)
+    for u, wv in zip(state.U, b):
+        r = u - wv
         upen += float((r * r).sum())
     upen *= 0.5 * hp.tau
 
@@ -141,7 +157,7 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta):
     return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta).T
 
 
-def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False):
+def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
     """One outer sweep; returns a new state without mutating the input.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
@@ -149,23 +165,28 @@ def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False):
     target and each PGM data matrix ``V_(i-1)`` uses the previous sweep's
     values; the state solve for V_i uses the just-updated W_(i+1), U_(i+1)
     and the previous U_i.
+
+    ``b`` lists those targets, input layer first.  ``train`` carries them
+    from the previous iterate's objective, or passes ``state.U`` itself
+    when the state is a forward pass; they are computed here when absent.
+    ``b`` is read-only and may alias ``state.U``.
     """
     if cg_cfg is None:
         cg_cfg = CgConfig()
+    if b is None:
+        b = _coupling_products(state, data)
     h = len(state.W)
     new_w = list(state.W)
     new_u = list(state.U)
     new_v = list(state.V)
 
     for i in range(h - 1, -1, -1):
-        v_in = _layer_input(state, data, i)
         if i == h - 1:
-            new_u[i] = prox_hardmax_matrix(state.W[i] @ v_in, data.Y, hp.tau, n=data.X.shape[1],
-                                           eps_tiny=hp.eps_tiny)
+            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau, n=data.X.shape[1], eps_tiny=hp.eps_tiny)
         else:
             new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
-            new_u[i] = prox_step_matrix(new_v[i], state.W[i] @ v_in, hp.tau, hp.pi, hp.eps_tiny)
-        new_w[i] = _pgm_update(new_u[i], v_in, state.W[i], hp, derive_beta)
+            new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi, hp.eps_tiny)
+        new_w[i] = _pgm_update(new_u[i], _layer_input(state, data, i), state.W[i], hp, derive_beta)
 
     return TrainState(new_w, new_u, new_v)
 
@@ -174,15 +195,13 @@ def _sq_diff(new, old):
     return sum(float(((a - b) ** 2).sum()) for a, b in zip(new, old))
 
 
-def _record(k, state, data, hp, dw, dv, seconds):
-    f, terms = objective_f(state, data, hp)
+def _record(k, state, data, hp, dw, dv, seconds, b):
+    f, terms = objective_f(state, data, hp, b)
     return BcdRecord(k, f, terms["loss"], terms["l20"], terms["frob"], terms["upen"], terms["vpen"], dw, dv, seconds)
 
 
-def _count_tied_output_columns(state, data):
-    top = len(state.W) - 1
-    b = state.W[top] @ _layer_input(state, data, top)
-    return int(((b == b.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
+def _count_tied_output_columns(b_top):
+    return int(((b_top == b_top.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
 
 
 def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
@@ -194,7 +213,7 @@ def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
         batch = Dataset(np.ascontiguousarray(data.X[:, idx]), np.ascontiguousarray(data.Y[:, idx]))
         u, v = forward_blocks(w, batch.X)
         batch_state = TrainState(list(w), u, v)
-        batch_state = bcd_iteration(batch_state, batch, hp, cg_cfg, derive_beta)
+        batch_state = bcd_iteration(batch_state, batch, hp, cg_cfg, derive_beta, b=u)
         w = batch_state.W
     u, v = forward_blocks(w, data.X)
     return TrainState(w, u, v)
@@ -222,7 +241,11 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=0.01,
 
     state = init_gaussian(shape, init_scale, rng, data.X)
     state.check_consistent(shape, data.X.shape[1])
-    records = [_record(0, state, data, hp, 0.0, 0.0, 0.0)]
+    # The coupling products of the current iterate: the objective's upen,
+    # the next sweep's b targets and the final tie count all read them.
+    # A forward-pass state's products are its U blocks.
+    b = state.U
+    records = [_record(0, state, data, hp, 0.0, 0.0, 0.0, b)]
 
     for k in range(1, hp.K + 1):
         t0 = time.perf_counter()
@@ -231,18 +254,21 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=0.01,
             perm = shuffle_rng.permutation(data.X.shape[1])
             new_state = _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, int(bs), perm)
         else:
-            new_state = bcd_iteration(state, data, hp, cg_cfg, derive_beta)
+            new_state = bcd_iteration(state, data, hp, cg_cfg, derive_beta, b)
+        b = None  # release the spent products before the new ones exist
         dw = _sq_diff(new_state.W, state.W)
         dv = _sq_diff(new_state.V, state.V)
         state = new_state
         state.check_finite()
-        records.append(_record(k, state, data, hp, dw, dv, time.perf_counter() - t0))
+        seconds = time.perf_counter() - t0
+        b = state.U if bs is not None else _coupling_products(state, data)
+        records.append(_record(k, state, data, hp, dw, dv, seconds, b))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)
         if early_stop_tol is not None and abs(records[-1].f - records[-2].f) < early_stop_tol:
             logger.info("early stop at iteration %d: |dF| < %g", k, early_stop_tol)
             break
 
-    tied = _count_tied_output_columns(state, data)
+    tied = _count_tied_output_columns(b[-1])
     if tied:
         logger.warning("%d output columns have tied maxima at the final iterate", tied)
     return state, BcdReport(records)

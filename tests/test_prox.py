@@ -244,16 +244,21 @@ class TestProxStepMatrix:
         out = prox_step_matrix(step(b), b, tau=1e-6, pi=1e-7)
         assert np.array_equal(out, b)
 
-    @pytest.mark.parametrize("tau,pi", [(0.01, 0.1), (1.0, 0.1)])
+    @pytest.mark.parametrize("tau,pi", [(0.01, 0.1), (1.0, 0.1), (0.5, 1.0)])
     def test_matches_scalar_entrywise(self, tau, pi):
         rng = make_rng(32)
         v = rng.uniform(0.0, 1.0, (5, 6))
         b = rng.uniform(-3.0, 3.0, (5, 6))
+        # Knife edges in the last row: the dyadic ties of the scalar tests
+        # (exact at tau/pi = 0.5) and signed zeros with a 0/1 target.
+        v[-1] = [0.25, 0.75, 0.0, 1.0, 0.0, 1.0]
+        b[-1] = [1.0, -1.0, 0.0, 0.0, -0.0, -0.0]
         out = prox_step_matrix(v, b, tau, pi)
         rho = tau / pi
         for j in range(5):
             for r in range(6):
-                assert out[j, r] == prox_step_scalar(v[j, r], b[j, r], rho)
+                want = prox_step_scalar(v[j, r], b[j, r], rho)
+                assert out[j, r] == want and np.signbit(out[j, r]) == np.signbit(want)
 
     def test_minimizes_weighted_entry_objective(self):
         # the matrix op must minimize (tau/2)(u-b)^2 + (pi/2)(a-step(u))^2

@@ -254,12 +254,30 @@ class TestSolveV:
         ref = np.linalg.solve(a, rhs)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
 
-    def test_unreachable_tolerance_raises(self):
+    def test_woodbury_miss_falls_back_to_cg(self, cg_calls):
+        # tau ||w||^2 / pi ~ 1e15: the refined Woodbury iterate still misses
+        # tol, and warm CG on the dense system finishes the solve.
         w, u_next, u_cur = narrow_system(50, scale=30.0)
-        tol = 1e-8
+        tau, pi, tol = 1.0, 1e-8, 1e-8
+        out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+        assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
+        assert cg_calls == [(w.shape[1], w.shape[1])]
+
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        w, u_next, u_cur = narrow_system(50, scale=30.0)
+        tau, pi, tol = 1.0, 1e-8, 1e-8
+        iterates = []
+
+        def cg_keeping_iterates(a, b, x0, tol, max_iters):
+            return cg_solve(a, b, x0, tol, max_iters, callback=iterates.append)
+
+        monkeypatch.setattr(solvers, "cg_solve", cg_keeping_iterates)
         with pytest.raises(CgError, match="relative residual") as exc:
-            solve_v(w, u_next, u_cur, 1.0, 1e-8, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol, max_iters=1), v_init=np.zeros_like(u_cur))
         assert exc.value.residual > tol
+        assert exc.value.iters == 1 and len(iterates) == 1
+        worst = column_residuals(w, u_next, u_cur, iterates[-1], tau, pi).max()
+        assert exc.value.residual == pytest.approx(worst, rel=1e-3)
 
 
 class TestCgProperties:
@@ -284,3 +302,13 @@ class TestCgProperties:
         x, iters = cg_solve(a, b, x_star, tol=1e-8, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x_star)
+
+    def test_start_within_tolerance_returns_it(self):
+        # An inexact start whose every column already meets tol: no iteration runs.
+        _, _, _, a, b = spd_system(22, d=10, n=3)
+        x0 = np.linalg.solve(a, b) + 1e-9 * make_rng(23).standard_normal(b.shape)
+        rel = np.linalg.norm(b - a @ x0, axis=0) / np.linalg.norm(b, axis=0)
+        assert 0.0 < rel.max() < 1e-6
+        x, iters = cg_solve(a, b, x0, tol=1e-6, max_iters=100)
+        assert iters == 0
+        assert np.array_equal(x, x0)

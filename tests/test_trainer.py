@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stepbcd.trainer as trainer_mod
-from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
+from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset, make_cluster_dataset
 from stepbcd.prox import hardmax, step
 from stepbcd.solvers import CgConfig
@@ -97,9 +97,18 @@ class TestBcdIteration:
         shape = NetworkShape((4, 6, 3))
         state = init_gaussian(shape, 0.3, make_rng(6), tiny_data.X)
         saved = state.copy()
-        bcd_iteration(state, tiny_data, Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.1, L=2))
+        hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.1, L=2)
+        bcd_iteration(state, tiny_data, hp)
         for a, b in zip(state.W + state.U + state.V, saved.W + saved.U + saved.V):
             assert np.array_equal(a, b)
+        # passed-in targets are only read: the list keeps its arrays and their values
+        targets = [w @ x for w, x in zip(state.W, [tiny_data.X] + state.V)]
+        b = list(targets)
+        saved_b = [t.copy() for t in targets]
+        bcd_iteration(state, tiny_data, hp, b=b)
+        assert len(b) == len(targets) and all(x is y for x, y in zip(b, targets))
+        for a, c in zip(b, saved_b):
+            assert np.array_equal(a, c)
 
     def test_update_order_and_staleness(self, monkeypatch):
         """Each sub-solver must receive exactly the iterate versions of the
@@ -191,7 +200,48 @@ class TestBcdIteration:
             assert np.linalg.norm(a - b) <= 1e-12
 
 
+def _sweep_loop(data, shape, hp, rng, init_scale, warmup_batch, shuffle_rng):
+    """``train`` written as a loop of public calls, none of them given ``b``."""
+    state = init_gaussian(shape, init_scale, rng, data.X)
+    rows = [(0, *objective_f(state, data, hp), 0.0, 0.0)]
+    for k in range(1, hp.K + 1):
+        if k == 1 and warmup_batch is not None:
+            w = state.W
+            perm = shuffle_rng.permutation(data.n)
+            for start in range(0, data.n, warmup_batch):
+                idx = perm[start:start + warmup_batch]
+                batch = Dataset(np.ascontiguousarray(data.X[:, idx]), np.ascontiguousarray(data.Y[:, idx]))
+                u, v = forward_blocks(w, batch.X)
+                w = bcd_iteration(trainer_mod.TrainState(list(w), u, v), batch, hp).W
+            new = trainer_mod.TrainState(w, *forward_blocks(w, data.X))
+        else:
+            new = bcd_iteration(state, data, hp)
+        dw = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.W, state.W))
+        dv = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.V, state.V))
+        state = new
+        rows.append((k, *objective_f(state, data, hp), dw, dv))
+    return state, rows
+
+
 class TestTrain:
+    @pytest.mark.parametrize("warmup", [False, True])
+    def test_carried_products_match_public_calls(self, warmup):
+        # train computes each W_i V_(i-1) once and carries it; the result must
+        # be bit for bit that of recomputing the products in every call.
+        data = make_cluster_dataset(4, 3, 24, make_rng(21))
+        shape = NetworkShape((4, 6, 8, 3))  # V_1 by Woodbury, V_0 by CG
+        hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=4)
+        kw = dict(warmup_epochs=1, warmup_batch=8, shuffle_rng=make_rng(22)) if warmup else {}
+        state, report = train(data, shape, hp, rng=make_rng(23), init_scale=0.3, **kw)
+        ref_state, rows = _sweep_loop(data, shape, hp, make_rng(23), 0.3, 8 if warmup else None, make_rng(22))
+        assert len(report.records) == len(rows) == hp.K + 1
+        for rec, (k, f, terms, dw, dv) in zip(report.records, rows):
+            assert (rec.k, rec.f, rec.loss, rec.l20, rec.frob, rec.upen, rec.vpen, rec.dw, rec.dv) == (
+                k, f, terms["loss"], terms["l20"], terms["frob"], terms["upen"], terms["vpen"], dw, dv)
+        for a, b in zip(state.W + state.U + state.V, ref_state.W + ref_state.U + ref_state.V):
+            assert np.array_equal(a, b)
+        assert report.records[-1].dw > 0.0 and report.records[-1].upen > 0.0
+
     def test_k_zero_returns_initial_state(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
         hp = Hyperparams(K=0)
