@@ -23,8 +23,6 @@ from .dataio import (
     load_csv_dataset,
     load_idx_images,
     load_idx_labels,
-    make_cluster_dataset,
-    make_synthetic_images,
     save_checkpoint,
     to_dataset,
 )

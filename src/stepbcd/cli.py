@@ -31,7 +31,7 @@ from .dataio import (
 )
 from .metrics import evaluate, filter_count, flops_estimate, param_count, write_metrics_csv
 from .solvers import CgConfig, CgError
-from .trainer import train
+from .trainer import DEFAULT_INIT_SCALE, DEFAULT_WARMUP_BATCH, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,70 +39,87 @@ EXIT_NUMERIC = 3
 
 logger = logging.getLogger(__name__)
 
-# Shuffle sub-stream indices for the two subsampled splits.
-_TRAIN_SPLIT = 0
-_TEST_SPLIT = 1
-
 
 def _parse_arch(text):
-    dims = tuple(int(p) for p in text.split(","))
-    return NetworkShape(dims)
+    return NetworkShape(tuple(int(p) for p in text.split(",")))
+
+
+def _arch_text(text):
+    """``--arch`` type: the text as given, once it parses to a NetworkShape."""
+    try:
+        _parse_arch(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"invalid layer widths {text!r}: {e}") from None
+    return text
 
 
 def _parse_sigmas(text):
     return [float(p) for p in text.split(",")]
 
 
-def _add_data_args(p, split):
-    p.add_argument(f"--{split}-images", help=f"IDX image file for the {split} split")
-    p.add_argument(f"--{split}-labels", help=f"IDX label file for the {split} split")
-    p.add_argument(f"--{split}-csv", help=f"CSV file (features..., label) for the {split} split")
+def _add_data_args(p, *splits):
+    """The flags ``_load_split`` reads for each of ``splits``."""
+    for split in splits:
+        p.add_argument(f"--{split}-images", help=f"IDX image file for the {split} split")
+        p.add_argument(f"--{split}-labels", help=f"IDX label file for the {split} split")
+        p.add_argument(f"--{split}-csv", help=f"CSV file (features..., label) for the {split} split")
+        p.add_argument(f"--{split}-n", type=int, default=None, help=f"{split} subsample size after seeded shuffle")
+    p.add_argument("--classes", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _load_split(args, split, classes):
+def _load_split(args, split, shape, required):
+    """The ``split`` ("train" or "test") its flags name, or None if absent and not required.
+
+    ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
+    sub-stream (train 0, test 1).  A split whose features or classes do not
+    fit ``shape`` raises ValueError.
+    """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
     csv_path = getattr(args, f"{split}_csv")
     if csv_path is not None:
-        return load_csv_dataset(csv_path, classes)
-    if images is None and labels is None:
-        return None
-    if images is None or labels is None:
+        data = load_csv_dataset(csv_path, args.classes)
+    elif images is not None and labels is not None:
+        data = to_dataset(load_idx_images(images), load_idx_labels(labels), args.classes)
+    elif images is not None or labels is not None:
         raise ValueError(f"--{split}-images and --{split}-labels must be given together")
-    return to_dataset(load_idx_images(images), load_idx_labels(labels), classes)
+    elif required:
+        raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels or --{split}-csv)")
+    else:
+        return None
+    if data.input_dim != shape.dims[0] or data.num_classes != shape.dims[-1]:
+        raise ValueError(
+            f"architecture {shape.dims} does not fit the {split} data "
+            f"({data.input_dim} features, {data.num_classes} classes)"
+        )
+    n = getattr(args, f"{split}_n")
+    if n is not None and 0 < n < data.n:
+        perm = make_rng(args.seed, STAGE_SHUFFLE, ("train", "test").index(split)).permutation(data.n)
+        data = data.subset(np.sort(perm[:n]))
+    return data
 
 
-def _subsample(data, n, seed, split_index):
-    if n is None or n <= 0 or n >= data.n:
-        return data
-    perm = make_rng(seed, STAGE_SHUFFLE, split_index).permutation(data.n)
-    return data.subset(np.sort(perm[:n]))
-
-
-def _hyperparams(args):
-    return Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
-                       beta=args.beta, L=args.l, K=args.k, eps_tiny=args.eps_tiny)
-
-
-def _metrics_rows(w_list, splits):
+def _report_metrics(w_list, splits, out):
+    """Print the metrics row of each ``(name, data)`` split; write the rows as CSV to ``out`` if given."""
     fil = filter_count(w_list)
     par = param_count(w_list, count_pruned=False)
     flops = flops_estimate(w_list)
-    return [(name, evaluate(w_list, data).error_rate, fil, par, flops) for name, data in splits]
+    rows = [(name, evaluate(w_list, data).error_rate, fil, par, flops) for name, data in splits]
+    if out:
+        write_metrics_csv(out, rows)
+    for name, error, *_ in rows:
+        print(f"{name} error {error:.6f}  fil_num {fil}  par_num {par}  flops {flops:.0f}")
 
 
 def cmd_train(args):
     shape = _parse_arch(args.arch)
-    hp = _hyperparams(args)
-    train_data = _load_split(args, "train", args.classes)
-    if train_data is None:
-        raise ValueError("training data is required (--train-images/--train-labels or --train-csv)")
-    train_data = _subsample(train_data, args.train_n, args.seed, _TRAIN_SPLIT)
+    hp = Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
+                     beta=args.beta, L=args.l, K=args.k, eps_tiny=args.eps_tiny)
+    train_data = _load_split(args, "train", shape, required=True)
+    test_data = _load_split(args, "test", shape, required=False)
     if args.train_noise_sigma > 0.0:
-        train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_NOISE, _TRAIN_SPLIT))
-    test_data = _load_split(args, "test", args.classes)
-    if test_data is not None:
-        test_data = _subsample(test_data, args.test_n, args.seed, _TEST_SPLIT)
+        train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_NOISE, 0))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -126,46 +143,22 @@ def cmd_train(args):
     save_checkpoint(state, shape, hp, ckpt)
     report.to_csv(out_dir / "report.csv")
     splits = [("train", train_data)] + ([("test", test_data)] if test_data is not None else [])
-    rows = _metrics_rows(state.W, splits)
-    write_metrics_csv(out_dir / "metrics.csv", rows)
-    for row in rows:
-        print(f"{row[0]} error {row[1]:.6f}  fil_num {row[2]}  par_num {row[3]}  flops {row[4]:.0f}")
+    _report_metrics(state.W, splits, out_dir / "metrics.csv")
     print(f"final F {report.records[-1].f:.8g} after {report.records[-1].k} iterations")
     return EXIT_OK
 
 
 def cmd_eval(args):
     state, shape, _ = load_checkpoint(args.checkpoint)
-    splits = []
-    for split in ("train", "test"):
-        if args.split in (split, "both"):
-            data = _load_split(args, split, args.classes)
-            if data is None:
-                raise ValueError(f"no data given for requested split {split!r}")
-            n = getattr(args, f"{split}_n")
-            data = _subsample(data, n, args.seed, _TRAIN_SPLIT if split == "train" else _TEST_SPLIT)
-            if data.input_dim != shape.dims[0] or data.num_classes != shape.dims[-1]:
-                raise ValueError(
-                    f"checkpoint architecture {shape.dims} does not fit data "
-                    f"({data.input_dim} features, {data.num_classes} classes)"
-                )
-            splits.append((split, data))
-    rows = _metrics_rows(state.W, splits)
-    if args.out:
-        write_metrics_csv(args.out, rows)
-    for row in rows:
-        print(f"{row[0]} error {row[1]:.6f}  fil_num {row[2]}  par_num {row[3]}  flops {row[4]:.0f}")
+    splits = [(split, _load_split(args, split, shape, required=True))
+              for split in ("train", "test") if args.split in (split, "both")]
+    _report_metrics(state.W, splits, args.out)
     return EXIT_OK
 
 
 def cmd_robustness(args):
     state, shape, _ = load_checkpoint(args.checkpoint)
-    data = _load_split(args, "test", args.classes)
-    if data is None:
-        raise ValueError("test data is required (--test-images/--test-labels or --test-csv)")
-    data = _subsample(data, args.test_n, args.seed, _TEST_SPLIT)
-    if data.input_dim != shape.dims[0] or data.num_classes != shape.dims[-1]:
-        raise ValueError(f"checkpoint architecture {shape.dims} does not fit the test data")
+    data = _load_split(args, "test", shape, required=True)
 
     rows = []
     for i, sigma in enumerate(_parse_sigmas(args.sigmas)):
@@ -173,8 +166,7 @@ def cmd_robustness(args):
         err = evaluate(state.W, noisy).error_rate
         rows.append((sigma, err))
         print(f"sigma {sigma:g}: error {err:.6f}")
-    out = Path(args.out)
-    with open(out, "w", newline="") as f:
+    with open(args.out, "w", newline="") as f:
         f.write("sigma,error\n")
         for sigma, err in rows:
             f.write(f"{sigma:.17g},{err:.17g}\n")
@@ -206,7 +198,72 @@ def _write_config(path, args):
         f.write("\n")
 
 
-def build_parser():
+def _read_config(path):
+    """Train-flag defaults from a JSON object such as run_config.json; other keys are ignored.
+
+    Values reach argparse as text, so each flag's type parses them as it
+    parses the command line; null and true/false only where the flag's own
+    default is.  A value its flag rejects raises ValueError naming the file.
+    """
+    try:
+        with open(path) as f:
+            stored = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ValueError(f"cannot read config {path}: {e}") from e
+    if not isinstance(stored, dict):
+        raise ValueError(f"config {path} holds a JSON {type(stored).__name__}, not an object")
+    check = argparse.ArgumentParser(exit_on_error=False)
+    _add_train_args(check)
+    flags = vars(check.parse_args([]))
+    defaults = {}
+    for key, value in stored.items():
+        if key not in flags:
+            continue
+        default = flags[key]
+        if (value is None and default is not None) or isinstance(value, bool) != isinstance(default, bool):
+            raise ValueError(f"config {path}: {key} cannot be {json.dumps(value)}")
+        defaults[key] = value if value is None or isinstance(value, bool) else str(value)
+    check.set_defaults(**defaults)
+    try:
+        check.parse_args([])
+    except argparse.ArgumentError as e:
+        raise ValueError(f"config {path}: {e}") from e
+    return defaults
+
+
+def _add_train_args(p):
+    """The train command's flags; hyperparameter, solver and init defaults are the library's."""
+    hp, cg = Hyperparams(), CgConfig()
+    _add_data_args(p, "train", "test")
+    p.add_argument("--arch", type=_arch_text, default="784,2000,2000,10", help="comma-separated layer widths")
+    p.add_argument("--tau", type=float, default=hp.tau)
+    p.add_argument("--pi", type=float, default=hp.pi)
+    p.add_argument("--gamma", type=float, default=hp.gamma)
+    p.add_argument("--lambda", dest="lam", type=float, default=hp.lam)
+    p.add_argument("--beta", type=float, default=hp.beta)
+    p.add_argument("--l", type=int, default=hp.L, help="inner proximal-gradient iterations")
+    p.add_argument("--k", type=int, default=hp.K, help="outer iterations")
+    p.add_argument("--eps-tiny", type=float, default=hp.eps_tiny)
+    p.add_argument("--scale", type=float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
+    p.add_argument("--cg-tol", type=float, default=cg.tol,
+                   help="per-column relative residual the V solve must meet, on its Woodbury and CG paths")
+    p.add_argument("--cg-max-iters", type=int, default=cg.max_iters,
+                   help="CG iteration cap (default 10x width); CG solves square or widening "
+                        "layers, and narrower ones when Woodbury misses --cg-tol")
+    p.add_argument("--derive-beta", action="store_true",
+                   help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
+    p.add_argument("--early-stop-tol", type=float, default=None)
+    p.add_argument("--batch-size", type=int, default=None, help="mini-batch mode (default full batch)")
+    p.add_argument("--warmup-epochs", type=int, default=0)
+    p.add_argument("--warmup-batch", type=int, default=DEFAULT_WARMUP_BATCH)
+    p.add_argument("--train-noise-sigma", type=float, default=0.0,
+                   help="corrupt training inputs (noise is test-only by default)")
+    p.add_argument("--out-dir", default="run_out")
+    p.add_argument("--checkpoint", default=None, help="checkpoint path (default <out-dir>/checkpoint.bin)")
+
+
+def build_parser(train_defaults=None):
+    """The ``stepbcd`` parser; ``train_defaults`` (from ``_read_config``) override train's flag defaults."""
     parser = argparse.ArgumentParser(
         prog="stepbcd",
         description="Train and evaluate step-activated networks with block coordinate descent.",
@@ -216,58 +273,20 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train a network and write checkpoint + CSV artifacts")
     p_train.add_argument("--config", help="JSON file of flag defaults (as echoed by a previous run)")
-    _add_data_args(p_train, "train")
-    _add_data_args(p_train, "test")
-    p_train.add_argument("--classes", type=int, default=10)
-    p_train.add_argument("--arch", default="784,2000,2000,10", help="comma-separated layer widths")
-    p_train.add_argument("--train-n", type=int, default=None, help="subsample size after seeded shuffle")
-    p_train.add_argument("--test-n", type=int, default=None)
-    p_train.add_argument("--tau", type=float, default=1e-6)
-    p_train.add_argument("--pi", type=float, default=1e-7)
-    p_train.add_argument("--gamma", type=float, default=1e-8)
-    p_train.add_argument("--lambda", dest="lam", type=float, default=0.052)
-    p_train.add_argument("--beta", type=float, default=0.00072)
-    p_train.add_argument("--l", type=int, default=1, help="inner proximal-gradient iterations")
-    p_train.add_argument("--k", type=int, default=35, help="outer iterations")
-    p_train.add_argument("--eps-tiny", type=float, default=1e-10)
-    p_train.add_argument("--scale", type=float, default=0.01, help="Gaussian init std")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--cg-tol", type=float, default=1e-8,
-                         help="per-column relative residual the V solve must meet, on its Woodbury and CG paths")
-    p_train.add_argument("--cg-max-iters", type=int, default=None,
-                         help="CG iteration cap (default 10x width); CG solves square or widening "
-                              "layers, and narrower ones when Woodbury misses --cg-tol")
-    p_train.add_argument("--derive-beta", action="store_true",
-                         help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
-    p_train.add_argument("--early-stop-tol", type=float, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None, help="mini-batch mode (default full batch)")
-    p_train.add_argument("--warmup-epochs", type=int, default=0)
-    p_train.add_argument("--warmup-batch", type=int, default=256)
-    p_train.add_argument("--train-noise-sigma", type=float, default=0.0,
-                         help="corrupt training inputs (noise is test-only by default)")
-    p_train.add_argument("--out-dir", default="run_out")
-    p_train.add_argument("--checkpoint", default=None, help="checkpoint path (default <out-dir>/checkpoint.bin)")
-    p_train.set_defaults(func=cmd_train)
+    _add_train_args(p_train)
+    p_train.set_defaults(func=cmd_train, **(train_defaults or {}))
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on train/test splits")
     p_eval.add_argument("--checkpoint", required=True)
-    _add_data_args(p_eval, "train")
-    _add_data_args(p_eval, "test")
-    p_eval.add_argument("--classes", type=int, default=10)
+    _add_data_args(p_eval, "train", "test")
     p_eval.add_argument("--split", choices=("train", "test", "both"), default="test")
-    p_eval.add_argument("--train-n", type=int, default=None)
-    p_eval.add_argument("--test-n", type=int, default=None)
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None, help="optional metrics CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
     p_rob = sub.add_parser("robustness", help="noise sweep on the test split")
     p_rob.add_argument("--checkpoint", required=True)
     _add_data_args(p_rob, "test")
-    p_rob.add_argument("--classes", type=int, default=10)
-    p_rob.add_argument("--test-n", type=int, default=None)
     p_rob.add_argument("--sigmas", default="0,0.1,0.2,0.4")
-    p_rob.add_argument("--seed", type=int, default=0)
     p_rob.add_argument("--no-clamp", dest="clamp", action="store_false",
                        help="leave noisy pixels outside [0, 1]")
     p_rob.add_argument("--out", default="robustness.csv")
@@ -282,28 +301,15 @@ def build_parser():
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    # Resolve --config first so its values act as defaults for the real parse.
-    if "--config" in argv:
-        probe = argparse.ArgumentParser(add_help=False)
-        probe.add_argument("--config")
-        known, _ = probe.parse_known_args(argv)
-        if known.config:
-            try:
-                with open(known.config) as f:
-                    stored = json.load(f)
-            except (OSError, json.JSONDecodeError) as e:
-                print(f"error: cannot read config {known.config}: {e}", file=sys.stderr)
-                return EXIT_USAGE
-            for action in _train_parser_actions(parser):
-                if action.dest in stored:
-                    action.default = stored[action.dest]
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose > 1 else logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if args.command == "train" and args.config:
+            # The config's values become train's defaults; command-line flags still win.
+            args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)
     except CgError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -311,14 +317,6 @@ def main(argv=None):
     except (IdxFormatError, CheckpointError, FileNotFoundError, IsADirectoryError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _train_parser_actions(parser):
-    for action in parser._subparsers._group_actions:
-        train_parser = action.choices.get("train")
-        if train_parser is not None:
-            return train_parser._actions
-    return []
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import step
+from .prox import EPS_TINY, step
 
 __all__ = [
     "STAGE_INIT",
@@ -87,7 +87,7 @@ class Hyperparams:
     beta: float = 0.00072
     L: int = 1
     K: int = 35
-    eps_tiny: float = 1e-10
+    eps_tiny: float = EPS_TINY
 
     def __post_init__(self):
         for name in ("tau", "pi", "gamma", "beta", "eps_tiny"):

@@ -26,15 +26,11 @@ __all__ = [
     "Dataset",
     "load_idx_images",
     "load_idx_labels",
-    "write_idx_images",
-    "write_idx_labels",
     "to_dataset",
     "load_csv_dataset",
     "add_gaussian_noise",
     "save_checkpoint",
     "load_checkpoint",
-    "make_synthetic_images",
-    "make_cluster_dataset",
 ]
 
 IMAGE_MAGIC = 2051
@@ -145,26 +141,6 @@ def load_idx_labels(path):
             raise IdxFormatError(f"{path}: dimension overflow: {count} labels")
         payload = _read_exact(f, count, path, "label data")
     return np.frombuffer(payload, dtype=np.uint8)
-
-
-def write_idx_images(path, images):
-    """Write a ``(count, rows, cols)`` uint8 tensor in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"expected a 3-D image tensor, got shape {images.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, *images.shape))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    """Write a label vector in IDX label format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError(f"expected a 1-D label vector, got shape {labels.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
 
 
 def to_dataset(images, labels, num_classes):
@@ -321,34 +297,3 @@ def load_checkpoint(path):
     state.check_consistent(shape, n)
     state.check_finite()
     return state, shape, hp
-
-
-def make_synthetic_images(n, num_classes, rng, rows=28, cols=28, block=4):
-    """Deterministic image-classification surrogate in IDX-compatible form.
-
-    Each class gets a random blocky prototype; samples are the prototype
-    plus pixel noise, quantized to uint8.  Returns ``(images, labels)``
-    with balanced labels in a seeded shuffled order.
-    """
-    if rows % block or cols % block:
-        raise ValueError(f"block {block} must divide rows {rows} and cols {cols}")
-    protos = np.kron(
-        rng.integers(0, 2, size=(num_classes, rows // block, cols // block)) * 160.0,
-        np.ones((block, block)),
-    )
-    labels = (np.arange(n) % num_classes).astype(np.uint8)
-    rng.shuffle(labels)
-    images = protos[labels] + rng.normal(0.0, 32.0, size=(n, rows, cols))
-    return np.clip(images, 0.0, 255.0).astype(np.uint8), labels
-
-
-def make_cluster_dataset(input_dim, num_classes, n, rng, spread=0.05):
-    """Small separable dataset: one prototype per class plus jitter, in [0, 1]."""
-    protos = rng.random((input_dim, num_classes))
-    labels = (np.arange(n) % num_classes).astype(np.intp)
-    rng.shuffle(labels)
-    x = protos[:, labels] + spread * rng.standard_normal((input_dim, n))
-    np.clip(x, 0.0, 1.0, out=x)
-    y = np.zeros((num_classes, n), dtype=np.float64)
-    y[labels, np.arange(n)] = 1.0
-    return Dataset(x, y)

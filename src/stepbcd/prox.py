@@ -24,6 +24,10 @@ __all__ = [
     "prox_l20_rows",
 ]
 
+# Numeric surrogate for the one-sided limits the closed-form solvers reach
+# (``Hyperparams.eps_tiny`` defaults to it).
+EPS_TINY = 1e-10
+
 
 def step(x):
     """Entrywise 0/1 activation: 1 for strictly positive entries, else 0.
@@ -55,7 +59,7 @@ def norm_l20(w):
     return int(np.any(np.asarray(w) != 0.0, axis=0).sum())
 
 
-def prox_hardmax_column(y_index, b, mu, eps_tiny=1e-10):
+def prox_hardmax_column(y_index, b, mu, eps_tiny=EPS_TINY):
     """Minimize ``||e_y - hardmax(u)||^2 + mu * ||u - b||^2`` over u.
 
     The minimum is attained either at ``b`` itself or, in the limit, at
@@ -76,15 +80,15 @@ def prox_hardmax_column(y_index, b, mu, eps_tiny=1e-10):
     return out
 
 
-def prox_hardmax_matrix(b, y, tau, n=None, eps_tiny=1e-10):
+def prox_hardmax_matrix(b, y, tau, eps_tiny=EPS_TINY):
     """Columnwise output-layer update: prox of the hardmax loss around ``b``.
 
     Solves, for each column s with one-hot label y_s,
 
         min_u  (1/(2n)) ||y_s - hardmax(u)||^2 + (tau/2) ||u - b_s||^2
 
-    which is ``prox_hardmax_column`` with ``mu = tau * n``.  ``n`` defaults
-    to the number of columns and is exposed for mini-batch weighting.
+    which is ``prox_hardmax_column`` with ``mu = tau * n``, ``n`` the
+    number of columns (the batch size in a mini-batch sweep).
 
     Parameters
     ----------
@@ -100,10 +104,9 @@ def prox_hardmax_matrix(b, y, tau, n=None, eps_tiny=1e-10):
     bad = ~(np.all((y == 0.0) | (y == 1.0), axis=0) & (y.sum(axis=0) == 1.0))
     if np.any(bad):
         raise ValueError(f"label column {int(np.argmax(bad))} is not one-hot")
-    if n is None:
-        n = b.shape[1]
+    n = b.shape[1]
 
-    cols = np.arange(b.shape[1])
+    cols = np.arange(n)
     y_idx = np.argmax(y, axis=0)
     colmax = b.max(axis=0)
     hot = b[y_idx, cols]
@@ -117,7 +120,7 @@ def prox_hardmax_matrix(b, y, tau, n=None, eps_tiny=1e-10):
     return out
 
 
-def prox_step_scalar(a, b, rho, eps_tiny=1e-10):
+def prox_step_scalar(a, b, rho, eps_tiny=EPS_TINY):
     """Minimize ``(a - step(u))^2 + rho * (u - b)^2`` over scalar u.
 
     With ``t = 2a - 1`` the minimizer is:
@@ -135,7 +138,7 @@ def prox_step_scalar(a, b, rho, eps_tiny=1e-10):
     return b
 
 
-def prox_step_matrix(v_target, b, tau, pi, eps_tiny=1e-10):
+def prox_step_matrix(v_target, b, tau, pi, eps_tiny=EPS_TINY):
     """Entrywise hidden-layer update: fit ``u`` to ``b`` against a 0/1 target.
 
     Solves, independently per entry with ``a = v_target[j, r]`` and

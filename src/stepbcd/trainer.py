@@ -42,6 +42,11 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# ``train``'s init scale and warm-up batch size; the CLI's --scale and
+# --warmup-batch default to them.
+DEFAULT_INIT_SCALE = 0.01
+DEFAULT_WARMUP_BATCH = 256
+
 REPORT_FIELDS = ("k", "F", "loss", "l20", "frob", "upen", "vpen", "dW", "dV", "seconds")
 
 
@@ -80,18 +85,6 @@ class BcdReport:
             writer.writerow(REPORT_FIELDS)
             for rec in self.records:
                 writer.writerow([rec.k] + [f"{x:.17g}" for x in rec.row()[1:]])
-
-    @classmethod
-    def from_csv(cls, path):
-        records = []
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if tuple(header) != REPORT_FIELDS:
-                raise ValueError(f"unexpected report header {header}")
-            for row in reader:
-                records.append(BcdRecord(int(row[0]), *(float(x) for x in row[1:])))
-        return cls(records)
 
     @property
     def f_values(self):
@@ -182,7 +175,7 @@ def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
 
     for i in range(h - 1, -1, -1):
         if i == h - 1:
-            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau, n=data.X.shape[1], eps_tiny=hp.eps_tiny)
+            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau, hp.eps_tiny)
         else:
             new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
             new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi, hp.eps_tiny)
@@ -219,9 +212,9 @@ def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
     return TrainState(w, u, v)
 
 
-def train(data, shape, hp, rng, cg_cfg=None, init_scale=0.01,
+def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
           derive_beta=False, early_stop_tol=None, batch_size=None,
-          warmup_epochs=0, warmup_batch=256, shuffle_rng=None):
+          warmup_epochs=0, warmup_batch=DEFAULT_WARMUP_BATCH, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
 
     Full-batch by default.  With ``batch_size`` set, each outer iteration

@@ -1,7 +1,8 @@
 import pytest
 
 from stepbcd.core import make_rng
-from stepbcd.dataio import make_cluster_dataset
+
+from datagen import make_cluster_dataset
 
 
 @pytest.fixture

@@ -27,11 +27,7 @@ from stepbcd.dataio import (
     load_checkpoint,
     load_idx_images,
     load_idx_labels,
-    make_cluster_dataset,
-    make_synthetic_images,
     save_checkpoint,
-    write_idx_images,
-    write_idx_labels,
 )
 from stepbcd.metrics import filter_count, flops_estimate
 from stepbcd.prox import hardmax, prox_hardmax_column, prox_l20_rows, prox_step_scalar, step
@@ -44,6 +40,8 @@ from stepbcd.solvers import (
     solve_v,
 )
 from stepbcd.trainer import check_descent, train
+
+from datagen import make_cluster_dataset, make_synthetic_images, write_idx_images, write_idx_labels
 
 # Implementer baseline for the synthetic desk-scale run (seed 11, reference
 # hyperparameters), recorded from the first baseline run: test error 0.867.

@@ -3,7 +3,9 @@ import pytest
 
 from stepbcd.cli import build_parser, main
 from stepbcd.core import make_rng
-from stepbcd.dataio import load_checkpoint, make_synthetic_images, save_checkpoint, write_idx_images, write_idx_labels
+from stepbcd.dataio import load_checkpoint, save_checkpoint
+
+from datagen import make_synthetic_images, write_idx_images, write_idx_labels
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +71,20 @@ class TestTrainCommand:
                      "--arch", "64,12,10", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "together" in capsys.readouterr().err
+
+    def test_misfit_test_split_exits_2_before_training(self, corpus, tmp_path, capsys):
+        imgs, labels = make_synthetic_images(20, 10, make_rng(5), rows=4, cols=4, block=4)
+        write_idx_images(tmp_path / "small-images.idx", imgs)
+        write_idx_labels(tmp_path / "small-labels.idx", labels)
+        out = tmp_path / "out"
+        args = train_args(corpus, out)
+        args[args.index("--test-images") + 1] = str(tmp_path / "small-images.idx")
+        args[args.index("--test-labels") + 1] = str(tmp_path / "small-labels.idx")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "does not fit" in err and "test" in err
+        assert not (out / "checkpoint.bin").exists()
+        assert not (out / "report.csv").exists()
 
     def test_defaults_are_reference_hyperparameters(self):
         parser = build_parser()
@@ -206,6 +222,12 @@ class TestInspectCommand:
         assert "corrupt" in capsys.readouterr().err
 
 
-def test_config_file_unreadable_exits_2(tmp_path, capsys):
-    assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
-    assert "missing.json" in capsys.readouterr().err
+@pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}'],
+                         ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k"])
+def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
+    config = tmp_path / "run_config.json"
+    if content is not None:
+        config.write_text(content)
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config) in err

@@ -18,13 +18,11 @@ from stepbcd.dataio import (
     load_csv_dataset,
     load_idx_images,
     load_idx_labels,
-    make_cluster_dataset,
-    make_synthetic_images,
     save_checkpoint,
     to_dataset,
-    write_idx_images,
-    write_idx_labels,
 )
+
+from datagen import make_cluster_dataset, make_synthetic_images, write_idx_images, write_idx_labels
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stepbcd.core import make_rng
-from stepbcd.dataio import Dataset, make_cluster_dataset
+from stepbcd.dataio import Dataset
 from stepbcd.metrics import (
     EvalResult,
     evaluate,
@@ -12,6 +12,8 @@ from stepbcd.metrics import (
     predict_classes,
     write_metrics_csv,
 )
+
+from datagen import make_cluster_dataset
 
 
 def forward_oracle(w_list, x):
