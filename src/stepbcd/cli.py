@@ -78,6 +78,8 @@ def _load_split(args, split, shape, required):
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
     csv_path = getattr(args, f"{split}_csv")
+    if csv_path is not None and (images is not None or labels is not None):
+        raise ValueError(f"--{split}-csv and --{split}-images/--{split}-labels name two sources; give one")
     if csv_path is not None:
         data = load_csv_dataset(csv_path, args.classes)
     elif images is not None and labels is not None:
@@ -115,7 +117,7 @@ def _report_metrics(w_list, splits, out):
 def cmd_train(args):
     shape = _parse_arch(args.arch)
     hp = Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
-                     beta=args.beta, L=args.l, K=args.k, eps_tiny=args.eps_tiny)
+                     beta=args.beta, L=args.l, K=args.k)
     train_data = _load_split(args, "train", shape, required=True)
     test_data = _load_split(args, "test", shape, required=False)
     if args.train_noise_sigma > 0.0:
@@ -129,7 +131,7 @@ def cmd_train(args):
     state, report = train(
         train_data, shape, hp,
         rng=make_rng(args.seed, STAGE_INIT),
-        cg_cfg=CgConfig(tol=args.cg_tol, max_iters=args.cg_max_iters),
+        cg_cfg=CgConfig(tol=args.cg_tol),
         init_scale=args.scale,
         derive_beta=args.derive_beta,
         early_stop_tol=args.early_stop_tol,
@@ -191,8 +193,16 @@ def cmd_inspect(args):
     return EXIT_OK
 
 
+def _train_flags():
+    """A parser holding only the train command's flags."""
+    p = argparse.ArgumentParser(exit_on_error=False)
+    _add_train_args(p)
+    return p
+
+
 def _write_config(path, args):
-    payload = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    """Echo the train flags, the keys ``_read_config`` replays, as JSON."""
+    payload = {k: getattr(args, k) for k in vars(_train_flags().parse_args([]))}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -212,8 +222,7 @@ def _read_config(path):
         raise ValueError(f"cannot read config {path}: {e}") from e
     if not isinstance(stored, dict):
         raise ValueError(f"config {path} holds a JSON {type(stored).__name__}, not an object")
-    check = argparse.ArgumentParser(exit_on_error=False)
-    _add_train_args(check)
+    check = _train_flags()
     flags = vars(check.parse_args([]))
     defaults = {}
     for key, value in stored.items():
@@ -243,13 +252,10 @@ def _add_train_args(p):
     p.add_argument("--beta", type=float, default=hp.beta)
     p.add_argument("--l", type=int, default=hp.L, help="inner proximal-gradient iterations")
     p.add_argument("--k", type=int, default=hp.K, help="outer iterations")
-    p.add_argument("--eps-tiny", type=float, default=hp.eps_tiny)
     p.add_argument("--scale", type=float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
     p.add_argument("--cg-tol", type=float, default=cg.tol,
-                   help="per-column relative residual the V solve must meet, on its Woodbury and CG paths")
-    p.add_argument("--cg-max-iters", type=int, default=cg.max_iters,
-                   help="CG iteration cap (default 10x width); CG solves square or widening "
-                        "layers, and narrower ones when Woodbury misses --cg-tol")
+                   help="per-column relative residual the V solve must meet, on its Woodbury and CG paths; "
+                        "CG stops after 10x the layer width iterations")
     p.add_argument("--derive-beta", action="store_true",
                    help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
     p.add_argument("--early-stop-tol", type=float, default=None)

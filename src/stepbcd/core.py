@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import EPS_TINY, step
+from .prox import step
 
 __all__ = [
     "STAGE_INIT",
     "STAGE_NOISE",
     "STAGE_SHUFFLE",
-    "STAGE_POWER",
     "make_rng",
     "NetworkShape",
     "Hyperparams",
@@ -33,7 +32,6 @@ __all__ = [
 STAGE_INIT = 0
 STAGE_NOISE = 1
 STAGE_SHUFFLE = 2
-STAGE_POWER = 3
 
 
 def make_rng(seed, *path):
@@ -76,8 +74,8 @@ class Hyperparams:
     Defaults are the reference experimental values: tau/pi weight the two
     coupling penalties, gamma the Frobenius term, lam the group-sparsity
     term, beta the proximal step, L the inner proximal-gradient iterations,
-    K the outer iterations.  ``eps_tiny`` is the numeric surrogate for the
-    one-sided limits in the closed-form solvers.
+    K the outer iterations.  The closed-form solvers' one-sided limits use
+    the constant ``prox.EPS_TINY``, which is not a hyperparameter.
     """
 
     tau: float = 1e-6
@@ -87,10 +85,9 @@ class Hyperparams:
     beta: float = 0.00072
     L: int = 1
     K: int = 35
-    eps_tiny: float = EPS_TINY
 
     def __post_init__(self):
-        for name in ("tau", "pi", "gamma", "beta", "eps_tiny"):
+        for name in ("tau", "pi", "gamma", "beta"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.lam < 0.0:

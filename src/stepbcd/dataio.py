@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, NetworkShape, TrainState
+from .prox import EPS_TINY
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -207,8 +208,10 @@ def save_checkpoint(state, shape, hp, path):
 
     Layout: magic, u64 payload length, payload, u32 CRC-32 of the payload.
     Payload: u32 version, u32 h, u32 widths, u32 N, f64 tau/pi/gamma/lam/
-    beta, u32 L, u32 K, f64 eps_tiny, then every W, U, V block as
-    (u32 rows, u32 cols, row-major little-endian f64).
+    beta, u32 L, u32 K, one reserved f64, then every W, U, V block as
+    (u32 rows, u32 cols, row-major little-endian f64).  The reserved slot
+    keeps the version-1 layout; it holds ``prox.EPS_TINY`` and is never
+    read back.
     """
     n = state.U[0].shape[1] if state.U else 0
     state.check_consistent(shape, n)
@@ -219,7 +222,7 @@ def save_checkpoint(state, shape, hp, path):
     payload += struct.pack("<I", n)
     payload += struct.pack("<5d", hp.tau, hp.pi, hp.gamma, hp.lam, hp.beta)
     payload += struct.pack("<II", hp.L, hp.K)
-    payload += struct.pack("<d", hp.eps_tiny)
+    payload += struct.pack("<d", EPS_TINY)
     for m in (*state.W, *state.U, *state.V):
         payload += _pack_matrix(m)
     with open(path, "wb") as f:
@@ -257,7 +260,7 @@ def load_checkpoint(path):
     """Inverse of ``save_checkpoint``; returns ``(state, shape, hp)``.
 
     Bad magic, truncation, checksum failure, and version mismatch raise
-    distinct errors.
+    distinct errors.  The reserved f64 slot is read past, not checked.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -285,9 +288,9 @@ def load_checkpoint(path):
     (n,) = cur.take("<I")
     tau, pi, gamma, lam, beta = cur.take("<5d")
     big_l, big_k = cur.take("<II")
-    (eps_tiny,) = cur.take("<d")
+    cur.take("<d")  # reserved slot
     shape = NetworkShape(dims)
-    hp = Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k, eps_tiny=eps_tiny)
+    hp = Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k)
     w = [cur.take_matrix() for _ in range(h)]
     u = [cur.take_matrix() for _ in range(h)]
     v = [cur.take_matrix() for _ in range(h - 1)]

@@ -24,8 +24,7 @@ __all__ = [
     "prox_l20_rows",
 ]
 
-# Numeric surrogate for the one-sided limits the closed-form solvers reach
-# (``Hyperparams.eps_tiny`` defaults to it).
+# Numeric surrogate for the one-sided limits the closed-form solvers reach.
 EPS_TINY = 1e-10
 
 
@@ -59,7 +58,7 @@ def norm_l20(w):
     return int(np.any(np.asarray(w) != 0.0, axis=0).sum())
 
 
-def prox_hardmax_column(y_index, b, mu, eps_tiny=EPS_TINY):
+def prox_hardmax_column(y_index, b, mu):
     """Minimize ``||e_y - hardmax(u)||^2 + mu * ||u - b||^2`` over u.
 
     The minimum is attained either at ``b`` itself or, in the limit, at
@@ -67,7 +66,7 @@ def prox_hardmax_column(y_index, b, mu, eps_tiny=EPS_TINY):
     (which makes the hot coordinate the strict maximum and zeroes the
     hardmax term).  Comparing the two candidate values reduces to comparing
     ``mu * delta^2`` against ``||e_y - hardmax(b)||^2``; the epsilon limit
-    is realized as ``delta + eps_tiny``.  Exact equality keeps ``b``.
+    is realized as ``delta + EPS_TINY``.  Exact equality keeps ``b``.
     """
     b = np.asarray(b, dtype=np.float64)
     delta = b.max() - b[y_index]
@@ -76,11 +75,11 @@ def prox_hardmax_column(y_index, b, mu, eps_tiny=EPS_TINY):
     if mu * delta * delta >= miss:
         return b.copy()
     out = b.copy()
-    out[y_index] += delta + eps_tiny
+    out[y_index] += delta + EPS_TINY
     return out
 
 
-def prox_hardmax_matrix(b, y, tau, eps_tiny=EPS_TINY):
+def prox_hardmax_matrix(b, y, tau):
     """Columnwise output-layer update: prox of the hardmax loss around ``b``.
 
     Solves, for each column s with one-hot label y_s,
@@ -116,29 +115,29 @@ def prox_hardmax_matrix(b, y, tau, eps_tiny=EPS_TINY):
     bump = tau * n * delta * delta < miss
 
     out = b.copy()
-    out[y_idx[bump], cols[bump]] += delta[bump] + eps_tiny
+    out[y_idx[bump], cols[bump]] += delta[bump] + EPS_TINY
     return out
 
 
-def prox_step_scalar(a, b, rho, eps_tiny=EPS_TINY):
+def prox_step_scalar(a, b, rho):
     """Minimize ``(a - step(u))^2 + rho * (u - b)^2`` over scalar u.
 
     With ``t = 2a - 1`` the minimizer is:
 
     * ``b > 0``:  ``b`` if ``t > -rho b^2``, else 0 (equality keeps ``b``);
     * ``b <= 0``: ``b`` if ``t < rho b^2`` (or equal), else the one-sided
-      limit 0+, realized as ``min(sqrt(t/rho) + b, eps_tiny)`` (real since
+      limit 0+, realized as ``min(sqrt(t/rho) + b, EPS_TINY)`` (real since
       ``t > rho b^2 >= 0`` there).
     """
     t = 2.0 * a - 1.0
     if b > 0.0:
         return b if t >= -rho * b * b else 0.0
     if t > rho * b * b:
-        return min(np.sqrt(t / rho) + b, eps_tiny)
+        return min(np.sqrt(t / rho) + b, EPS_TINY)
     return b
 
 
-def prox_step_matrix(v_target, b, tau, pi, eps_tiny=EPS_TINY):
+def prox_step_matrix(v_target, b, tau, pi):
     """Entrywise hidden-layer update: fit ``u`` to ``b`` against a 0/1 target.
 
     Solves, independently per entry with ``a = v_target[j, r]`` and
@@ -173,7 +172,7 @@ def prox_step_matrix(v_target, b, tau, pi, eps_tiny=EPS_TINY):
     out[zero] = 0.0
     if np.any(bump):
         tb = 2.0 * v_target[bump] - 1.0
-        out[bump] = np.minimum(np.sqrt(tb * (pi / tau)) + b[bump], eps_tiny)
+        out[bump] = np.minimum(np.sqrt(tb * (pi / tau)) + b[bump], EPS_TINY)
     return out
 
 

@@ -1,6 +1,6 @@
 """Solvers: proximal gradient for the weight block, a Woodbury or CG solve
-for the state block, and the power-iteration spectral estimate that bounds
-the valid proximal step size.
+for the state block, and the exact spectral norm that bounds the valid
+proximal step size.
 
 This module works in the transposed frame where rows of ``w`` are the
 sparsity groups; the trainer transposes weight blocks on the way in and out.
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STAGE_POWER, make_rng
 from .prox import prox_l20_rows, step
 
 __all__ = [
@@ -31,10 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CgConfig:
-    """Conjugate gradient settings; ``max_iters=None`` means 10x dimension."""
+    """State-solve tolerance: the per-column relative residual that the
+    Woodbury and CG paths of ``solve_v`` must meet.  CG stops after
+    ``10 * d`` iterations on a ``d x d`` system.
+    """
 
     tol: float = 1e-8
-    max_iters: int | None = None
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -125,30 +126,16 @@ def p_stationarity_residual(w, u, v, tau, gamma, lam, beta):
     return float(viol.max()) if viol.size else 0.0
 
 
-def spectral_norm(v, iters=100, rng=None):
-    """Power-iteration estimate of the largest singular value of ``v``."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+def spectral_norm(v):
+    """Largest singular value of ``v``, exactly: the square root of the
+    largest eigenvalue of the smaller Gram matrix (``v v^T`` or ``v^T v``).
+    A zero matrix gives 0.0.
+    """
     v = np.asarray(v, dtype=np.float64)
     if not v.any():
         return 0.0
-    if rng is None:
-        rng = make_rng(0, STAGE_POWER)
-    x = rng.standard_normal(v.shape[1])
-    for _ in range(iters):
-        y = v @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            # x landed in the null space; a fresh draw escapes it a.s.
-            x = rng.standard_normal(v.shape[1])
-            continue
-        x = v.T @ (y / ny)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            x = rng.standard_normal(v.shape[1])
-            continue
-        x /= nx
-    return float(np.linalg.norm(v @ x))
+    gram = v @ v.T if v.shape[0] <= v.shape[1] else v.T @ v
+    return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 def cg_solve(a, b, x0, tol, max_iters, callback=None):
@@ -236,8 +223,10 @@ def solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
     and ``v_init`` is unused; if a column still misses ``cfg.tol`` after
     one refinement step (extreme ``tau ||w||^2 / pi``, where the Woodbury
     form cancels), conjugate gradients take over on the ``d x d`` matrix,
-    warm-started from the refined iterate.  When ``m >= d`` CG runs on
-    that matrix from ``v_init``.  Every column of the returned ``v`` has
+    warm-started from the refined iterate.  A numerically singular
+    ``m x m`` system is a miss too; CG then starts from ``v_init``.  When
+    ``m >= d`` CG runs on that matrix from ``v_init``.  CG stops after
+    ``10 * d`` iterations.  Every column of the returned ``v`` has
     relative residual at most ``cfg.tol``, or CG raises ``CgError``.
     ``pi > 0`` guarantees positive definiteness.
     """
@@ -253,12 +242,14 @@ def solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
     m, d = w_next.shape
     rhs = tau * (w_next.T @ u_next) + pi * step(u_cur)
     if m < d:
-        v, met = _woodbury_solve(w_next, rhs, tau, pi, cfg.tol)
+        try:
+            v, met = _woodbury_solve(w_next, rhs, tau, pi, cfg.tol)
+        except np.linalg.LinAlgError:
+            v, met = v_init, False
         if met:
             return v
         v_init = v
     a = tau * (w_next.T @ w_next)
     a[np.diag_indices(d)] += pi
-    max_iters = cfg.max_iters if cfg.max_iters is not None else 10 * d
-    x, _ = cg_solve(a, rhs, v_init, cfg.tol, max_iters)
+    x, _ = cg_solve(a, rhs, v_init, cfg.tol, 10 * d)
     return x

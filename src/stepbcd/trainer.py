@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TrainState, forward_blocks, init_gaussian
-from .dataio import Dataset
 from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
 from .solvers import CgConfig, pgm, solve_v, spectral_norm
 
@@ -175,10 +174,10 @@ def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
 
     for i in range(h - 1, -1, -1):
         if i == h - 1:
-            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau, hp.eps_tiny)
+            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
             new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
-            new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi, hp.eps_tiny)
+            new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi)
         new_w[i] = _pgm_update(new_u[i], _layer_input(state, data, i), state.W[i], hp, derive_beta)
 
     return TrainState(new_w, new_u, new_v)
@@ -200,10 +199,8 @@ def _count_tied_output_columns(b_top):
 def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
     """Stateless mini-batch pass: W persists, batch U/V start from a forward pass."""
     w = state.W
-    n = data.X.shape[1]
-    for start in range(0, n, batch_size):
-        idx = perm[start:start + batch_size]
-        batch = Dataset(np.ascontiguousarray(data.X[:, idx]), np.ascontiguousarray(data.Y[:, idx]))
+    for start in range(0, data.n, batch_size):
+        batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
         batch_state = TrainState(list(w), u, v)
         batch_state = bcd_iteration(batch_state, batch, hp, cg_cfg, derive_beta, b=u)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,16 @@ class TestTrainCommand:
         assert code == 2
         assert "together" in capsys.readouterr().err
 
+    def test_csv_and_idx_for_one_split_exit_2(self, corpus, tmp_path, capsys):
+        rng = make_rng(3)
+        rows = np.column_stack([rng.random((20, 64)), np.arange(20) % 10])
+        np.savetxt(tmp_path / "train.csv", rows, delimiter=",")
+        out = tmp_path / "out"
+        assert main(train_args(corpus, out, extra=["--train-csv", str(tmp_path / "train.csv")])) == 2
+        err = capsys.readouterr().err
+        assert "--train-csv" in err and "--train-images" in err
+        assert not (out / "checkpoint.bin").exists()
+
     def test_misfit_test_split_exits_2_before_training(self, corpus, tmp_path, capsys):
         imgs, labels = make_synthetic_images(20, 10, make_rng(5), rows=4, cols=4, block=4)
         write_idx_images(tmp_path / "small-images.idx", imgs)
@@ -108,6 +120,27 @@ class TestTrainCommand:
         replay = tmp_path / "replay"
         code = main(["train", "--config", str(trained / "run_config.json"), "--out-dir", str(replay)])
         assert code == 0
+        assert (replay / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
+
+    def test_config_holds_the_train_flags(self, trained):
+        stored = json.loads((trained / "run_config.json").read_text())
+        assert set(stored) == {
+            "train_images", "train_labels", "train_csv", "train_n",
+            "test_images", "test_labels", "test_csv", "test_n", "classes", "seed",
+            "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale", "cg_tol",
+            "derive_beta", "early_stop_tol", "batch_size", "warmup_epochs", "warmup_batch",
+            "train_noise_sigma", "out_dir", "checkpoint",
+        }
+
+    def test_older_config_keys_are_ignored_on_replay(self, trained, tmp_path):
+        # Keys that are not train flags, such as the global flags and the
+        # eps_tiny and cg_max_iters of older configs, are skipped on replay.
+        stored = json.loads((trained / "run_config.json").read_text())
+        stored.update(eps_tiny=1e-10, cg_max_iters=None, command="train", verbose=0)
+        old = tmp_path / "old_config.json"
+        old.write_text(json.dumps(stored))
+        replay = tmp_path / "replay"
+        assert main(["train", "--config", str(old), "--out-dir", str(replay)]) == 0
         assert (replay / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
 
     def test_subsampling(self, corpus, tmp_path):

@@ -73,7 +73,6 @@ class TestHyperparams:
         hp = Hyperparams()
         assert (hp.tau, hp.pi, hp.gamma, hp.lam) == (1e-6, 1e-7, 1e-8, 0.052)
         assert (hp.beta, hp.L, hp.K) == (0.00072, 1, 35)
-        assert hp.eps_tiny == 1e-10
 
     def test_validation(self):
         with pytest.raises(ValueError):

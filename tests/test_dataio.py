@@ -176,7 +176,7 @@ class TestNoise:
 def saved_checkpoint(tmp_path, tiny_data):
     shape = NetworkShape((4, 8, 3))
     state = init_gaussian(shape, 0.3, make_rng(9), tiny_data.X)
-    hp = Hyperparams(tau=0.5, pi=0.25, gamma=0.125, lam=0.3, beta=0.01, L=2, K=7, eps_tiny=1e-11)
+    hp = Hyperparams(tau=0.5, pi=0.25, gamma=0.125, lam=0.3, beta=0.01, L=2, K=7)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(state, shape, hp, path)
     return path, state, shape, hp

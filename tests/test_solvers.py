@@ -127,14 +127,16 @@ class TestSpectralNorm:
         assert spectral_norm(np.zeros((3, 5))) == 0.0
 
     def test_matches_svd_oracle(self):
-        rng = make_rng(10)
-        v = rng.standard_normal((20, 15))
-        ref = np.linalg.svd(v, compute_uv=False)[0]
-        assert abs(spectral_norm(v, iters=100) - ref) < 1e-5 * ref
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.eye(2), iters=0)
+        cases = {
+            "tall": make_rng(10).standard_normal((20, 15)),
+            "wide": make_rng(11).standard_normal((15, 20)),
+            "rank-1": np.outer(make_rng(12).standard_normal(7), make_rng(13).standard_normal(9)),
+            # two nearly equal singular values stall a power iteration
+            "near-degenerate": np.diag([1.0, 1.0 - 1e-4]),
+        }
+        for name, v in cases.items():
+            ref = np.linalg.svd(v, compute_uv=False)[0]
+            assert abs(spectral_norm(v) - ref) <= 1e-12 * ref, name
 
 
 def spd_system(seed, d=50, n=20, tau=1.0, pi=0.5):
@@ -255,25 +257,34 @@ class TestSolveV:
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
 
     def test_woodbury_miss_falls_back_to_cg(self, cg_calls):
-        # tau ||w||^2 / pi ~ 1e15: the refined Woodbury iterate still misses
-        # tol, and warm CG on the dense system finishes the solve.
-        w, u_next, u_cur = narrow_system(50, scale=30.0)
-        tau, pi, tol = 1.0, 1e-8, 1e-8
-        out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
-        assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
-        assert cg_calls == [(w.shape[1], w.shape[1])]
+        # Cancelling: tau ||w||^2 / pi ~ 1e15, so the refined Woodbury iterate
+        # still misses tol.  Singular: three equal rows of w make the m x m
+        # system numerically singular, so np.linalg.solve raises.  Either way
+        # warm CG on the dense system finishes the solve.
+        rng = make_rng(6)
+        systems = {
+            "cancelling": (*narrow_system(50, scale=30.0), 1e-8),
+            "singular": (np.tile(make_rng(5).standard_normal((1, 6)), (3, 1)) * 1e3,
+                         rng.standard_normal((3, 4)), rng.standard_normal((6, 4)), 1e-12),
+        }
+        tau, tol = 1.0, 1e-8
+        for name, (w, u_next, u_cur, pi) in systems.items():
+            cg_calls.clear()
+            out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
+            assert cg_calls == [(w.shape[1], w.shape[1])], name
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
         w, u_next, u_cur = narrow_system(50, scale=30.0)
         tau, pi, tol = 1.0, 1e-8, 1e-8
         iterates = []
 
-        def cg_keeping_iterates(a, b, x0, tol, max_iters):
-            return cg_solve(a, b, x0, tol, max_iters, callback=iterates.append)
+        def one_cg_iteration(a, b, x0, tol, max_iters):
+            return cg_solve(a, b, x0, tol, 1, callback=iterates.append)
 
-        monkeypatch.setattr(solvers, "cg_solve", cg_keeping_iterates)
+        monkeypatch.setattr(solvers, "cg_solve", one_cg_iteration)
         with pytest.raises(CgError, match="relative residual") as exc:
-            solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol, max_iters=1), v_init=np.zeros_like(u_cur))
+            solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
         assert exc.value.residual > tol
         assert exc.value.iters == 1 and len(iterates) == 1
         worst = column_residuals(w, u_next, u_cur, iterates[-1], tau, pi).max()

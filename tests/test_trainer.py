@@ -88,7 +88,7 @@ class TestBcdIteration:
         hp = Hyperparams(tau=0.5, pi=0.1, gamma=0.2, lam=0.01, beta=0.05, L=3)
         out = bcd_iteration(state, tiny_data, hp)
         assert out.V == []
-        ref_u = trainer_mod.prox_hardmax_matrix(state.W[0] @ tiny_data.X, tiny_data.Y, hp.tau, hp.eps_tiny)
+        ref_u = trainer_mod.prox_hardmax_matrix(state.W[0] @ tiny_data.X, tiny_data.Y, hp.tau)
         assert np.array_equal(out.U[0], ref_u)
         ref_w = trainer_mod.pgm(
             ref_u.T, tiny_data.X.T, state.W[0].T, hp.tau, hp.gamma, hp.lam, L=3, beta=0.05
@@ -131,9 +131,9 @@ class TestBcdIteration:
         real_solve_v = trainer_mod.solve_v
         real_prox_step = trainer_mod.prox_step_matrix
 
-        def spy_hardmax(b, y, tau, eps_tiny):
+        def spy_hardmax(b, y, tau):
             calls["hardmax"].append({"b": b.copy(), "y": y})
-            return real_hardmax(b, y, tau, eps_tiny)
+            return real_hardmax(b, y, tau)
 
         def spy_pgm(u, v, w0, tau, gamma, lam, L, beta):
             calls["pgm"].append({"u": u, "v": v, "w0": w0})
@@ -143,9 +143,9 @@ class TestBcdIteration:
             calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "u_cur": u_cur, "v_init": v_init})
             return real_solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init)
 
-        def spy_prox_step(v_target, b, tau, pi, eps_tiny=1e-10):
+        def spy_prox_step(v_target, b, tau, pi):
             calls["prox_step"].append({"v_target": v_target, "b": b.copy()})
-            return real_prox_step(v_target, b, tau, pi, eps_tiny)
+            return real_prox_step(v_target, b, tau, pi)
 
         monkeypatch.setattr(trainer_mod, "prox_hardmax_matrix", spy_hardmax)
         monkeypatch.setattr(trainer_mod, "pgm", spy_pgm)
