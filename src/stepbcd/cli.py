@@ -28,8 +28,9 @@ from .dataio import (
     load_idx_labels,
     save_checkpoint,
     to_dataset,
+    write_csv,
 )
-from .metrics import evaluate, filter_count, flops_estimate, param_count, write_metrics_csv
+from .metrics import METRICS_FIELDS, evaluate, filter_count, flops_estimate, param_count
 from .solvers import CgConfig, CgError
 from .trainer import DEFAULT_INIT_SCALE, DEFAULT_WARMUP_BATCH, train
 
@@ -53,6 +54,22 @@ def _arch_text(text):
     return text
 
 
+def _positive_int(text):
+    """Argparse type for a count or size: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _nonnegative_float(text):
+    """Argparse type for a noise level: a finite number of at least 0."""
+    value = float(text)
+    if not (value >= 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
+    return value
+
+
 def _parse_sigmas(text):
     return [float(p) for p in text.split(",")]
 
@@ -63,8 +80,8 @@ def _add_data_args(p, *splits):
         p.add_argument(f"--{split}-images", help=f"IDX image file for the {split} split")
         p.add_argument(f"--{split}-labels", help=f"IDX label file for the {split} split")
         p.add_argument(f"--{split}-csv", help=f"CSV file (features..., label) for the {split} split")
-        p.add_argument(f"--{split}-n", type=int, default=None, help=f"{split} subsample size after seeded shuffle")
-    p.add_argument("--classes", type=int, default=10)
+        p.add_argument(f"--{split}-n", type=_positive_int, default=None,
+                       help=f"{split} subsample size after seeded shuffle")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -72,8 +89,8 @@ def _load_split(args, split, shape, required):
     """The ``split`` ("train" or "test") its flags name, or None if absent and not required.
 
     ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
-    sub-stream (train 0, test 1).  A split whose features or classes do not
-    fit ``shape`` raises ValueError.
+    sub-stream (train 0, test 1).  Labels name one of the ``shape.dims[-1]`` output units; a
+    label that does not, or a feature count other than ``shape.dims[0]``, raises ValueError.
     """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
@@ -81,22 +98,19 @@ def _load_split(args, split, shape, required):
     if csv_path is not None and (images is not None or labels is not None):
         raise ValueError(f"--{split}-csv and --{split}-images/--{split}-labels name two sources; give one")
     if csv_path is not None:
-        data = load_csv_dataset(csv_path, args.classes)
+        data = load_csv_dataset(csv_path, shape.dims[-1])
     elif images is not None and labels is not None:
-        data = to_dataset(load_idx_images(images), load_idx_labels(labels), args.classes)
+        data = to_dataset(load_idx_images(images), load_idx_labels(labels), shape.dims[-1])
     elif images is not None or labels is not None:
         raise ValueError(f"--{split}-images and --{split}-labels must be given together")
     elif required:
         raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels or --{split}-csv)")
     else:
         return None
-    if data.input_dim != shape.dims[0] or data.num_classes != shape.dims[-1]:
-        raise ValueError(
-            f"architecture {shape.dims} does not fit the {split} data "
-            f"({data.input_dim} features, {data.num_classes} classes)"
-        )
+    if data.input_dim != shape.dims[0]:
+        raise ValueError(f"architecture {shape.dims} does not fit the {split} data ({data.input_dim} features)")
     n = getattr(args, f"{split}_n")
-    if n is not None and 0 < n < data.n:
+    if n is not None and n < data.n:
         perm = make_rng(args.seed, STAGE_SHUFFLE, ("train", "test").index(split)).permutation(data.n)
         data = data.subset(np.sort(perm[:n]))
     return data
@@ -109,7 +123,7 @@ def _report_metrics(w_list, splits, out):
     flops = flops_estimate(w_list)
     rows = [(name, evaluate(w_list, data).error_rate, fil, par, flops) for name, data in splits]
     if out:
-        write_metrics_csv(out, rows)
+        write_csv(out, METRICS_FIELDS, rows)
     for name, error, *_ in rows:
         print(f"{name} error {error:.6f}  fil_num {fil}  par_num {par}  flops {flops:.0f}")
 
@@ -168,10 +182,7 @@ def cmd_robustness(args):
         err = evaluate(state.W, noisy).error_rate
         rows.append((sigma, err))
         print(f"sigma {sigma:g}: error {err:.6f}")
-    with open(args.out, "w", newline="") as f:
-        f.write("sigma,error\n")
-        for sigma, err in rows:
-            f.write(f"{sigma:.17g},{err:.17g}\n")
+    write_csv(args.out, ("sigma", "error"), rows)
     return EXIT_OK
 
 
@@ -259,10 +270,10 @@ def _add_train_args(p):
     p.add_argument("--derive-beta", action="store_true",
                    help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
     p.add_argument("--early-stop-tol", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None, help="mini-batch mode (default full batch)")
+    p.add_argument("--batch-size", type=_positive_int, default=None, help="mini-batch mode (default full batch)")
     p.add_argument("--warmup-epochs", type=int, default=0)
-    p.add_argument("--warmup-batch", type=int, default=DEFAULT_WARMUP_BATCH)
-    p.add_argument("--train-noise-sigma", type=float, default=0.0,
+    p.add_argument("--warmup-batch", type=_positive_int, default=DEFAULT_WARMUP_BATCH)
+    p.add_argument("--train-noise-sigma", type=_nonnegative_float, default=0.0,
                    help="corrupt training inputs (noise is test-only by default)")
     p.add_argument("--out-dir", default="run_out")
     p.add_argument("--checkpoint", default=None, help="checkpoint path (default <out-dir>/checkpoint.bin)")
@@ -317,7 +328,7 @@ def main(argv=None):
             # The config's values become train's defaults; command-line flags still win.
             args = build_parser(_read_config(args.config)).parse_args(argv)
         return args.func(args)
-    except CgError as e:
+    except (CgError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (IdxFormatError, CheckpointError, FileNotFoundError, IsADirectoryError, ValueError) as e:

@@ -1,12 +1,16 @@
-"""Dataset ingestion (IDX), preprocessing, noise corruption, checkpoints.
+"""Every file format the package reads or writes; dataset assembly; noise corruption.
 
-IDX headers are big-endian regardless of host byte order.  Checkpoints use
-a fixed little-endian layout with a trailing CRC-32 so round trips are
+IDX and CSV datasets share one label encoder, and ``write_csv`` writes all
+CSV outputs (``report.csv``, ``metrics.csv``, ``robustness.csv``).  IDX
+headers are big-endian regardless of host byte order.  Checkpoints use a
+fixed little-endian layout with a trailing CRC-32 so round trips are
 bit-exact and corruption is detected.
 """
 
 from __future__ import annotations
 
+import csv
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, NetworkShape, TrainState
-from .prox import EPS_TINY
+from .prox import EPS_TINY, check_one_hot
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -29,6 +33,7 @@ __all__ = [
     "load_idx_labels",
     "to_dataset",
     "load_csv_dataset",
+    "write_csv",
     "add_gaussian_noise",
     "save_checkpoint",
     "load_checkpoint",
@@ -83,7 +88,7 @@ class Dataset:
             raise ValueError("X and Y must be 2-D")
         if self.X.shape[1] != self.Y.shape[1]:
             raise ValueError(f"sample counts differ: X has {self.X.shape[1]}, Y has {self.Y.shape[1]}")
-        _check_one_hot(self.Y)
+        check_one_hot(self.Y)
 
     @property
     def n(self):
@@ -104,12 +109,6 @@ class Dataset:
         return Dataset(np.ascontiguousarray(self.X[:, indices]), np.ascontiguousarray(self.Y[:, indices]))
 
 
-def _check_one_hot(y):
-    ok = np.all((y == 0.0) | (y == 1.0), axis=0) & (y.sum(axis=0) == 1.0)
-    if not np.all(ok):
-        raise ValueError(f"label column {int(np.argmax(~ok))} is not one-hot")
-
-
 def _read_exact(f, nbytes, path, what):
     data = f.read(nbytes)
     if len(data) != nbytes:
@@ -117,31 +116,42 @@ def _read_exact(f, nbytes, path, what):
     return data
 
 
+def _read_idx(path, magic, ndim):
+    """The uint8 tensor of an IDX file whose header has ``magic`` and ``ndim`` dimensions."""
+    kinds = {IMAGE_MAGIC: "image", LABEL_MAGIC: "label"}
+    with open(path, "rb") as f:
+        found, *dims = struct.unpack(f">{ndim + 1}I", _read_exact(f, 4 * (ndim + 1), path, "header"))
+        if found != magic:
+            hint = f" (that is the {kinds[found]} magic)" if found in kinds else ""
+            raise IdxFormatError(f"{path}: expected {kinds[magic]} magic {magic}, found {found}{hint}")
+        total = math.prod(dims)
+        if total > _MAX_IDX_ELEMENTS:
+            raise IdxFormatError(f"{path}: dimension overflow: {' x '.join(map(str, dims))}")
+        payload = _read_exact(f, total, path, f"{kinds[magic]} data")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+
+
 def load_idx_images(path):
     """Parse an IDX image file into a ``(count, rows, cols)`` uint8 tensor."""
-    with open(path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, path, "header"))
-        if magic != IMAGE_MAGIC:
-            hint = " (that is the label magic)" if magic == LABEL_MAGIC else ""
-            raise IdxFormatError(f"{path}: expected image magic {IMAGE_MAGIC}, found {magic}{hint}")
-        total = count * rows * cols
-        if total > _MAX_IDX_ELEMENTS:
-            raise IdxFormatError(f"{path}: dimension overflow: {count} x {rows} x {cols}")
-        payload = _read_exact(f, total, path, "pixel data")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC, 3)
 
 
 def load_idx_labels(path):
     """Parse an IDX label file into a uint8 vector of class indices."""
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, path, "header"))
-        if magic != LABEL_MAGIC:
-            hint = " (that is the image magic)" if magic == IMAGE_MAGIC else ""
-            raise IdxFormatError(f"{path}: expected label magic {LABEL_MAGIC}, found {magic}{hint}")
-        if count > _MAX_IDX_ELEMENTS:
-            raise IdxFormatError(f"{path}: dimension overflow: {count} labels")
-        payload = _read_exact(f, count, path, "label data")
-    return np.frombuffer(payload, dtype=np.uint8)
+    return _read_idx(path, LABEL_MAGIC, 1)
+
+
+def _one_hot(labels, num_classes, where=""):
+    """One-hot ``(num_classes, n)`` matrix of ``labels``; a label that is not an integer
+    in ``[0, num_classes)`` raises ValueError naming it, its index and ``where``."""
+    labels = np.asarray(labels)
+    bad = ~((labels >= 0) & (labels < num_classes) & (labels == np.trunc(labels)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{where}label {labels[i]:g} at index {i} is not a class in [0, {num_classes})")
+    y = np.zeros((num_classes, labels.shape[0]), dtype=np.float64)
+    y[labels.astype(np.intp), np.arange(labels.shape[0])] = 1.0
+    return y
 
 
 def to_dataset(images, labels, num_classes):
@@ -153,14 +163,9 @@ def to_dataset(images, labels, num_classes):
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    bad = labels >= num_classes
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"label {int(labels[i])} at index {i} exceeds class count {num_classes}")
+    y = _one_hot(labels, num_classes)
     n = images.shape[0]
     x = images.reshape(n, int(np.prod(images.shape[1:]))).T.astype(np.float64) / 255.0
-    y = np.zeros((num_classes, n), dtype=np.float64)
-    y[labels.astype(np.intp), np.arange(n)] = 1.0
     return Dataset(np.ascontiguousarray(x), y)
 
 
@@ -171,16 +176,18 @@ def load_csv_dataset(path, num_classes):
     """
     raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     features = raw[:, :-1].T
-    labels = raw[:, -1].astype(np.intp)
-    if np.any(features < 0.0) or np.any(features > 1.0):
-        raise ValueError(f"{path}: features outside [0, 1]")
-    bad = (labels < 0) | (labels >= num_classes)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"label {int(labels[i])} at line {i + 1} exceeds class count {num_classes}")
-    y = np.zeros((num_classes, labels.shape[0]), dtype=np.float64)
-    y[labels, np.arange(labels.shape[0])] = 1.0
-    return Dataset(np.ascontiguousarray(features), y)
+    if not np.all((features >= 0.0) & (features <= 1.0)):
+        raise ValueError(f"{path}: a feature is NaN or outside [0, 1]")
+    return Dataset(np.ascontiguousarray(features), _one_hot(raw[:, -1], num_classes, f"{path}: "))
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` with ``csv.writer`` (CRLF line ends); floats as
+    ``.17g``, which reads back to the same float, other values as ``str``."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([f"{x:.17g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def add_gaussian_noise(data, sigma, rng, clamp=True):

@@ -8,7 +8,6 @@ definition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "filter_count",
     "param_count",
     "flops_estimate",
-    "write_metrics_csv",
 ]
 
 METRICS_FIELDS = ("split", "error", "fil_num", "par_num", "flops")
@@ -98,12 +96,3 @@ def flops_estimate(w_list):
     measured cost.
     """
     return float(sum(2 * w.shape[0] * norm_l20(w) for w in w_list))
-
-
-def write_metrics_csv(path, rows):
-    """Write (split, error, fil_num, par_num, flops) rows."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(METRICS_FIELDS)
-        for split, error, fil, par, flops in rows:
-            writer.writerow([split, f"{error:.17g}", fil, par, f"{flops:.17g}"])

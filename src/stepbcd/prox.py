@@ -28,6 +28,13 @@ __all__ = [
 EPS_TINY = 1e-10
 
 
+def check_one_hot(y):
+    """Raise ValueError naming the first column of ``y`` that is not a one-hot 0/1 vector."""
+    ok = np.all((y == 0.0) | (y == 1.0), axis=0) & (y.sum(axis=0) == 1.0)
+    if not np.all(ok):
+        raise ValueError(f"label column {int(np.argmax(~ok))} is not one-hot")
+
+
 def step(x):
     """Entrywise 0/1 activation: 1 for strictly positive entries, else 0.
 
@@ -100,9 +107,7 @@ def prox_hardmax_matrix(b, y, tau):
     y = np.asarray(y, dtype=np.float64)
     if b.shape != y.shape:
         raise ValueError(f"prediction/label shape mismatch: {b.shape} vs {y.shape}")
-    bad = ~(np.all((y == 0.0) | (y == 1.0), axis=0) & (y.sum(axis=0) == 1.0))
-    if np.any(bad):
-        raise ValueError(f"label column {int(np.argmax(bad))} is not one-hot")
+    check_one_hot(y)
     n = b.shape[1]
 
     cols = np.arange(n)

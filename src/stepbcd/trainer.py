@@ -19,7 +19,6 @@ mini-batch, the state re-derived after a mini-batch epoch) they are the
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TrainState, forward_blocks, init_gaussian
+from .dataio import write_csv
 from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
 from .solvers import CgConfig, pgm, solve_v, spectral_norm
 
@@ -79,11 +79,7 @@ class BcdReport:
     records: list[BcdRecord]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(REPORT_FIELDS)
-            for rec in self.records:
-                writer.writerow([rec.k] + [f"{x:.17g}" for x in rec.row()[1:]])
+        write_csv(path, REPORT_FIELDS, (rec.row() for rec in self.records))
 
     @property
     def f_values(self):
@@ -226,6 +222,9 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
         raise ValueError(f"architecture input width {shape.dims[0]} != data dim {data.X.shape[0]}")
     if shape.dims[-1] != data.Y.shape[0]:
         raise ValueError(f"architecture output width {shape.dims[-1]} != label dim {data.Y.shape[0]}")
+    for name, bs in (("batch_size", batch_size), ("warmup_batch", warmup_batch)):
+        if bs is not None and bs < 1:
+            raise ValueError(f"{name} must be at least 1, got {bs}")
     if (batch_size is not None or warmup_epochs > 0) and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 

@@ -126,7 +126,7 @@ class TestTrainCommand:
         stored = json.loads((trained / "run_config.json").read_text())
         assert set(stored) == {
             "train_images", "train_labels", "train_csv", "train_n",
-            "test_images", "test_labels", "test_csv", "test_n", "classes", "seed",
+            "test_images", "test_labels", "test_csv", "test_n", "seed",
             "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale", "cg_tol",
             "derive_beta", "early_stop_tol", "batch_size", "warmup_epochs", "warmup_batch",
             "train_noise_sigma", "out_dir", "checkpoint",
@@ -134,14 +134,46 @@ class TestTrainCommand:
 
     def test_older_config_keys_are_ignored_on_replay(self, trained, tmp_path):
         # Keys that are not train flags, such as the global flags and the
-        # eps_tiny and cg_max_iters of older configs, are skipped on replay.
+        # eps_tiny, cg_max_iters and classes of older configs, are skipped on replay.
         stored = json.loads((trained / "run_config.json").read_text())
-        stored.update(eps_tiny=1e-10, cg_max_iters=None, command="train", verbose=0)
+        stored.update(eps_tiny=1e-10, cg_max_iters=None, classes=10, command="train", verbose=0)
         old = tmp_path / "old_config.json"
         old.write_text(json.dumps(stored))
         replay = tmp_path / "replay"
         assert main(["train", "--config", str(old), "--out-dir", str(replay)]) == 0
         assert (replay / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--train-n", "0"), ("--train-n", "-3"), ("--test-n", "0"), ("--batch-size", "0"),
+        ("--batch-size", "-5"), ("--warmup-batch", "-1"), ("--train-noise-sigma", "-1"),
+    ])
+    def test_non_positive_size_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(train_args(corpus, out, extra=[flag, value]))
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("feature, label", [("nan", "1"), ("0.5", "2.7")], ids=["nan-feature", "fractional-label"])
+    def test_bad_csv_row_exits_2(self, tmp_path, capsys, feature, label):
+        csv_path = tmp_path / "train.csv"
+        csv_path.write_text("0.25,0.5,0\n" + f"{feature},0.5,{label}\n")
+        out = tmp_path / "out"
+        assert main(["train", "--train-csv", str(csv_path), "--arch", "2,4,10", "--k", "1",
+                     "--out-dir", str(out)]) == 2
+        assert str(csv_path) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
+        rng = make_rng(3)
+        csv_path = tmp_path / "train.csv"
+        np.savetxt(csv_path, np.column_stack([rng.random((20, 4)), np.arange(20) % 3]), delimiter=",")
+        code = main(["train", "--train-csv", str(csv_path), "--arch", "4,5,3", "--k", "30", "--tau", "1",
+                     "--pi", "1", "--beta", "1e200", "--lambda", "0", "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_subsampling(self, corpus, tmp_path):
         out = tmp_path / "sub"
@@ -255,8 +287,10 @@ class TestInspectCommand:
         assert "corrupt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}'],
-                         ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k"])
+@pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',
+                                     '{"batch_size": 0}', '{"train_noise_sigma": -1}'],
+                         ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k",
+                              "zero-batch-size", "negative-noise"])
 def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
     config = tmp_path / "run_config.json"
     if content is not None:

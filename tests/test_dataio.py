@@ -115,6 +115,11 @@ class TestToDataset:
         with pytest.raises(ValueError, match="label 7 at index 1"):
             to_dataset(np.zeros((2, 2, 2), dtype=np.uint8), np.array([1, 7]), 4)
 
+    @pytest.mark.parametrize("label", [-1, 2.5])
+    def test_negative_or_fractional_label_is_rejected(self, label):
+        with pytest.raises(ValueError, match=f"label {label:g} at index 0"):
+            to_dataset(np.zeros((1, 2, 2), dtype=np.uint8), np.array([label]), 10)
+
 
 class TestCsvImport:
     def test_round_trip(self, tmp_path):
@@ -134,6 +139,14 @@ class TestCsvImport:
         bad_label.write_text("0.0,0.5,9\n")
         with pytest.raises(ValueError, match="label 9"):
             load_csv_dataset(bad_label, 2)
+
+    @pytest.mark.parametrize("row, match", [("nan,0.5,1", "NaN"), ("0.0,0.5,2.7", "label 2.7")],
+                             ids=["nan-feature", "fractional-label"])
+    def test_nan_feature_and_fractional_label_rejected(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(row + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_csv_dataset(path, 3)
 
 
 class TestNoise:

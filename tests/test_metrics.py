@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from stepbcd.core import make_rng
-from stepbcd.dataio import Dataset
+from stepbcd.dataio import Dataset, write_csv
 from stepbcd.metrics import (
+    METRICS_FIELDS,
     EvalResult,
     evaluate,
     filter_count,
     flops_estimate,
     param_count,
     predict_classes,
-    write_metrics_csv,
 )
 
 from datagen import make_cluster_dataset
@@ -180,7 +180,7 @@ class TestFlops:
 
 def test_metrics_csv_format(tmp_path):
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [("test", 0.125, 40, 1000, 2048.0)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "split,error,fil_num,par_num,flops"
-    assert lines[1] == "test,0.125,40,1000,2048"
+    write_csv(path, METRICS_FIELDS, [("test", 0.125, 40, 1000, 2048.0), ("train", 0.1, 40, 1000, 2048.0)])
+    assert path.read_bytes() == (b"split,error,fil_num,par_num,flops\r\n"
+                                 b"test,0.125,40,1000,2048\r\n"
+                                 b"train,0.10000000000000001,40,1000,2048\r\n")

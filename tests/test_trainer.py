@@ -244,6 +244,11 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert report.records[-1].dw > 0.0 and report.records[-1].upen > 0.0
 
+    @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(batch_size=-5), dict(warmup_epochs=1, warmup_batch=-1)])
+    def test_batch_size_below_one_rejected(self, tiny_data, kw):
+        with pytest.raises(ValueError, match="at least 1"):
+            train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), **kw)
+
     def test_k_zero_returns_initial_state(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
         hp = Hyperparams(K=0)
