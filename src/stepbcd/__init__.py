@@ -2,10 +2,10 @@
 
 The optimizer is a block coordinate descent over a penalty reformulation of
 the network fit: every sub-problem is solved in closed form (hardmax prox,
-entrywise step prox, rowwise hard thresholding, a Woodbury state solve) or
-by conjugate gradients, so no derivative of the discontinuous activation is
-ever needed.  Column sparsity from the group regularizer prunes whole
-hidden units.
+entrywise step prox, rowwise hard thresholding) or by conjugate gradients
+seeded with a Woodbury solve, so no derivative of the discontinuous
+activation is ever needed.  Column sparsity from the group regularizer
+prunes whole hidden units.
 """
 
 from .core import (
@@ -46,7 +46,6 @@ from .prox import (
     step,
 )
 from .solvers import (
-    CgConfig,
     CgError,
     cg_solve,
     composite_objective,

@@ -31,7 +31,7 @@ from .dataio import (
     write_csv,
 )
 from .metrics import METRICS_FIELDS, evaluate, filter_count, flops_estimate, param_count
-from .solvers import CgConfig, CgError
+from .solvers import CgError
 from .trainer import DEFAULT_INIT_SCALE, DEFAULT_WARMUP_BATCH, train
 
 EXIT_OK = 0
@@ -62,8 +62,16 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """Argparse type for an epoch count: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _nonnegative_float(text):
-    """Argparse type for a noise level: a finite number of at least 0."""
+    """Argparse type for a noise level or tolerance: a finite number of at least 0."""
     value = float(text)
     if not (value >= 0.0 and np.isfinite(value)):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
@@ -100,7 +108,7 @@ def _load_split(args, split, shape, required):
     if csv_path is not None:
         data = load_csv_dataset(csv_path, shape.dims[-1])
     elif images is not None and labels is not None:
-        data = to_dataset(load_idx_images(images), load_idx_labels(labels), shape.dims[-1])
+        data = to_dataset(load_idx_images(images), load_idx_labels(labels), shape.dims[-1], f"{labels}: ")
     elif images is not None or labels is not None:
         raise ValueError(f"--{split}-images and --{split}-labels must be given together")
     elif required:
@@ -145,7 +153,6 @@ def cmd_train(args):
     state, report = train(
         train_data, shape, hp,
         rng=make_rng(args.seed, STAGE_INIT),
-        cg_cfg=CgConfig(tol=args.cg_tol),
         init_scale=args.scale,
         derive_beta=args.derive_beta,
         early_stop_tol=args.early_stop_tol,
@@ -252,8 +259,8 @@ def _read_config(path):
 
 
 def _add_train_args(p):
-    """The train command's flags; hyperparameter, solver and init defaults are the library's."""
-    hp, cg = Hyperparams(), CgConfig()
+    """The train command's flags; hyperparameter and init defaults are the library's."""
+    hp = Hyperparams()
     _add_data_args(p, "train", "test")
     p.add_argument("--arch", type=_arch_text, default="784,2000,2000,10", help="comma-separated layer widths")
     p.add_argument("--tau", type=float, default=hp.tau)
@@ -264,14 +271,12 @@ def _add_train_args(p):
     p.add_argument("--l", type=int, default=hp.L, help="inner proximal-gradient iterations")
     p.add_argument("--k", type=int, default=hp.K, help="outer iterations")
     p.add_argument("--scale", type=float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
-    p.add_argument("--cg-tol", type=float, default=cg.tol,
-                   help="per-column relative residual the V solve must meet, on its Woodbury and CG paths; "
-                        "CG stops after 10x the layer width iterations")
     p.add_argument("--derive-beta", action="store_true",
                    help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
-    p.add_argument("--early-stop-tol", type=float, default=None)
+    p.add_argument("--early-stop-tol", type=_nonnegative_float, default=None,
+                   help="stop once |F(k) - F(k-1)| falls below this")
     p.add_argument("--batch-size", type=_positive_int, default=None, help="mini-batch mode (default full batch)")
-    p.add_argument("--warmup-epochs", type=int, default=0)
+    p.add_argument("--warmup-epochs", type=_nonnegative_int, default=0)
     p.add_argument("--warmup-batch", type=_positive_int, default=DEFAULT_WARMUP_BATCH)
     p.add_argument("--train-noise-sigma", type=_nonnegative_float, default=0.0,
                    help="corrupt training inputs (noise is test-only by default)")

@@ -154,16 +154,17 @@ def _one_hot(labels, num_classes, where=""):
     return y
 
 
-def to_dataset(images, labels, num_classes):
+def to_dataset(images, labels, num_classes, where=""):
     """Flatten, scale to [0, 1], and one-hot encode into a Dataset.
 
     Columns of X are samples (pixels / 255); Y[c, s] = 1 iff label s is c.
+    A label error starts with ``where``, such as the label file's name.
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    y = _one_hot(labels, num_classes)
+    y = _one_hot(labels, num_classes, where)
     n = images.shape[0]
     x = images.reshape(n, int(np.prod(images.shape[1:]))).T.astype(np.float64) / 255.0
     return Dataset(np.ascontiguousarray(x), y)

@@ -1,6 +1,6 @@
-"""Solvers: proximal gradient for the weight block, a Woodbury or CG solve
-for the state block, and the exact spectral norm that bounds the valid
-proximal step size.
+"""Solvers: proximal gradient for the weight block, a CG solve for the state
+block (seeded by Woodbury below a narrower layer), and the exact spectral
+norm that bounds the valid proximal step size.
 
 This module works in the transposed frame where rows of ``w`` are the
 sparsity groups; the trainer transposes weight blocks on the way in and out.
@@ -8,14 +8,11 @@ sparsity groups; the trainer transposes weight blocks on the way in and out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .prox import prox_l20_rows, step
 
 __all__ = [
-    "CgConfig",
     "CgError",
     "grad_psi",
     "smooth_objective",
@@ -28,18 +25,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CgConfig:
-    """State-solve tolerance: the per-column relative residual that the
-    Woodbury and CG paths of ``solve_v`` must meet.  CG stops after
-    ``10 * d`` iterations on a ``d x d`` system.
-    """
-
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+# The per-column relative residual every state solve meets; CG stops after
+# ``10 * d`` iterations on a ``d x d`` system.
+V_TOL = 1e-8
 
 
 class CgError(RuntimeError):
@@ -57,12 +45,6 @@ class CgError(RuntimeError):
             f"state solve left worst-column relative residual {residual:.3e} "
             f"after {iters} iterations (target {tol:.1e})"
         )
-
-
-def _column_scale(b):
-    """Per-column norms of ``b``, with zero columns measured absolutely."""
-    nb = np.linalg.norm(b, axis=0)
-    return np.where(nb > 0.0, nb, 1.0)
 
 
 def grad_psi(w, u, v, tau, gamma):
@@ -139,19 +121,23 @@ def spectral_norm(v):
 
 
 def cg_solve(a, b, x0, tol, max_iters, callback=None):
-    """Multi-RHS conjugate gradients for SPD ``a``; columns are independent.
+    """Multi-RHS conjugate gradients for the SPD operator ``a`` (a callable
+    ``x -> A x``); columns are independent.
 
     Each column runs its own CG (scalar steps are computed per column and
     converged columns freeze), so the result is independent of how columns
-    are batched.  Stops once every column has relative residual at most
-    ``tol``; raises ``CgError`` otherwise.
+    are batched.  Stops once every column has relative residual
+    ``||b_j - A x_j|| / ||b_j||`` at most ``tol`` (a zero column is measured
+    absolutely); a start that already meets it is returned unchanged after
+    0 iterations.  Raises ``CgError`` if ``max_iters`` iterations do not.
 
     Returns ``(x, iterations_used)``.
     """
-    scale = _column_scale(b)
+    nb = np.linalg.norm(b, axis=0)
+    scale = np.where(nb > 0.0, nb, 1.0)
     col_target = tol * scale
     x = np.array(x0, dtype=np.float64, copy=True)
-    r = a @ x
+    r = a(x)
     np.subtract(b, r, out=r)
     rs = (r * r).sum(axis=0)
     p = r.copy()
@@ -160,7 +146,7 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
         active = np.sqrt(rs) > col_target
         if not active.any():
             return x, it
-        ap = a @ p
+        ap = a(p)
         pap = (p * ap).sum(axis=0)
         safe = active & (pap > 0.0)
         alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=safe)
@@ -189,45 +175,19 @@ def _woodbury(w, rhs, tau, pi):
     return v
 
 
-def _woodbury_solve(w, rhs, tau, pi, tol):
-    """Woodbury solve checked column by column, with one refinement step.
-
-    The residual ``rhs - tau w^T (w v) - pi v`` is formed matrix-free; if
-    a column misses ``tol`` the solve is applied once more to the residual.
-    Returns ``(v, met)``, where ``met`` says whether every column of ``v``
-    now meets ``tol``.
-    """
-    scale = _column_scale(rhs)
-
-    def residual(v):
-        r = w.T @ (-tau * (w @ v))
-        r += rhs
-        r -= pi * v
-        return r, float(np.max(np.linalg.norm(r, axis=0) / scale, initial=0.0))
-
-    v = _woodbury(w, rhs, tau, pi)
-    r, worst = residual(v)
-    if worst > tol:
-        v += _woodbury(w, r, tau, pi)
-        _, worst = residual(v)
-    return v, worst <= tol
-
-
-def solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
+def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     """Solve the hidden-state block: the SPD system
 
         (tau w^T w + pi I) v = tau w^T u_next + pi step(u_cur)
 
-    with ``w = w_next`` of shape ``m x d``.  When ``m < d`` (the layer below
-    a narrower one) the Woodbury identity reduces it to an ``m x m`` solve
-    and ``v_init`` is unused; if a column still misses ``cfg.tol`` after
-    one refinement step (extreme ``tau ||w||^2 / pi``, where the Woodbury
-    form cancels), conjugate gradients take over on the ``d x d`` matrix,
-    warm-started from the refined iterate.  A numerically singular
-    ``m x m`` system is a miss too; CG then starts from ``v_init``.  When
-    ``m >= d`` CG runs on that matrix from ``v_init``.  CG stops after
-    ``10 * d`` iterations.  Every column of the returned ``v`` has
-    relative residual at most ``cfg.tol``, or CG raises ``CgError``.
+    with ``w = w_next`` of shape ``m x d``: pick a start, then run
+    ``cg_solve`` until every column meets ``V_TOL``.  When ``m < d`` (the
+    layer below a narrower one) the start is the Woodbury solution through
+    the ``m x m`` system, or ``v_init`` if that system is numerically
+    singular, and CG applies the operator matrix-free; a Woodbury iterate
+    that meets ``V_TOL`` is returned as it is.  When ``m >= d`` CG starts
+    from ``v_init`` on the dense ``d x d`` matrix.  CG stops after
+    ``10 * d`` iterations and raises ``CgError`` if a column still misses.
     ``pi > 0`` guarantees positive definiteness.
     """
     if pi <= 0.0:
@@ -242,14 +202,17 @@ def solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
     m, d = w_next.shape
     rhs = tau * (w_next.T @ u_next) + pi * step(u_cur)
     if m < d:
+        def a(x):
+            y = w_next.T @ (tau * (w_next @ x))
+            y += pi * x
+            return y
+
         try:
-            v, met = _woodbury_solve(w_next, rhs, tau, pi, cfg.tol)
+            v_init = _woodbury(w_next, rhs, tau, pi)
         except np.linalg.LinAlgError:
-            v, met = v_init, False
-        if met:
-            return v
-        v_init = v
-    a = tau * (w_next.T @ w_next)
-    a[np.diag_indices(d)] += pi
-    x, _ = cg_solve(a, rhs, v_init, cfg.tol, 10 * d)
-    return x
+            pass
+    else:
+        dense = tau * (w_next.T @ w_next)
+        dense[np.diag_indices(d)] += pi
+        a = dense.__matmul__
+    return cg_solve(a, rhs, v_init, V_TOL, 10 * d)[0]

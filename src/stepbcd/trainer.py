@@ -2,8 +2,8 @@
 
 One outer iteration sweeps the blocks from the output layer inward:
 the output pre-activation (hardmax prox), the output weights (proximal
-gradient), then for each hidden layer the state solve (Woodbury below a
-narrower layer, CG otherwise), the pre-activation fit (entrywise step
+gradient), then for each hidden layer the state solve (CG, seeded by
+Woodbury below a narrower layer), the pre-activation fit (entrywise step
 prox), and the weights.  Every
 sub-problem consumes exactly the iterate versions the update scheme
 prescribes: the pre-activation targets ``b = W_i V_(i-1)`` always use the
@@ -28,7 +28,7 @@ import numpy as np
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import write_csv
 from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
-from .solvers import CgConfig, pgm, solve_v, spectral_norm
+from .solvers import pgm, solve_v, spectral_norm
 
 __all__ = [
     "BcdRecord",
@@ -145,7 +145,7 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta):
     return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta).T
 
 
-def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
+def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     """One outer sweep; returns a new state without mutating the input.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
@@ -159,8 +159,6 @@ def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
     when the state is a forward pass; they are computed here when absent.
     ``b`` is read-only and may alias ``state.U``.
     """
-    if cg_cfg is None:
-        cg_cfg = CgConfig()
     if b is None:
         b = _coupling_products(state, data)
     h = len(state.W)
@@ -172,7 +170,7 @@ def bcd_iteration(state, data, hp, cg_cfg=None, derive_beta=False, b=None):
         if i == h - 1:
             new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, cg_cfg, v_init=state.V[i])
+            new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
             new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi)
         new_w[i] = _pgm_update(new_u[i], _layer_input(state, data, i), state.W[i], hp, derive_beta)
 
@@ -192,20 +190,20 @@ def _count_tied_output_columns(b_top):
     return int(((b_top == b_top.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
 
 
-def _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, batch_size, perm):
+def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
     """Stateless mini-batch pass: W persists, batch U/V start from a forward pass."""
     w = state.W
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
         batch_state = TrainState(list(w), u, v)
-        batch_state = bcd_iteration(batch_state, batch, hp, cg_cfg, derive_beta, b=u)
+        batch_state = bcd_iteration(batch_state, batch, hp, derive_beta, b=u)
         w = batch_state.W
     u, v = forward_blocks(w, data.X)
     return TrainState(w, u, v)
 
 
-def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
+def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
           derive_beta=False, early_stop_tol=None, batch_size=None,
           warmup_epochs=0, warmup_batch=DEFAULT_WARMUP_BATCH, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
@@ -215,8 +213,9 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
     carried across batches and the U/V blocks re-derived per batch by a
     forward pass (the report rows are then computed on the re-derived
     full-data state, so the coupling penalties read zero by construction).
-    ``warmup_epochs`` runs that mini-batch scheme with ``warmup_batch`` for
-    the first iterations regardless of mode; default off.
+    ``warmup_epochs`` (at least 0) runs that mini-batch scheme with
+    ``warmup_batch`` for the first iterations regardless of mode; default
+    off.
     """
     if shape.dims[0] != data.X.shape[0]:
         raise ValueError(f"architecture input width {shape.dims[0]} != data dim {data.X.shape[0]}")
@@ -225,6 +224,8 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
     for name, bs in (("batch_size", batch_size), ("warmup_batch", warmup_batch)):
         if bs is not None and bs < 1:
             raise ValueError(f"{name} must be at least 1, got {bs}")
+    if warmup_epochs < 0:
+        raise ValueError(f"warmup_epochs must be at least 0, got {warmup_epochs}")
     if (batch_size is not None or warmup_epochs > 0) and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 
@@ -241,9 +242,9 @@ def train(data, shape, hp, rng, cg_cfg=None, init_scale=DEFAULT_INIT_SCALE,
         bs = warmup_batch if k <= warmup_epochs else batch_size
         if bs is not None:
             perm = shuffle_rng.permutation(data.X.shape[1])
-            new_state = _epoch_over_batches(state, data, hp, cg_cfg, derive_beta, int(bs), perm)
+            new_state = _epoch_over_batches(state, data, hp, derive_beta, int(bs), perm)
         else:
-            new_state = bcd_iteration(state, data, hp, cg_cfg, derive_beta, b)
+            new_state = bcd_iteration(state, data, hp, derive_beta, b)
         b = None  # release the spent products before the new ones exist
         dw = _sq_diff(new_state.W, state.W)
         dv = _sq_diff(new_state.V, state.V)

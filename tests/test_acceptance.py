@@ -31,8 +31,8 @@ from stepbcd.dataio import (
 )
 from stepbcd.metrics import filter_count, flops_estimate
 from stepbcd.prox import hardmax, prox_hardmax_column, prox_l20_rows, prox_step_scalar, step
+from stepbcd import solvers
 from stepbcd.solvers import (
-    CgConfig,
     cg_solve,
     composite_objective,
     p_stationarity_residual,
@@ -209,7 +209,7 @@ def test_criterion_3_quadratic_growth():
 # criterion 4: CG solver vs dense factorization
 
 
-def test_criterion_4_cg_solver():
+def test_criterion_4_cg_solver(monkeypatch):
     with criterion(4, "state solvers (CG and Woodbury) vs dense factorization", limit_seconds=30):
         rng = make_rng(404)
         tau, pi = 1.0, 0.5
@@ -221,7 +221,7 @@ def test_criterion_4_cg_solver():
             b = rng.standard_normal((d, ncols))
             ref = np.linalg.solve(a, b)
             iterates = []
-            x, _ = cg_solve(a, b, np.zeros_like(b), tol=1e-10, max_iters=10 * d, callback=iterates.append)
+            x, _ = cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-10, max_iters=10 * d, callback=iterates.append)
             assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-8
             prev = ((0.0 - ref) * (a @ (0.0 - ref))).sum(axis=0)
             for xk in iterates:
@@ -230,10 +230,11 @@ def test_criterion_4_cg_solver():
                 assert np.all(cur <= prev * (1 + 1e-10) + 1e-14)
                 prev = cur
 
-        # solve_v picks Woodbury below a narrower layer (m < d) and CG
-        # otherwise; both must match the dense d x d factorization and meet
-        # the tolerance column by column.
+        # solve_v starts CG from the Woodbury iterate below a narrower layer
+        # (m < d) and from v_init otherwise; both must match the dense d x d
+        # factorization and meet the tolerance column by column.
         tol = 1e-10
+        monkeypatch.setattr(solvers, "V_TOL", tol)
         paths = set()
         for _ in range(60):
             d = int(rng.integers(2, 121))
@@ -246,7 +247,7 @@ def test_criterion_4_cg_solver():
             a = tau * (w.T @ w) + pi * np.eye(d)
             b = tau * (w.T @ u_next) + pi * step(u_cur)
             ref = np.linalg.solve(a, b)
-            v = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            v = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
             assert np.linalg.norm(v - ref) / np.linalg.norm(ref) <= 1e-8
             col_res = np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
             # CG stops on its recursive residual, which rounding moves
@@ -260,18 +261,15 @@ def test_criterion_4_cg_solver():
 # criterion 5: BCD descent on tiny networks
 
 
-def test_criterion_5_bcd_descent():
+def test_criterion_5_bcd_descent(monkeypatch):
     with criterion(5, "BCD descent inequality and vanishing gaps", limit_seconds=60):
         beta = 0.003
         hp = Hyperparams(tau=1.0, pi=0.5, gamma=1.01 / beta, lam=0.01, beta=beta, L=30, K=50)
         shape = NetworkShape((4, 8, 3))
+        monkeypatch.setattr(solvers, "V_TOL", 1e-12)
         for run in range(20):
             data = make_cluster_dataset(4, 3, 32, make_rng(500 + run))
-            _, report = train(
-                data, shape, hp,
-                rng=make_rng(900 + run),
-                cg_cfg=CgConfig(tol=1e-12),
-            )
+            _, report = train(data, shape, hp, rng=make_rng(900 + run))
             ok, worst = check_descent(report, hp, tol=1e-9)
             assert ok, f"run {run}: descent inequality violated by {worst:.3e}"
             assert report.records[-1].dw < 1e-8, f"run {run}: dW did not vanish"

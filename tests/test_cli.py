@@ -127,16 +127,16 @@ class TestTrainCommand:
         assert set(stored) == {
             "train_images", "train_labels", "train_csv", "train_n",
             "test_images", "test_labels", "test_csv", "test_n", "seed",
-            "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale", "cg_tol",
+            "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale",
             "derive_beta", "early_stop_tol", "batch_size", "warmup_epochs", "warmup_batch",
             "train_noise_sigma", "out_dir", "checkpoint",
         }
 
     def test_older_config_keys_are_ignored_on_replay(self, trained, tmp_path):
         # Keys that are not train flags, such as the global flags and the
-        # eps_tiny, cg_max_iters and classes of older configs, are skipped on replay.
+        # eps_tiny, cg_max_iters, classes and cg_tol of older configs, are skipped on replay.
         stored = json.loads((trained / "run_config.json").read_text())
-        stored.update(eps_tiny=1e-10, cg_max_iters=None, classes=10, command="train", verbose=0)
+        stored.update(eps_tiny=1e-10, cg_max_iters=None, classes=10, cg_tol=1e-8, command="train", verbose=0)
         old = tmp_path / "old_config.json"
         old.write_text(json.dumps(stored))
         replay = tmp_path / "replay"
@@ -146,6 +146,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--train-n", "0"), ("--train-n", "-3"), ("--test-n", "0"), ("--batch-size", "0"),
         ("--batch-size", "-5"), ("--warmup-batch", "-1"), ("--train-noise-sigma", "-1"),
+        ("--warmup-epochs", "-3"), ("--early-stop-tol", "-1"), ("--early-stop-tol", "nan"),
     ])
     def test_non_positive_size_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -153,6 +154,15 @@ class TestTrainCommand:
             main(train_args(corpus, out, extra=[flag, value]))
         assert exited.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_idx_label_outside_the_output_width_names_the_file(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = train_args(corpus, out)
+        args[args.index("--arch") + 1] = "64,12,3"
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(corpus["train_labels"]) in err and "is not a class in [0, 3)" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("feature, label", [("nan", "1"), ("0.5", "2.7")], ids=["nan-feature", "fractional-label"])
@@ -288,9 +298,11 @@ class TestInspectCommand:
 
 
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',
-                                     '{"batch_size": 0}', '{"train_noise_sigma": -1}'],
+                                     '{"batch_size": 0}', '{"train_noise_sigma": -1}', '{"warmup_epochs": -3}',
+                                     '{"early_stop_tol": -1}', '{"early_stop_tol": NaN}'],
                          ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k",
-                              "zero-batch-size", "negative-noise"])
+                              "zero-batch-size", "negative-noise", "negative-warmup-epochs",
+                              "negative-early-stop-tol", "nan-early-stop-tol"])
 def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
     config = tmp_path / "run_config.json"
     if content is not None:

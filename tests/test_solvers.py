@@ -5,7 +5,6 @@ from stepbcd import solvers
 from stepbcd.core import make_rng
 from stepbcd.prox import step
 from stepbcd.solvers import (
-    CgConfig,
     CgError,
     cg_solve,
     composite_objective,
@@ -83,8 +82,6 @@ class TestPgm:
             pgm(u, v, w0, 1.0, 0.1, 0.05, L=-1, beta=0.1)
         with pytest.raises(ValueError):
             pgm(u, v, w0, 1.0, 0.1, 0.05, L=1, beta=0.0)
-        with pytest.raises(ValueError):
-            CgConfig(tol=0.0)
 
     def test_objective_nonincreasing_with_valid_step(self):
         u, v, w = random_instance(7, n=10, p=6, q=5)
@@ -151,15 +148,22 @@ def spd_system(seed, d=50, n=20, tau=1.0, pi=0.5):
 
 @pytest.fixture
 def cg_calls(monkeypatch):
-    """Record every ``cg_solve`` call that ``solve_v`` makes."""
+    """Record the iteration count of every ``cg_solve`` call that ``solve_v`` makes."""
     calls = []
 
-    def spy(a, b, *args, **kwargs):
-        calls.append(a.shape)
-        return cg_solve(a, b, *args, **kwargs)
+    def spy(*args, **kwargs):
+        x, iters = cg_solve(*args, **kwargs)
+        calls.append(iters)
+        return x, iters
 
     monkeypatch.setattr(solvers, "cg_solve", spy)
     return calls
+
+
+@pytest.fixture
+def v_tol(monkeypatch):
+    """Set the state-solve tolerance ``solvers.V_TOL`` for one test."""
+    return lambda tol: monkeypatch.setattr(solvers, "V_TOL", tol)
 
 
 def column_residuals(w, u_next, u_cur, v, tau, pi):
@@ -175,46 +179,49 @@ def narrow_system(seed, m=10, d=200, n=20, scale=3.0):
 
 
 class TestSolveV:
-    def test_zero_weights_give_step_of_u(self, cg_calls):
+    def test_zero_weights_give_step_of_u(self, cg_calls, v_tol):
+        v_tol(1e-12)
         rng = make_rng(11)
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, cfg=CgConfig(tol=1e-12), v_init=np.zeros((6, 5)))
+        out = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
-        assert cg_calls == []
+        assert cg_calls == [0]
 
-    def test_tau_zero_guard(self, cg_calls):
+    def test_tau_zero_guard(self, cg_calls, v_tol):
+        v_tol(1e-12)
         rng = make_rng(12)
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, cfg=CgConfig(tol=1e-12), v_init=np.zeros((6, 5)))
+        out = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
-        assert cg_calls == []
+        assert cg_calls == [0]
 
-    def test_matches_dense_factorization_oracle(self):
+    def test_matches_dense_factorization_oracle(self, v_tol):
+        v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out = solve_v(w, u_next, u_cur, 1.0, 0.5, CgConfig(tol=1e-10), v_init=np.zeros_like(u_cur))
+        out = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
-    def test_warm_start_independence(self):
+    def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
-        cfg = CgConfig(tol=tol)
-        cold = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=np.zeros_like(u_cur))
-        warm = solve_v(w, u_next, u_cur, 1.0, 0.5, cfg, v_init=make_rng(15).standard_normal(u_cur.shape))
+        v_tol(tol)
+        cold = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
 
     def test_pi_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            solve_v(np.eye(2), np.eye(2), np.eye(2), 1.0, 0.0, CgConfig(), np.eye(2))
+            solve_v(np.eye(2), np.eye(2), np.eye(2), 1.0, 0.0, np.eye(2))
 
     def test_nonconvergence_raises_with_residual(self):
         _, _, _, a, b = spd_system(16, d=40, n=6)
         with pytest.raises(CgError, match="relative residual") as exc:
-            cg_solve(a, b, np.zeros_like(b), tol=1e-14, max_iters=1)
+            cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-14, max_iters=1)
         assert exc.value.residual > 1e-14
 
     def test_error_reports_the_worst_column(self):
@@ -228,39 +235,58 @@ class TestSolveV:
         tol = 1e-5
         iterates = []
         with pytest.raises(CgError) as exc:
-            cg_solve(a, b, np.zeros_like(b), tol=tol, max_iters=1, callback=iterates.append)
+            cg_solve(a.__matmul__, b, np.zeros_like(b), tol=tol, max_iters=1, callback=iterates.append)
         assert np.linalg.norm(b - a @ iterates[-1]) / np.linalg.norm(b) < tol
         assert exc.value.residual > tol
         assert exc.value.iters == 1
 
-    @pytest.mark.parametrize("m, d, n, cg_expected", [(3, 8, 5, False), (10, 200, 4, False),
+    @pytest.mark.parametrize("m, d, n, from_v_init", [(3, 8, 5, False), (10, 200, 4, False),
                                                       (8, 8, 5, True), (12, 8, 5, True)])
-    def test_path_follows_layer_shape(self, cg_calls, m, d, n, cg_expected):
+    def test_path_follows_layer_shape(self, cg_calls, m, d, n, from_v_init):
+        # Below a narrower layer (m < d) CG starts from the Woodbury iterate,
+        # which already meets the tolerance: 0 iterations, returned bit for
+        # bit.  On a square or tall layer CG starts from v_init: it iterates
+        # from zero, and returns an exact start after 0 iterations.
         rng = make_rng(21)
         w = rng.standard_normal((m, d)) / np.sqrt(d)
-        solve_v(w, rng.standard_normal((m, n)), rng.standard_normal((d, n)), 1.0, 0.5,
-                CgConfig(), v_init=np.zeros((d, n)))
-        assert cg_calls == ([(d, d)] if cg_expected else [])
+        u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
+        tau, pi = 1.0, 0.5
+        out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros((d, n)))
+        rhs = tau * (w.T @ u_next) + pi * step(u_cur)
+        assert from_v_init == (m >= d)
+        if not from_v_init:
+            assert cg_calls == [0]
+            assert np.array_equal(out, solvers._woodbury(w, rhs, tau, pi))
+        else:
+            assert len(cg_calls) == 1 and cg_calls[0] > 0
+            exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
+            cg_calls.clear()
+            again = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
+            assert cg_calls == [0]
+            assert np.array_equal(again, exact)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_ill_conditioned_narrow_layer_is_refined(self, seed):
+    def test_ill_conditioned_narrow_layer_is_refined(self, cg_calls, v_tol, seed):
+        # The plain Woodbury iterate misses tol; CG refines it.
         w, u_next, u_cur = narrow_system(40 + seed)
         tau, pi, tol = 1.0, 1e-4, 1e-8
+        v_tol(tol)
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+        out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
+        assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
         ref = np.linalg.solve(a, rhs)
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-6
 
-    def test_woodbury_miss_falls_back_to_cg(self, cg_calls):
-        # Cancelling: tau ||w||^2 / pi ~ 1e15, so the refined Woodbury iterate
-        # still misses tol.  Singular: three equal rows of w make the m x m
-        # system numerically singular, so np.linalg.solve raises.  Either way
-        # warm CG on the dense system finishes the solve.
+    def test_woodbury_miss_falls_back_to_cg(self, cg_calls, v_tol):
+        # Cancelling: tau ||w||^2 / pi ~ 1e15, so the Woodbury iterate misses
+        # tol.  Singular: three equal rows of w make the m x m system
+        # numerically singular, so np.linalg.solve raises and CG starts from
+        # v_init.  Either way CG iterates until every column meets tol.
         rng = make_rng(6)
         systems = {
             "cancelling": (*narrow_system(50, scale=30.0), 1e-8),
@@ -268,15 +294,17 @@ class TestSolveV:
                          rng.standard_normal((3, 4)), rng.standard_normal((6, 4)), 1e-12),
         }
         tau, tol = 1.0, 1e-8
+        v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out = solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
-            assert cg_calls == [(w.shape[1], w.shape[1])], name
+            assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
-    def test_unreachable_tolerance_raises(self, monkeypatch):
+    def test_unreachable_tolerance_raises(self, monkeypatch, v_tol):
         w, u_next, u_cur = narrow_system(50, scale=30.0)
         tau, pi, tol = 1.0, 1e-8, 1e-8
+        v_tol(tol)
         iterates = []
 
         def one_cg_iteration(a, b, x0, tol, max_iters):
@@ -284,7 +312,7 @@ class TestSolveV:
 
         monkeypatch.setattr(solvers, "cg_solve", one_cg_iteration)
         with pytest.raises(CgError, match="relative residual") as exc:
-            solve_v(w, u_next, u_cur, tau, pi, CgConfig(tol=tol), v_init=np.zeros_like(u_cur))
+            solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
         assert exc.value.residual > tol
         assert exc.value.iters == 1 and len(iterates) == 1
         worst = column_residuals(w, u_next, u_cur, iterates[-1], tau, pi).max()
@@ -296,7 +324,7 @@ class TestCgProperties:
         _, _, _, a, b = spd_system(17, d=25, n=8)
         ref = np.linalg.solve(a, b)
         iterates = []
-        cg_solve(a, b, np.zeros_like(b), tol=1e-12, max_iters=500, callback=iterates.append)
+        cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-12, max_iters=500, callback=iterates.append)
 
         def a_norm_sq(e):
             return (e * (a @ e)).sum(axis=0)
@@ -310,7 +338,7 @@ class TestCgProperties:
     def test_exactly_solved_start_returns_immediately(self):
         _, _, _, a, b = spd_system(18, d=10, n=3)
         x_star = np.linalg.solve(a, b)
-        x, iters = cg_solve(a, b, x_star, tol=1e-8, max_iters=100)
+        x, iters = cg_solve(a.__matmul__, b, x_star, tol=1e-8, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x_star)
 
@@ -320,6 +348,6 @@ class TestCgProperties:
         x0 = np.linalg.solve(a, b) + 1e-9 * make_rng(23).standard_normal(b.shape)
         rel = np.linalg.norm(b - a @ x0, axis=0) / np.linalg.norm(b, axis=0)
         assert 0.0 < rel.max() < 1e-6
-        x, iters = cg_solve(a, b, x0, tol=1e-6, max_iters=100)
+        x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-6, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x0)

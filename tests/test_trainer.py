@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import stepbcd.trainer as trainer_mod
+from stepbcd import solvers
 from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset
 from stepbcd.prox import hardmax, step
-from stepbcd.solvers import CgConfig
 from stepbcd.trainer import BcdReport, bcd_iteration, check_descent, objective_f, train
 
 from datagen import make_cluster_dataset
@@ -139,9 +139,9 @@ class TestBcdIteration:
             calls["pgm"].append({"u": u, "v": v, "w0": w0})
             return real_pgm(u, v, w0, tau, gamma, lam, L, beta)
 
-        def spy_solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init):
+        def spy_solve_v(w_next, u_next, u_cur, tau, pi, v_init):
             calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "u_cur": u_cur, "v_init": v_init})
-            return real_solve_v(w_next, u_next, u_cur, tau, pi, cfg, v_init)
+            return real_solve_v(w_next, u_next, u_cur, tau, pi, v_init)
 
         def spy_prox_step(v_target, b, tau, pi):
             calls["prox_step"].append({"v_target": v_target, "b": b.copy()})
@@ -190,14 +190,13 @@ class TestBcdIteration:
         assert np.shares_memory(calls["prox_step"][1]["v_target"], new.V[0])
         assert np.array_equal(calls["prox_step"][1]["b"], old.W[0] @ data.X)
 
-    def test_fixed_point_is_preserved(self, tiny_data):
+    def test_fixed_point_is_preserved(self, tiny_data, monkeypatch):
+        monkeypatch.setattr(solvers, "V_TOL", 1e-12)
         shape = NetworkShape((4, 8, 3))
         hp = theory_hp(K=60)
-        state, report = train(
-            tiny_data, shape, hp, rng=make_rng(9), cg_cfg=CgConfig(tol=1e-12)
-        )
+        state, report = train(tiny_data, shape, hp, rng=make_rng(9))
         assert report.records[-1].dw < 1e-20 and report.records[-1].dv < 1e-20
-        again = bcd_iteration(state, tiny_data, hp, cg_cfg=CgConfig(tol=1e-12))
+        again = bcd_iteration(state, tiny_data, hp)
         for a, b in zip(state.W + state.U + state.V, again.W + again.U + again.V):
             assert np.linalg.norm(a - b) <= 1e-12
 
@@ -248,6 +247,10 @@ class TestTrain:
     def test_batch_size_below_one_rejected(self, tiny_data, kw):
         with pytest.raises(ValueError, match="at least 1"):
             train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), **kw)
+
+    def test_negative_warmup_epochs_rejected(self, tiny_data):
+        with pytest.raises(ValueError, match="warmup_epochs must be at least 0"):
+            train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), warmup_epochs=-1)
 
     def test_k_zero_returns_initial_state(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
@@ -319,10 +322,11 @@ class TestTrain:
 
 
 class TestDescent:
-    def test_theory_regime_descends(self, tiny_data):
+    def test_theory_regime_descends(self, tiny_data, monkeypatch):
+        monkeypatch.setattr(solvers, "V_TOL", 1e-12)
         shape = NetworkShape((4, 8, 3))
         hp = theory_hp(K=50)
-        _, report = train(tiny_data, shape, hp, rng=make_rng(17), cg_cfg=CgConfig(tol=1e-12))
+        _, report = train(tiny_data, shape, hp, rng=make_rng(17))
         ok, worst = check_descent(report, hp, tol=1e-9)
         assert ok, f"descent violated by {worst}"
         f = report.f_values
