@@ -194,5 +194,7 @@ def prox_l20_rows(h, beta, lam):
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     out = h.copy()
-    out[np.linalg.norm(h, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
+    # At lam == 0 the threshold is 0 and no norm lies below it.
+    if lam > 0.0:
+        out[np.linalg.norm(h, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
     return out

@@ -128,15 +128,17 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     converged columns freeze), so the result is independent of how columns
     are batched.  Stops once every column has relative residual
     ``||b_j - A x_j|| / ||b_j||`` at most ``tol`` (a zero column is measured
-    absolutely); a start that already meets it is returned unchanged after
-    0 iterations.  Raises ``CgError`` if ``max_iters`` iterations do not.
+    absolutely); a float64 start that already meets it is returned as it
+    is, the same array, after 0 iterations.  ``x0`` is never written: the
+    first update that moves the iterate makes its copy.  Raises
+    ``CgError`` if ``max_iters`` iterations do not.
 
     Returns ``(x, iterations_used)``.
     """
     nb = np.linalg.norm(b, axis=0)
     scale = np.where(nb > 0.0, nb, 1.0)
     col_target = tol * scale
-    x = np.array(x0, dtype=np.float64, copy=True)
+    x = np.asarray(x0, dtype=np.float64)
     r = a(x)
     np.subtract(b, r, out=r)
     rs = (r * r).sum(axis=0)
@@ -150,7 +152,10 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
         pap = (p * ap).sum(axis=0)
         safe = active & (pap > 0.0)
         alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=safe)
-        x += alpha * p
+        if it == 0:  # the first move copies the start
+            x = x + alpha * p
+        else:
+            x += alpha * p
         r -= alpha * ap
         rs_new = (r * r).sum(axis=0)
         beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=rs > 0.0)
@@ -186,7 +191,8 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     the ``m x m`` system, or ``v_init`` if that system is numerically
     singular, and CG applies the operator matrix-free; a Woodbury iterate
     that meets ``V_TOL`` is returned as it is.  When ``m >= d`` CG starts
-    from ``v_init`` on the dense ``d x d`` matrix.  CG stops after
+    from ``v_init`` on the dense ``d x d`` matrix, and a ``v_init`` that
+    meets ``V_TOL`` is returned as the same array.  CG stops after
     ``10 * d`` iterations and raises ``CgError`` if a column still misses.
     ``pi > 0`` guarantees positive definiteness.
     """

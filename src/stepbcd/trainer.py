@@ -15,6 +15,12 @@ the next sweep as its ``b`` targets.  After a forward pass (the init, a
 mini-batch, the state re-derived after a mini-batch epoch) they are the
 ``U`` blocks themselves.  The carried products are read-only and may alias
 ``state.U``.
+
+A full-batch sweep runs in place (``_sweep``): each block is replaced in
+the state's own lists as soon as its update is made, and each target
+``b_i`` is dropped once its prox has read it, so the sweep holds one state,
+not an old and a new one.  The block motions ``dW``/``dV`` of the report
+are summed as the blocks are replaced.
 """
 
 from __future__ import annotations
@@ -145,6 +151,44 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta):
     return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta).T
 
 
+def _sq_motion(new, old):
+    """Squared Frobenius distance of one block from its previous value."""
+    return float(((new - old) ** 2).sum())
+
+
+def _sq_diff(new, old):
+    return sum(_sq_motion(a, b) for a, b in zip(new, old))
+
+
+def _sweep(state, data, hp, derive_beta, b):
+    """One outer sweep in place; returns the squared motions ``(dW, dV)``.
+
+    Each block is replaced in ``state``'s own lists as soon as its update is
+    made, and ``b[i]`` is set to None once its prox has read it, so the old
+    value of a block is released as soon as it is superseded.  The sweep
+    runs top down, so every block the update scheme reads stale (``U_i``,
+    ``V_i``, ``W_i``, ``V_(i-1)``) is read before it is replaced.  The
+    motions are summed in layer order, as ``_sq_diff`` sums them.
+    """
+    h = len(state.W)
+    dw = [0.0] * h
+    dv = [0.0] * (h - 1)
+    for i in range(h - 1, -1, -1):
+        if i == h - 1:
+            u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
+        else:
+            v = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
+            dv[i] = _sq_motion(v, state.V[i])
+            state.V[i] = v
+            u = prox_step_matrix(v, b[i], hp.tau, hp.pi)
+        b[i] = None
+        state.U[i] = u
+        w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta)
+        dw[i] = _sq_motion(w, state.W[i])
+        state.W[i] = w
+    return sum(dw), sum(dv)
+
+
 def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     """One outer sweep; returns a new state without mutating the input.
 
@@ -158,27 +202,16 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     from the previous iterate's objective, or passes ``state.U`` itself
     when the state is a forward pass; they are computed here when absent.
     ``b`` is read-only and may alias ``state.U``.
+
+    The sweep runs on shallow copies of the block lists and of ``b``.  A
+    state block that the solve leaves where it was (a ``V_i`` whose start
+    already meets the tolerance) is returned as the input's own array.
     """
     if b is None:
         b = _coupling_products(state, data)
-    h = len(state.W)
-    new_w = list(state.W)
-    new_u = list(state.U)
-    new_v = list(state.V)
-
-    for i in range(h - 1, -1, -1):
-        if i == h - 1:
-            new_u[i] = prox_hardmax_matrix(b[i], data.Y, hp.tau)
-        else:
-            new_v[i] = solve_v(new_w[i + 1], new_u[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
-            new_u[i] = prox_step_matrix(new_v[i], b[i], hp.tau, hp.pi)
-        new_w[i] = _pgm_update(new_u[i], _layer_input(state, data, i), state.W[i], hp, derive_beta)
-
-    return TrainState(new_w, new_u, new_v)
-
-
-def _sq_diff(new, old):
-    return sum(float(((a - b) ** 2).sum()) for a, b in zip(new, old))
+    new = TrainState(list(state.W), list(state.U), list(state.V))
+    _sweep(new, data, hp, derive_beta, list(b))
+    return new
 
 
 def _record(k, state, data, hp, dw, dv, seconds, b):
@@ -243,12 +276,15 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         if bs is not None:
             perm = shuffle_rng.permutation(data.X.shape[1])
             new_state = _epoch_over_batches(state, data, hp, derive_beta, int(bs), perm)
+            b = None  # release the spent products before the new ones exist
+            dw = _sq_diff(new_state.W, state.W)
+            dv = _sq_diff(new_state.V, state.V)
+            state = new_state
         else:
-            new_state = bcd_iteration(state, data, hp, derive_beta, b)
-        b = None  # release the spent products before the new ones exist
-        dw = _sq_diff(new_state.W, state.W)
-        dv = _sq_diff(new_state.V, state.V)
-        state = new_state
+            # The sweep empties the list it is given; at k=1 b is state.U
+            # itself, so it gets a copy.
+            b = list(b)
+            dw, dv = _sweep(state, data, hp, derive_beta, b)
         state.check_finite()
         seconds = time.perf_counter() - t0
         b = state.U if bs is not None else _coupling_products(state, data)

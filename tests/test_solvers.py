@@ -351,3 +351,12 @@ class TestCgProperties:
         x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-6, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x0)
+        assert x is x0
+
+    def test_start_is_never_written(self):
+        _, _, _, a, b = spd_system(24, d=10, n=3)
+        x0 = make_rng(25).standard_normal(b.shape)
+        saved = x0.copy()
+        x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-10, max_iters=100)
+        assert iters > 0 and x is not x0
+        assert np.array_equal(x0, saved)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,22 @@ class TestTrain:
         for a, b in zip(state.W + state.U + state.V, ref_state.W + ref_state.U + ref_state.V):
             assert np.array_equal(a, b)
         assert report.records[-1].dw > 0.0 and report.records[-1].upen > 0.0
+
+    def test_full_batch_sweep_holds_one_state(self):
+        # The sweep replaces each block in place and drops each b target once
+        # its prox has read it.  Keeping the old state alive through a sweep
+        # puts the peak at about 3.6x the state; in place it is about 2.9x.
+        data = make_cluster_dataset(30, 5, 200, make_rng(31))
+        shape = NetworkShape((30, 60, 60, 5))  # V_1 by Woodbury, V_0 by CG
+        hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=2)
+        tracemalloc.start()
+        try:
+            state, _ = train(data, shape, hp, rng=make_rng(32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
+        assert peak <= 3.2 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(batch_size=-5), dict(warmup_epochs=1, warmup_batch=-1)])
     def test_batch_size_below_one_rejected(self, tiny_data, kw):
