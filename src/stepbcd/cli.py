@@ -63,10 +63,18 @@ def _positive_int(text):
 
 
 def _nonnegative_int(text):
-    """Argparse type for an epoch count: an integer of at least 0."""
+    """Argparse type for an epoch count or a seed: an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
+def _positive_float(text):
+    """Argparse type for a scale: a finite number above 0."""
+    value = float(text)
+    if not (value > 0.0 and np.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
     return value
 
 
@@ -90,7 +98,7 @@ def _add_data_args(p, *splits):
         p.add_argument(f"--{split}-csv", help=f"CSV file (features..., label) for the {split} split")
         p.add_argument(f"--{split}-n", type=_positive_int, default=None,
                        help=f"{split} subsample size after seeded shuffle")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
 
 def _load_split(args, split, shape, required):
@@ -270,7 +278,7 @@ def _add_train_args(p):
     p.add_argument("--beta", type=float, default=hp.beta)
     p.add_argument("--l", type=int, default=hp.L, help="inner proximal-gradient iterations")
     p.add_argument("--k", type=int, default=hp.K, help="outer iterations")
-    p.add_argument("--scale", type=float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
+    p.add_argument("--scale", type=_positive_float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
     p.add_argument("--derive-beta", action="store_true",
                    help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
     p.add_argument("--early-stop-tol", type=_nonnegative_float, default=None,

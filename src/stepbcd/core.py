@@ -88,10 +88,11 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("tau", "pi", "gamma", "beta"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+            value = getattr(self, name)
+            if not (value > 0.0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.lam >= 0.0 and np.isfinite(self.lam)):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if self.L < 0 or self.K < 0:
             raise ValueError(f"L and K must be nonnegative, got L={self.L} K={self.K}")
 
@@ -165,8 +166,8 @@ def init_gaussian(shape, scale, rng, x):
     Weights are i.i.d. ``Normal(0, scale^2)``.  The forward-pass start
     makes both coupling penalties exactly zero initially.
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not (scale > 0.0 and np.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != shape.dims[0]:
         raise ValueError(f"input matrix {x.shape} does not match d0={shape.dims[0]}")

@@ -13,14 +13,12 @@ Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
 computes them for the objective's coupling penalty and carries them into
 the next sweep as its ``b`` targets.  After a forward pass (the init, a
 mini-batch, the state re-derived after a mini-batch epoch) they are the
-``U`` blocks themselves.  The carried products are read-only and may alias
-``state.U``.
+``U`` blocks themselves.
 
-A full-batch sweep runs in place (``_sweep``): each block is replaced in
-the state's own lists as soon as its update is made, and each target
-``b_i`` is dropped once its prox has read it, so the sweep holds one state,
-not an old and a new one.  The block motions ``dW``/``dV`` of the report
-are summed as the blocks are replaced.
+Every sweep, full-batch or per mini-batch, is one ``bcd_iteration`` call.
+It runs in place: each block is replaced in the state's own lists as soon
+as its update is made, and each target is dropped from ``b`` once its prox
+has read it, so a sweep holds one state, not an old and a new one.
 """
 
 from __future__ import annotations
@@ -160,16 +158,30 @@ def _sq_diff(new, old):
     return sum(_sq_motion(a, b) for a, b in zip(new, old))
 
 
-def _sweep(state, data, hp, derive_beta, b):
-    """One outer sweep in place; returns the squared motions ``(dW, dV)``.
+def bcd_iteration(state, data, hp, derive_beta=False, b=None):
+    """One outer sweep in place; returns the squared block motions ``(dW, dV)``.
+
+    Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
+    triple V_i, U_i, W_i.  Staleness discipline: each ``b = W_i V_(i-1)``
+    target and each PGM data matrix ``V_(i-1)`` uses the previous sweep's
+    values; the state solve for V_i uses the just-updated W_(i+1), U_(i+1)
+    and the previous U_i.
 
     Each block is replaced in ``state``'s own lists as soon as its update is
-    made, and ``b[i]`` is set to None once its prox has read it, so the old
-    value of a block is released as soon as it is superseded.  The sweep
-    runs top down, so every block the update scheme reads stale (``U_i``,
-    ``V_i``, ``W_i``, ``V_(i-1)``) is read before it is replaced.  The
-    motions are summed in layer order, as ``_sq_diff`` sums them.
+    made, so its old value is released once superseded; a caller that needs
+    the previous iterate takes ``state.copy()`` first.  The sweep runs top
+    down, so every block the scheme reads stale (``U_i``, ``V_i``, ``W_i``,
+    ``V_(i-1)``) is read before it is replaced.
+
+    ``b`` lists the targets, input layer first.  ``train`` carries them
+    from the previous iterate's objective, or passes ``state.U`` itself
+    when the state is a forward pass; they are computed here when absent.
+    ``b[i]`` is set to None once its prox has read it, before ``U_i`` is
+    replaced, so ``b`` may be ``state.U``.  The motions are summed in layer
+    order, as ``_sq_diff`` sums them.
     """
+    if b is None:
+        b = _coupling_products(state, data)
     h = len(state.W)
     dw = [0.0] * h
     dv = [0.0] * (h - 1)
@@ -189,31 +201,6 @@ def _sweep(state, data, hp, derive_beta, b):
     return sum(dw), sum(dv)
 
 
-def bcd_iteration(state, data, hp, derive_beta=False, b=None):
-    """One outer sweep; returns a new state without mutating the input.
-
-    Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
-    triple V_i, U_i, W_i.  Staleness discipline: each ``b = W_i V_(i-1)``
-    target and each PGM data matrix ``V_(i-1)`` uses the previous sweep's
-    values; the state solve for V_i uses the just-updated W_(i+1), U_(i+1)
-    and the previous U_i.
-
-    ``b`` lists those targets, input layer first.  ``train`` carries them
-    from the previous iterate's objective, or passes ``state.U`` itself
-    when the state is a forward pass; they are computed here when absent.
-    ``b`` is read-only and may alias ``state.U``.
-
-    The sweep runs on shallow copies of the block lists and of ``b``.  A
-    state block that the solve leaves where it was (a ``V_i`` whose start
-    already meets the tolerance) is returned as the input's own array.
-    """
-    if b is None:
-        b = _coupling_products(state, data)
-    new = TrainState(list(state.W), list(state.U), list(state.V))
-    _sweep(new, data, hp, derive_beta, list(b))
-    return new
-
-
 def _record(k, state, data, hp, dw, dv, seconds, b):
     f, terms = objective_f(state, data, hp, b)
     return BcdRecord(k, f, terms["loss"], terms["l20"], terms["frob"], terms["upen"], terms["vpen"], dw, dv, seconds)
@@ -223,15 +210,14 @@ def _count_tied_output_columns(b_top):
     return int(((b_top == b_top.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
 
 
-def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
-    """Stateless mini-batch pass: W persists, batch U/V start from a forward pass."""
-    w = state.W
+def _epoch_over_batches(w, data, hp, derive_beta, batch_size, perm):
+    """Stateless mini-batch pass from weights ``w`` (left as they are): the
+    weights carry across batches, each batch's U/V start from a forward pass."""
+    w = list(w)
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
-        batch_state = TrainState(list(w), u, v)
-        batch_state = bcd_iteration(batch_state, batch, hp, derive_beta, b=u)
-        w = batch_state.W
+        bcd_iteration(TrainState(w, u, v), batch, hp, derive_beta, b=u)
     u, v = forward_blocks(w, data.X)
     return TrainState(w, u, v)
 
@@ -275,16 +261,13 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         bs = warmup_batch if k <= warmup_epochs else batch_size
         if bs is not None:
             perm = shuffle_rng.permutation(data.X.shape[1])
-            new_state = _epoch_over_batches(state, data, hp, derive_beta, int(bs), perm)
+            new_state = _epoch_over_batches(state.W, data, hp, derive_beta, int(bs), perm)
             b = None  # release the spent products before the new ones exist
             dw = _sq_diff(new_state.W, state.W)
             dv = _sq_diff(new_state.V, state.V)
             state = new_state
         else:
-            # The sweep empties the list it is given; at k=1 b is state.U
-            # itself, so it gets a copy.
-            b = list(b)
-            dw, dv = _sweep(state, data, hp, derive_beta, b)
+            dw, dv = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()
         seconds = time.perf_counter() - t0
         b = state.U if bs is not None else _coupling_products(state, data)

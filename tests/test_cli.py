@@ -147,6 +147,7 @@ class TestTrainCommand:
         ("--train-n", "0"), ("--train-n", "-3"), ("--test-n", "0"), ("--batch-size", "0"),
         ("--batch-size", "-5"), ("--warmup-batch", "-1"), ("--train-noise-sigma", "-1"),
         ("--warmup-epochs", "-3"), ("--early-stop-tol", "-1"), ("--early-stop-tol", "nan"),
+        ("--seed", "-1"), ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"), ("--scale", "inf"),
     ])
     def test_non_positive_size_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
         out = tmp_path / "out"
@@ -154,6 +155,15 @@ class TestTrainCommand:
             main(train_args(corpus, out, extra=[flag, value]))
         assert exited.value.code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--tau", "nan"), ("--pi", "inf"), ("--gamma", "nan"), ("--beta", "inf"),
+    ])
+    def test_non_finite_hyperparameter_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(train_args(corpus, out, extra=[flag, value])) == 2
+        assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_idx_label_outside_the_output_width_names_the_file(self, corpus, tmp_path, capsys):
@@ -299,10 +309,12 @@ class TestInspectCommand:
 
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',
                                      '{"batch_size": 0}', '{"train_noise_sigma": -1}', '{"warmup_epochs": -3}',
-                                     '{"early_stop_tol": -1}', '{"early_stop_tol": NaN}'],
+                                     '{"early_stop_tol": -1}', '{"early_stop_tol": NaN}', '{"seed": -1}',
+                                     '{"scale": 0}', '{"scale": NaN}'],
                          ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k",
                               "zero-batch-size", "negative-noise", "negative-warmup-epochs",
-                              "negative-early-stop-tol", "nan-early-stop-tol"])
+                              "negative-early-stop-tol", "nan-early-stop-tol", "negative-seed",
+                              "zero-scale", "nan-scale"])
 def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
     config = tmp_path / "run_config.json"
     if content is not None:

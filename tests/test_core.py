@@ -85,6 +85,10 @@ class TestHyperparams:
             Hyperparams(L=-1)
         with pytest.raises(ValueError):
             Hyperparams(beta=0.0)
+        for name in ("tau", "pi", "gamma", "lam", "beta"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=name):
+                    Hyperparams(**{name: value})
 
 
 class TestInitGaussian:
@@ -121,8 +125,9 @@ class TestInitGaussian:
 
     def test_rejects_bad_scale_and_input(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
-        with pytest.raises(ValueError):
-            init_gaussian(shape, 0.0, make_rng(0), tiny_data.X)
+        for scale in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="scale"):
+                init_gaussian(shape, scale, make_rng(0), tiny_data.X)
         with pytest.raises(ValueError):
             init_gaussian(shape, 0.01, make_rng(0), np.zeros((5, 3)))
 

@@ -87,31 +87,38 @@ class TestBcdIteration:
         shape = NetworkShape((4, 3))
         state = init_gaussian(shape, 0.3, make_rng(5), tiny_data.X)
         hp = Hyperparams(tau=0.5, pi=0.1, gamma=0.2, lam=0.01, beta=0.05, L=3)
-        out = bcd_iteration(state, tiny_data, hp)
-        assert out.V == []
-        ref_u = trainer_mod.prox_hardmax_matrix(state.W[0] @ tiny_data.X, tiny_data.Y, hp.tau)
-        assert np.array_equal(out.U[0], ref_u)
+        old = state.copy()
+        bcd_iteration(state, tiny_data, hp)
+        assert state.V == []
+        ref_u = trainer_mod.prox_hardmax_matrix(old.W[0] @ tiny_data.X, tiny_data.Y, hp.tau)
+        assert np.array_equal(state.U[0], ref_u)
         ref_w = trainer_mod.pgm(
-            ref_u.T, tiny_data.X.T, state.W[0].T, hp.tau, hp.gamma, hp.lam, L=3, beta=0.05
+            ref_u.T, tiny_data.X.T, old.W[0].T, hp.tau, hp.gamma, hp.lam, L=3, beta=0.05
         ).T
-        assert np.array_equal(out.W[0], ref_w)
+        assert np.array_equal(state.W[0], ref_w)
 
-    def test_input_state_not_mutated(self, tiny_data):
+    def test_sweep_is_in_place(self, tiny_data):
+        # A forward-pass start: its U blocks are its own targets W_i V_(i-1).
         shape = NetworkShape((4, 6, 3))
         state = init_gaussian(shape, 0.3, make_rng(6), tiny_data.X)
-        saved = state.copy()
+        old = state.copy()
+        aliased = state.copy()
+        blocks = (state.W, state.U, state.V)
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.1, L=2)
-        bcd_iteration(state, tiny_data, hp)
-        for a, b in zip(state.W + state.U + state.V, saved.W + saved.U + saved.V):
-            assert np.array_equal(a, b)
-        # passed-in targets are only read: the list keeps its arrays and their values
-        targets = [w @ x for w, x in zip(state.W, [tiny_data.X] + state.V)]
-        b = list(targets)
-        saved_b = [t.copy() for t in targets]
-        bcd_iteration(state, tiny_data, hp, b=b)
-        assert len(b) == len(targets) and all(x is y for x, y in zip(b, targets))
-        for a, c in zip(b, saved_b):
-            assert np.array_equal(a, c)
+        b = list(state.U)
+        dw, dv = bcd_iteration(state, tiny_data, hp, b=b)
+        # The state's own lists now hold the new blocks, and the motions are
+        # those of the new iterate against the old one, bit for bit.
+        assert all(x is y for x, y in zip((state.W, state.U, state.V), blocks))
+        assert dw > 0.0 and dv > 0.0
+        assert dw == trainer_mod._sq_diff(state.W, old.W)
+        assert dv == trainer_mod._sq_diff(state.V, old.V)
+        # Each target is dropped once its prox has read it.
+        assert len(b) == shape.h and all(t is None for t in b)
+        # The U list may serve as the targets: same bits as a copy of it.
+        assert bcd_iteration(aliased, tiny_data, hp, b=aliased.U) == (dw, dv)
+        for x, y in zip(state.W + state.U + state.V, aliased.W + aliased.U + aliased.V):
+            assert np.array_equal(x, y)
 
     def test_update_order_and_staleness(self, monkeypatch):
         """Each sub-solver must receive exactly the iterate versions of the
@@ -153,8 +160,9 @@ class TestBcdIteration:
         monkeypatch.setattr(trainer_mod, "solve_v", spy_solve_v)
         monkeypatch.setattr(trainer_mod, "prox_step_matrix", spy_prox_step)
 
-        old = state
-        new = bcd_iteration(state, data, hp)
+        old = state.copy()
+        bcd_iteration(state, data, hp)
+        new = state
 
         # every block must actually have moved, otherwise old-vs-new is vacuous
         for a, b in zip(old.W + old.U + old.V, new.W + new.U + new.V):
@@ -164,13 +172,15 @@ class TestBcdIteration:
         assert len(calls["hardmax"]) == 1
         assert np.array_equal(calls["hardmax"][0]["b"], old.W[2] @ old.V[1])
 
-        # weight steps, outermost first: fresh U, stale V, warm-started at stale W
+        # weight steps, outermost first: fresh U, stale V, warm-started at
+        # stale W.  The stale blocks are compared by value (the sweep has
+        # replaced them), in pgm's transposed frame.
         expected_pgm = [(new.U[2], old.V[1], old.W[2]), (new.U[1], old.V[0], old.W[1]), (new.U[0], data.X, old.W[0])]
         assert len(calls["pgm"]) == 3
         for call, (u_ref, v_ref, w_ref) in zip(calls["pgm"], expected_pgm):
             assert np.shares_memory(call["u"], u_ref)
-            assert np.shares_memory(call["v"], v_ref)
-            assert np.shares_memory(call["w0"], w_ref)
+            assert np.array_equal(call["v"], v_ref.T)
+            assert np.array_equal(call["w0"], w_ref.T)
 
         # state solves, i = h-1 .. 1: fresh downstream blocks, stale own U, warm start
         expected_solve = [
@@ -181,8 +191,8 @@ class TestBcdIteration:
         for call, (w_ref, u_next_ref, u_cur_ref, v_init_ref) in zip(calls["solve_v"], expected_solve):
             assert np.shares_memory(call["w_next"], w_ref)
             assert np.shares_memory(call["u_next"], u_next_ref)
-            assert np.shares_memory(call["u_cur"], u_cur_ref)
-            assert np.shares_memory(call["v_init"], v_init_ref)
+            assert np.array_equal(call["u_cur"], u_cur_ref)
+            assert np.array_equal(call["v_init"], v_init_ref)
 
         # pre-activation fits: fresh V target, b from stale W_i V_(i-1)
         assert len(calls["prox_step"]) == 2
@@ -197,7 +207,8 @@ class TestBcdIteration:
         hp = theory_hp(K=60)
         state, report = train(tiny_data, shape, hp, rng=make_rng(9))
         assert report.records[-1].dw < 1e-20 and report.records[-1].dv < 1e-20
-        again = bcd_iteration(state, tiny_data, hp)
+        again = state.copy()
+        bcd_iteration(again, tiny_data, hp)
         for a, b in zip(state.W + state.U + state.V, again.W + again.U + again.V):
             assert np.linalg.norm(a - b) <= 1e-12
 
@@ -208,16 +219,17 @@ def _sweep_loop(data, shape, hp, rng, init_scale, warmup_batch, shuffle_rng):
     rows = [(0, *objective_f(state, data, hp), 0.0, 0.0)]
     for k in range(1, hp.K + 1):
         if k == 1 and warmup_batch is not None:
-            w = state.W
+            w = list(state.W)
             perm = shuffle_rng.permutation(data.n)
             for start in range(0, data.n, warmup_batch):
                 idx = perm[start:start + warmup_batch]
                 batch = Dataset(np.ascontiguousarray(data.X[:, idx]), np.ascontiguousarray(data.Y[:, idx]))
                 u, v = forward_blocks(w, batch.X)
-                w = bcd_iteration(trainer_mod.TrainState(list(w), u, v), batch, hp).W
+                bcd_iteration(trainer_mod.TrainState(w, u, v), batch, hp)
             new = trainer_mod.TrainState(w, *forward_blocks(w, data.X))
         else:
-            new = bcd_iteration(state, data, hp)
+            new = state.copy()
+            bcd_iteration(new, data, hp)
         dw = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.W, state.W))
         dv = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.V, state.V))
         state = new
