@@ -86,8 +86,12 @@ def _nonnegative_float(text):
     return value
 
 
-def _parse_sigmas(text):
-    return [float(p) for p in text.split(",")]
+def _sigma_list(text):
+    """Argparse type for ``--sigmas``: comma-separated finite nonnegative noise levels."""
+    try:
+        return [_nonnegative_float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
 
 
 def _add_data_args(p, *splits):
@@ -192,7 +196,7 @@ def cmd_robustness(args):
     data = _load_split(args, "test", shape, required=True)
 
     rows = []
-    for i, sigma in enumerate(_parse_sigmas(args.sigmas)):
+    for i, sigma in enumerate(args.sigmas):
         noisy = add_gaussian_noise(data, sigma, make_rng(args.seed, STAGE_NOISE, i), clamp=args.clamp)
         err = evaluate(state.W, noisy).error_rate
         rows.append((sigma, err))
@@ -316,7 +320,8 @@ def build_parser(train_defaults=None):
     p_rob = sub.add_parser("robustness", help="noise sweep on the test split")
     p_rob.add_argument("--checkpoint", required=True)
     _add_data_args(p_rob, "test")
-    p_rob.add_argument("--sigmas", default="0,0.1,0.2,0.4")
+    p_rob.add_argument("--sigmas", type=_sigma_list, default="0,0.1,0.2,0.4",
+                       help="comma-separated finite nonnegative noise levels")
     p_rob.add_argument("--no-clamp", dest="clamp", action="store_false",
                        help="leave noisy pixels outside [0, 1]")
     p_rob.add_argument("--out", default="robustness.csv")

@@ -5,6 +5,14 @@ CSV outputs (``report.csv``, ``metrics.csv``, ``robustness.csv``).  IDX
 headers are big-endian regardless of host byte order.  Checkpoints use a
 fixed little-endian layout with a trailing CRC-32 so round trips are
 bit-exact and corruption is detected.
+
+Layout contract: every ``Dataset`` this module returns holds ``X`` as a
+C-contiguous float64 matrix of features x samples (one column per sample)
+and ``Y`` as the C-contiguous one-hot matrix of classes x samples.  Each
+step of the input path copies
+the data once: ``to_dataset`` and ``load_csv_dataset`` make one transposing
+copy, ``Dataset.subset`` one column gather, and ``add_gaussian_noise`` adds
+the inputs into its noise draw.
 """
 
 from __future__ import annotations
@@ -106,7 +114,15 @@ class Dataset:
         return np.argmax(self.Y, axis=0)
 
     def subset(self, indices):
-        return Dataset(np.ascontiguousarray(self.X[:, indices]), np.ascontiguousarray(self.Y[:, indices]))
+        """The samples at integer ``indices`` (any order, repeats and negatives allowed),
+        gathered in one C-contiguous copy each of ``X`` and ``Y``; a boolean mask raises
+        ValueError."""
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            idx = idx.astype(np.intp)
+        elif not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"subset takes integer indices, not a {idx.dtype} array")
+        return Dataset(self.X.take(idx, axis=1), self.Y.take(idx, axis=1))
 
 
 def _read_exact(f, nbytes, path, what):
@@ -166,8 +182,9 @@ def to_dataset(images, labels, num_classes, where=""):
         raise ValueError(f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
     y = _one_hot(labels, num_classes, where)
     n = images.shape[0]
-    x = images.reshape(n, int(np.prod(images.shape[1:]))).T.astype(np.float64) / 255.0
-    return Dataset(np.ascontiguousarray(x), y)
+    x = images.reshape(n, int(np.prod(images.shape[1:]))).T.astype(np.float64, order="C")
+    x /= 255.0
+    return Dataset(x, y)
 
 
 def load_csv_dataset(path, num_classes):
@@ -176,10 +193,10 @@ def load_csv_dataset(path, num_classes):
     Features are taken as already normalized and must lie in [0, 1].
     """
     raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    features = raw[:, :-1].T
+    features = np.ascontiguousarray(raw[:, :-1].T)
     if not np.all((features >= 0.0) & (features <= 1.0)):
         raise ValueError(f"{path}: a feature is NaN or outside [0, 1]")
-    return Dataset(np.ascontiguousarray(features), _one_hot(raw[:, -1], num_classes, f"{path}: "))
+    return Dataset(features, _one_hot(raw[:, -1], num_classes, f"{path}: "))
 
 
 def write_csv(path, header, rows):
@@ -200,7 +217,8 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    x = data.X + rng.normal(0.0, sigma, size=data.X.shape)
+    x = rng.normal(0.0, sigma, size=data.X.shape)
+    x += data.X
     if clamp:
         np.clip(x, 0.0, 1.0, out=x)
     return Dataset(x, data.Y.copy())

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -280,6 +283,54 @@ class TestRobustnessCommand:
         assert main(self.rob_args(corpus, trained, a)) == 0
         assert main(self.rob_args(corpus, trained, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("sigmas", ["nan", "inf", "0,-0.1", "0,,0.1", "abc", "0.1,nan"])
+    def test_bad_sigma_exits_2_before_output(self, corpus, trained, tmp_path, capsys, sigmas):
+        out = tmp_path / "rob.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(self.rob_args(corpus, trained, out, sigmas=sigmas))
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "--sigmas" in captured.err and captured.out == ""
+        assert not out.exists()
+
+
+# The desk-minibatch benchmark workload's train flags.
+DESK_MINIBATCH_FLAGS = [
+    "--arch", "784,200,200,10", "--tau", "1", "--pi", "0.5", "--gamma", "1e-8", "--lambda", "0",
+    "--beta", "0.00072", "--l", "5", "--k", "3", "--batch-size", "100", "--derive-beta", "--scale", "0.01",
+]
+
+
+class TestBlasThreadReplay:
+    def test_metrics_and_report_do_not_depend_on_the_thread_count(self, tmp_path):
+        # Only the CSVs are promised.  The W bytes may differ in the last bit:
+        # an OpenBLAS product splits its sums by thread count, and how depends on the CPU.
+        images, labels = make_synthetic_images(600, 10, make_rng(707))
+        paths = [tmp_path / name for name in ("tri", "trl", "tei", "tel")]
+        write_idx_images(paths[0], images[:400])
+        write_idx_labels(paths[1], labels[:400])
+        write_idx_images(paths[2], images[400:])
+        write_idx_labels(paths[3], labels[400:])
+        data = ["--train-images", paths[0], "--train-labels", paths[1], "--test-images", paths[2],
+                "--test-labels", paths[3], "--seed", "1"]
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "stepbcd.cli", "train", *map(str, data), *DESK_MINIBATCH_FLAGS,
+                 "--out-dir", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}, capture_output=True, check=True,
+            )
+            runs.append(out)
+        a, b = runs
+        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
+
+        def without_seconds(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        assert without_seconds(a / "report.csv") == without_seconds(b / "report.csv")
+        assert len(without_seconds(a / "report.csv")) == 1 + 1 + 3  # header, init row, 3 epochs
 
 
 class TestInspectCommand:

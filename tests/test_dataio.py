@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -275,3 +276,89 @@ class TestDatasetValidation:
         sub = tiny_data.subset(np.array([0, 5, 7]))
         assert sub.n == 3
         assert np.array_equal(sub.X, tiny_data.X[:, [0, 5, 7]])
+
+
+def _traced(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes it held beyond what was live when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, peak
+
+
+def _same_bits(a, b):
+    """Equal shape and float64 bit patterns, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.fixture
+def signed_zero_data():
+    """784 features x 40 samples in [0, 1] with -0.0 entries; X far outweighs Y.
+
+    X (245 KiB) stays under numpy's 256 KiB temporary-elision threshold, so an
+    expression such as ``X + draw`` would really hold two X-sized arrays.
+    """
+    rng = make_rng(12)
+    x = rng.random((784, 40))
+    x[:, ::7] = -0.0
+    y = np.zeros((10, 40))
+    y[rng.integers(0, 10, 40), np.arange(40)] = 1.0
+    return Dataset(x, y)
+
+
+class TestOneCopyDataPath:
+    """Each step of the input path makes one C-contiguous copy with the old expression's bits."""
+
+    def test_to_dataset_peak_is_one_float64_x(self):
+        rng = make_rng(13)
+        images = rng.integers(0, 256, (500, 28, 28)).astype(np.uint8)
+        labels = rng.integers(0, 10, 500)
+        data, peak = _traced(to_dataset, images, labels, 10)
+        old = np.ascontiguousarray(images.reshape(500, 784).T.astype(np.float64) / 255.0)
+        assert _same_bits(data.X, old)
+        assert data.X.flags.c_contiguous and data.Y.flags.c_contiguous
+        assert peak <= 1.25 * data.X.nbytes
+
+    @pytest.mark.parametrize("indices", [
+        np.arange(0, 40, 2),
+        make_rng(15).permutation(40)[:20],
+        np.repeat(np.arange(10), 3),
+        -1 - np.arange(0, 40, 2),
+    ], ids=["sorted", "unsorted", "repeated", "negative"])
+    def test_subset_gathers_once(self, signed_zero_data, indices):
+        sub, peak = _traced(signed_zero_data.subset, indices)
+        assert _same_bits(sub.X, np.ascontiguousarray(signed_zero_data.X[:, indices]))
+        assert _same_bits(sub.Y, np.ascontiguousarray(signed_zero_data.Y[:, indices]))
+        assert sub.X.flags.c_contiguous and sub.Y.flags.c_contiguous
+        # The outputs, check_one_hot's boolean temporaries (under one Y) and a few
+        # object headers; an X-sized temporary would add at least 125 KB.
+        assert peak <= sub.X.nbytes + 2 * sub.Y.nbytes + 4096
+
+    def test_subset_of_an_empty_list_is_empty(self, signed_zero_data):
+        sub = signed_zero_data.subset([])
+        assert sub.X.shape == (784, 0) and sub.Y.shape == (10, 0)
+        assert sub.X.dtype == np.float64 and sub.X.flags.c_contiguous
+
+    def test_subset_rejects_a_boolean_mask(self, signed_zero_data):
+        mask = np.zeros(40, dtype=bool)
+        mask[[1, 4]] = True
+        with pytest.raises(ValueError, match="integer indices"):
+            signed_zero_data.subset(mask)
+
+    @pytest.mark.parametrize("sigma, clamp", [(0.0, True), (0.0, False), (0.3, True), (0.3, False)])
+    def test_noise_adds_into_the_draw(self, signed_zero_data, sigma, clamp):
+        noisy, peak = _traced(add_gaussian_noise, signed_zero_data, sigma, make_rng(14), clamp=clamp)
+        old = signed_zero_data.X + make_rng(14).normal(0.0, sigma, size=signed_zero_data.X.shape)
+        if clamp:
+            np.clip(old, 0.0, 1.0, out=old)
+        assert _same_bits(noisy.X, old)
+        assert noisy.X.flags.c_contiguous and noisy.Y.flags.c_contiguous
+        # The noisy X, the copy of Y, check_one_hot's temporaries and object headers.
+        assert peak <= noisy.X.nbytes + 2 * noisy.Y.nbytes + 4096

@@ -319,6 +319,24 @@ class TestSolveV:
         assert exc.value.residual == pytest.approx(worst, rel=1e-3)
 
 
+    @pytest.mark.parametrize("m, d", [(10, 200), (50, 200), (8, 8), (200, 200), (300, 100)])
+    @pytest.mark.parametrize("tau, pi", [(1e-6, 1e-7), (1e-3, 1e-4), (1.0, 0.5)])
+    def test_move_obeys_the_oracle_bound(self, m, d, tau, pi):
+        # With s = step(u_cur) the exact solution is s + tau (tau W^T W + pi I)^-1 W^T (u_next - W s),
+        # and tau sigma / (tau sigma^2 + pi) <= sqrt(tau/pi) / 2 for every singular value sigma of W.
+        # A column that meets V_TOL lies within V_TOL ||b_j|| / pi of the exact one.
+        rng = make_rng(m * 7 + d)
+        u_next, u_cur = rng.standard_normal((m, 20)), rng.standard_normal((d, 20))
+        s = step(u_cur)
+        for scale in (0.3, 1.0, 3.0):
+            w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
+            v = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            b = tau * (w.T @ u_next) + pi * s
+            bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
+                     + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)
+            assert np.all(np.linalg.norm(v - s, axis=0) <= bound), scale
+
+
 class TestCgProperties:
     def test_a_norm_error_nonincreasing(self):
         _, _, _, a, b = spd_system(17, d=25, n=8)
