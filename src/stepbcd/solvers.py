@@ -47,11 +47,25 @@ class CgError(RuntimeError):
         )
 
 
-def grad_psi(w, u, v, tau, gamma):
-    """Gradient of ``(tau/2) ||u - v w||^2 + (gamma/2) ||w||^2`` in ``w``."""
+def grad_psi(w, u, v, tau, gamma, vw=None):
+    """Gradient of ``(tau/2) ||u - v w||^2 + (gamma/2) ||w||^2`` in ``w``.
+
+    ``vw``, when given, is the product ``v @ w`` the caller already holds;
+    it is overwritten with the residual ``v w - u``.  Either way the
+    residual is formed in the product's own buffer.
+    """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
-    return tau * (v.T @ (v @ w - u)) + gamma * w
+    if vw is None:
+        vw = v @ w
+    elif vw.shape != u.shape:
+        raise ValueError(f"grad_psi product {vw.shape} does not match u {u.shape}")
+    vw -= u
+    g = v.T @ vw
+    del vw
+    g *= tau
+    g += gamma * w
+    return g
 
 
 def smooth_objective(w, u, v, tau, gamma):
@@ -66,7 +80,7 @@ def composite_objective(w, u, v, tau, gamma, lam):
     return smooth_objective(w, u, v, tau, gamma) + lam * nnz_rows
 
 
-def pgm(u, v, w0, tau, gamma, lam, L, beta):
+def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     """Run exactly ``L`` proximal-gradient iterations of step ``beta`` from ``w0``.
 
     Each iteration takes a gradient step on the smooth part followed by
@@ -74,12 +88,22 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta):
     ``1 / (tau ||v||_2^2 + gamma)`` the composite objective is
     non-increasing and the iterates converge to a point satisfying the
     proximal fixed-point inclusion.
+
+    ``vw0``, when given, is the product ``v @ w0``: the first gradient
+    reuses it, overwriting it with its residual.  ``u``, ``v`` and ``w0``
+    are never written; ``L = 0`` returns a copy of ``w0``.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
-    w = w0.copy()
+    if L == 0:
+        return w0.copy()
+    w = w0
     for _ in range(L):
-        w = prox_l20_rows(w - beta * grad_psi(w, u, v, tau, gamma), beta, lam)
+        g = grad_psi(w, u, v, tau, gamma, vw0)
+        vw0 = None
+        g *= beta
+        np.subtract(w, g, out=g)
+        w = prox_l20_rows(g, beta, lam)
     return w
 
 

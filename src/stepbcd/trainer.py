@@ -11,9 +11,10 @@ not-yet-updated weights and states from the previous sweep.
 
 Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
 computes them for the objective's coupling penalty and carries them into
-the next sweep as its ``b`` targets.  After a forward pass (the init, a
-mini-batch, the state re-derived after a mini-batch epoch) they are the
-``U`` blocks themselves.
+the next sweep as its ``b`` targets, where the ``U_i`` prox reads each one
+and the ``W_i`` step's first gradient reuses its buffer as the residual.
+After a forward pass (the init, a mini-batch, the state re-derived after a
+mini-batch epoch) they are the ``U`` blocks themselves.
 
 Every sweep, full-batch or per mini-batch, is one ``bcd_iteration`` call.
 It runs in place: each block is replaced in the state's own lists as soon
@@ -140,13 +141,17 @@ def objective_f(state, data, hp, b=None):
     return loss + l20 + frob + upen + vpen, terms
 
 
-def _pgm_update(u_new, v_old, w_old, hp, derive_beta):
-    """Weight-block step in the transposed frame (rows = columns of W)."""
+def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
+    """Weight-block step in the transposed frame (rows = columns of W).
+
+    ``wv_old`` is the product ``w_old @ v_old``; the first gradient
+    overwrites it.
+    """
     beta = hp.beta
     if derive_beta:
         sigma = spectral_norm(v_old)
         beta = 0.9 / (hp.tau * sigma * sigma + hp.gamma)
-    return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta).T
+    return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta, wv_old.T).T
 
 
 def _sq_motion(new, old):
@@ -176,9 +181,11 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     ``b`` lists the targets, input layer first.  ``train`` carries them
     from the previous iterate's objective, or passes ``state.U`` itself
     when the state is a forward pass; they are computed here when absent.
-    ``b[i]`` is set to None once its prox has read it, before ``U_i`` is
-    replaced, so ``b`` may be ``state.U``.  The motions are summed in layer
-    order, as ``_sq_diff`` sums them.
+    The sweep consumes the arrays in ``b``, not only its slots: ``b[i]`` is
+    set to None once its prox has read it, before ``U_i`` is replaced, so
+    ``b`` may be ``state.U``, and the array is then handed to the ``W_i``
+    step, whose first gradient overwrites it with its residual.  The
+    motions are summed in layer order, as ``_sq_diff`` sums them.
     """
     if b is None:
         b = _coupling_products(state, data)
@@ -193,9 +200,10 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
             dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
             u = prox_step_matrix(v, b[i], hp.tau, hp.pi)
-        b[i] = None
+        wv, b[i] = b[i], None
         state.U[i] = u
-        w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta)
+        w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta, wv)
+        del wv
         dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
     return sum(dw), sum(dv)

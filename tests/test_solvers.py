@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,13 +63,38 @@ class TestGradPsi:
         with pytest.raises(ValueError):
             grad_psi(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((4, 4)), 1.0, 1.0)
 
+    @pytest.mark.parametrize("frame", ["plain", "transposed"])
+    def test_carried_product_gives_the_same_bits(self, frame):
+        # The trainer passes transposed views; both layouts must agree.
+        u, v, w = random_instance(12, n=9, p=7, q=5)
+        if frame == "transposed":
+            u, v, w = (np.ascontiguousarray(a.T).T for a in (u, v, w))
+        tau, gamma = 0.7, 0.3
+        inputs = [a.copy() for a in (u, v, w)]
+        expected = tau * (v.T @ (v @ w - u)) + gamma * w
+        vw = v @ w
+        residual = vw - u
+        assert np.array_equal(grad_psi(w, u, v, tau, gamma), expected)
+        assert np.array_equal(grad_psi(w, u, v, tau, gamma, vw), expected)
+        # The carried product now holds the residual; the inputs are untouched.
+        assert np.array_equal(vw, residual)
+        for a, ref in zip((u, v, w), inputs):
+            assert np.array_equal(a, ref)
+
+    def test_carried_product_of_wrong_shape_rejected(self):
+        u, v, w = random_instance(13)
+        with pytest.raises(ValueError, match="product"):
+            grad_psi(w, u, v, 1.0, 0.1, np.zeros((u.shape[0], u.shape[1] + 1)))
+        with pytest.raises(ValueError, match="product"):
+            grad_psi(w, u, v, 1.0, 0.1, (v @ w).T)
+
 
 class TestPgm:
     def test_zero_iterations_returns_start(self):
         u, v, w0 = random_instance(5)
         out = pgm(u, v, w0, 1.0, 0.1, 0.05, L=0, beta=0.01)
         assert np.array_equal(out, w0)
-        assert out is not w0
+        assert not np.shares_memory(out, w0)
 
     def test_lambda_zero_converges_to_ridge(self):
         u, v, w0 = random_instance(6, n=6, p=4, q=3)
@@ -93,6 +120,51 @@ class TestPgm:
             cur = composite_objective(w, u, v, tau, gamma, lam)
             assert cur <= prev + 1e-12 * max(1.0, abs(prev))
             prev = cur
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_carried_product_gives_the_same_bits(self, L):
+        u, v, w0 = random_instance(14, n=12, p=6, q=5)
+        tau, gamma, lam = 1.0, 0.2, 0.05
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        inputs = [a.copy() for a in (u, v, w0)]
+        vw0 = v @ w0
+        expected = pgm(u, v, w0, tau, gamma, lam, L, beta)
+        assert np.array_equal(pgm(u, v, w0, tau, gamma, lam, L, beta, vw0), expected)
+        # Only the carried product is written: it now holds the first residual.
+        assert np.array_equal(vw0, v @ w0 - u)
+        for a, ref in zip((u, v, w0), inputs):
+            assert np.array_equal(a, ref)
+
+    def test_carried_product_of_wrong_shape_rejected(self):
+        u, v, w0 = random_instance(15)
+        with pytest.raises(ValueError, match="product"):
+            pgm(u, v, w0, 1.0, 0.1, 0.05, L=1, beta=0.1, vw0=np.zeros((u.shape[0] + 1, u.shape[1])))
+
+    def test_carried_product_is_the_residual_buffer(self):
+        # The product is the caller's: it exists before the step either way
+        # (the sweep carries it from the objective), so it is allocated
+        # before tracing starts.  With more samples than twice the input
+        # width, the samples-by-outputs residual is the largest block of
+        # the step: reusing the product for it keeps the step's own peak
+        # below one such block, and a residual in a fresh buffer would not.
+        rng = make_rng(16)
+        n, p, q = 600, 150, 300
+        u = rng.standard_normal((n, q))
+        v = rng.standard_normal((n, p)) / np.sqrt(n)
+        w0 = rng.standard_normal((p, q))
+        args = (u, v, w0, 1.0, 0.1, 0.05, 1, 0.01)
+
+        def peak(vw0):
+            tracemalloc.start()
+            try:
+                pgm(*args, vw0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        carried = peak(v @ w0)
+        assert carried < u.nbytes
+        assert carried <= peak(None)
 
 
 class TestStationarityResidual:

@@ -143,9 +143,10 @@ class TestBcdIteration:
             calls["hardmax"].append({"b": b.copy(), "y": y})
             return real_hardmax(b, y, tau)
 
-        def spy_pgm(u, v, w0, tau, gamma, lam, L, beta):
-            calls["pgm"].append({"u": u, "v": v, "w0": w0})
-            return real_pgm(u, v, w0, tau, gamma, lam, L, beta)
+        def spy_pgm(u, v, w0, tau, gamma, lam, L, beta, vw0):
+            # pgm overwrites the carried product, so it is copied at call time.
+            calls["pgm"].append({"u": u, "v": v, "w0": w0, "vw0": vw0.copy()})
+            return real_pgm(u, v, w0, tau, gamma, lam, L, beta, vw0)
 
         def spy_solve_v(w_next, u_next, u_cur, tau, pi, v_init):
             calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "u_cur": u_cur, "v_init": v_init})
@@ -173,14 +174,16 @@ class TestBcdIteration:
         assert np.array_equal(calls["hardmax"][0]["b"], old.W[2] @ old.V[1])
 
         # weight steps, outermost first: fresh U, stale V, warm-started at
-        # stale W.  The stale blocks are compared by value (the sweep has
-        # replaced them), in pgm's transposed frame.
+        # stale W, and the reused product is that of the stale W and V.  The
+        # stale blocks are compared by value (the sweep has replaced them),
+        # in pgm's transposed frame.
         expected_pgm = [(new.U[2], old.V[1], old.W[2]), (new.U[1], old.V[0], old.W[1]), (new.U[0], data.X, old.W[0])]
         assert len(calls["pgm"]) == 3
         for call, (u_ref, v_ref, w_ref) in zip(calls["pgm"], expected_pgm):
             assert np.shares_memory(call["u"], u_ref)
             assert np.array_equal(call["v"], v_ref.T)
             assert np.array_equal(call["w0"], w_ref.T)
+            assert np.array_equal(call["vw0"], (w_ref @ v_ref).T)
 
         # state solves, i = h-1 .. 1: fresh downstream blocks, stale own U, warm start
         expected_solve = [
