@@ -1,7 +1,9 @@
 """Activation maps and closed-form solvers for the per-block sub-problems.
 
-All operations here are pure and act entrywise, columnwise, or rowwise, so
-they are trivially parallelizable and independent of evaluation order.
+All operations here act entrywise, columnwise, or rowwise, so they are
+trivially parallelizable and independent of evaluation order.  None
+writes its arguments except ``prox_l20_rows``, which thresholds a float64
+input in place.
 
 Knife-edge equalities in the three thresholding solvers are resolved by the
 no-change branch (keep ``b`` / keep the row), so measure-zero ties never
@@ -187,14 +189,17 @@ def prox_l20_rows(h, beta, lam):
     Row s of the result is 0 when ``||h_s|| < sqrt(2 beta lam)``, ``h_s``
     when strictly above, and ``h_s`` on exact equality (keep).  Rows are
     never shrunk, only kept or zeroed.
+
+    A float64 ``h`` is thresholded in place and returned: ``pgm`` passes
+    the step buffer it owns.  Other inputs are converted to a new float64
+    array first.
     """
     h = np.asarray(h, dtype=np.float64)
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    out = h.copy()
     # At lam == 0 the threshold is 0 and no norm lies below it.
     if lam > 0.0:
-        out[np.linalg.norm(h, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
-    return out
+        h[np.linalg.norm(h, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
+    return h

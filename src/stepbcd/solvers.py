@@ -53,6 +53,11 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     ``vw``, when given, is the product ``v @ w`` the caller already holds;
     it is overwritten with the residual ``v w - u``.  Either way the
     residual is formed in the product's own buffer.
+
+    A residual of zeros (a target the step prox left as it was) skips the
+    product ``v.T @ r``: the gradient starts from the +0.0 entries that
+    product gives, so the result has the same bits.  A zero residual means
+    ``v`` is finite, since any inf or NaN in ``v`` reaches ``v w``.
     """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
@@ -61,7 +66,7 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     elif vw.shape != u.shape:
         raise ValueError(f"grad_psi product {vw.shape} does not match u {u.shape}")
     vw -= u
-    g = v.T @ vw
+    g = v.T @ vw if vw.any() else np.zeros(w.shape)
     del vw
     g *= tau
     g += gamma * w
@@ -91,7 +96,8 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
 
     ``vw0``, when given, is the product ``v @ w0``: the first gradient
     reuses it, overwriting it with its residual.  ``u``, ``v`` and ``w0``
-    are never written; ``L = 0`` returns a copy of ``w0``.
+    are never written; ``L = 0`` returns a copy of ``w0``.  Each step is
+    taken and thresholded in the gradient's own buffer.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
@@ -166,12 +172,13 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     r = a(x)
     np.subtract(b, r, out=r)
     rs = (r * r).sum(axis=0)
-    p = r.copy()
 
     for it in range(max_iters):
         active = np.sqrt(rs) > col_target
         if not active.any():
             return x, it
+        if it == 0:
+            p = r.copy()
         ap = a(p)
         pap = (p * ap).sum(axis=0)
         safe = active & (pap > 0.0)
@@ -213,12 +220,16 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     ``cg_solve`` until every column meets ``V_TOL``.  When ``m < d`` (the
     layer below a narrower one) the start is the Woodbury solution through
     the ``m x m`` system, or ``v_init`` if that system is numerically
-    singular, and CG applies the operator matrix-free; a Woodbury iterate
-    that meets ``V_TOL`` is returned as it is.  When ``m >= d`` CG starts
-    from ``v_init`` on the dense ``d x d`` matrix, and a ``v_init`` that
-    meets ``V_TOL`` is returned as the same array.  CG stops after
-    ``10 * d`` iterations and raises ``CgError`` if a column still misses.
-    ``pi > 0`` guarantees positive definiteness.
+    singular; otherwise it is ``v_init``.  CG applies the operator
+    matrix-free for every shape, as ``w^T (tau (w x)) + pi x``: two
+    products per application, and ``w^T w`` is never formed.  A start
+    that meets ``V_TOL`` is returned as it is, the same array.  CG stops
+    after ``10 * d`` iterations and raises ``CgError`` if a column still
+    misses.  ``pi > 0`` guarantees positive definiteness.
+
+    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when CG kept its start,
+    taken from the residual check's operator call, so it has the bits of
+    that product computed afresh; it is None when CG moved the start.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -230,19 +241,23 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
 
     m, d = w_next.shape
-    rhs = tau * (w_next.T @ u_next) + pi * step(u_cur)
-    if m < d:
-        def a(x):
-            y = w_next.T @ (tau * (w_next @ x))
-            y += pi * x
-            return y
+    rhs = w_next.T @ u_next
+    rhs *= tau
+    rhs += pi * step(u_cur)
+    wx = None
 
+    def a(x):
+        nonlocal wx
+        wx = w_next @ x
+        y = w_next.T @ (tau * wx)
+        y += pi * x
+        return y
+
+    if m < d:
         try:
             v_init = _woodbury(w_next, rhs, tau, pi)
         except np.linalg.LinAlgError:
             pass
-    else:
-        dense = tau * (w_next.T @ w_next)
-        dense[np.diag_indices(d)] += pi
-        a = dense.__matmul__
-    return cg_solve(a, rhs, v_init, V_TOL, 10 * d)[0]
+    v, iters = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
+    # The first operator call is the start's residual check.
+    return v, (wx if iters == 0 else None)

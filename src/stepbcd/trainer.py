@@ -13,7 +13,10 @@ Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
 computes them for the objective's coupling penalty and carries them into
 the next sweep as its ``b`` targets, where the ``U_i`` prox reads each one
 and the ``W_i`` step's first gradient reuses its buffer as the residual.
-After a forward pass (the init, a mini-batch, the state re-derived after a
+A state solve that keeps its start has already formed ``W_(i+1) V_i`` of
+the new iterate; the sweep hands that product on, and ``train`` computes
+only the others (``W_0 X`` and any layer whose ``V`` moved).  After a
+forward pass (the init, a mini-batch, the state re-derived after a
 mini-batch epoch) they are the ``U`` blocks themselves.
 
 Every sweep, full-batch or per mini-batch, is one ``bcd_iteration`` call.
@@ -96,9 +99,12 @@ def _layer_input(state, data, i):
     return data.X if i == 0 else state.V[i - 1]
 
 
-def _coupling_products(state, data):
-    """The coupling products ``W_i V_(i-1)`` of every layer, input layer first."""
-    return [w @ _layer_input(state, data, i) for i, w in enumerate(state.W)]
+def _coupling_products(state, data, known=None):
+    """The coupling products ``W_i V_(i-1)`` of every layer, input layer
+    first; a product that ``known[i]`` already holds is taken as it is."""
+    known = known or [None] * len(state.W)
+    return [w @ _layer_input(state, data, i) if known[i] is None else known[i]
+            for i, w in enumerate(state.W)]
 
 
 def objective_f(state, data, hp, b=None):
@@ -155,15 +161,20 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
 
 
 def _sq_motion(new, old):
-    """Squared Frobenius distance of one block from its previous value."""
-    return float(((new - old) ** 2).sum())
+    """Squared Frobenius distance of one block from its previous value;
+    a block kept as the same array has not moved."""
+    if new is old:
+        return 0.0
+    d = new - old
+    d *= d
+    return float(d.sum())
 
 
 def _sq_diff(new, old):
     return sum(_sq_motion(a, b) for a, b in zip(new, old))
 
 
-def bcd_iteration(state, data, hp, derive_beta=False, b=None):
+def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
     """One outer sweep in place; returns the squared block motions ``(dW, dV)``.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
@@ -186,6 +197,11 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     ``b`` may be ``state.U``, and the array is then handed to the ``W_i``
     step, whose first gradient overwrites it with its residual.  The
     motions are summed in layer order, as ``_sq_diff`` sums them.
+
+    ``b_next``, when given, is a list with one slot per layer that receives
+    the new iterate's products: each state solve sets ``b_next[i + 1]`` to
+    ``W_(i+1) V_i`` if it kept its start, else to None.  It must not be
+    ``b``, which may be ``state.U``.
     """
     if b is None:
         b = _coupling_products(state, data)
@@ -196,7 +212,10 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            v = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
+            v, wv_next = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
+            if b_next is not None:
+                b_next[i + 1] = wv_next
+            del wv_next
             dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
             u = prox_step_matrix(v, b[i], hp.tau, hp.pi)
@@ -275,10 +294,12 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
             dv = _sq_diff(new_state.V, state.V)
             state = new_state
         else:
-            dw, dv = bcd_iteration(state, data, hp, derive_beta, b)
+            b_next = [None] * len(state.W)
+            dw, dv = bcd_iteration(state, data, hp, derive_beta, b, b_next)
+            b = b_next  # the spent targets are all None by now
         state.check_finite()
         seconds = time.perf_counter() - t0
-        b = state.U if bs is not None else _coupling_products(state, data)
+        b = state.U if bs is not None else _coupling_products(state, data, b)
         records.append(_record(k, state, data, hp, dw, dv, seconds, b))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)
         if early_stop_tol is not None and abs(records[-1].f - records[-2].f) < early_stop_tol:

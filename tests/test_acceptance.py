@@ -138,7 +138,7 @@ def test_criterion_1_prox_oracles():
             h = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 6))))
             beta = float(rng.uniform(0.01, 2.0))
             lam = float(rng.uniform(0.0, 2.0))
-            out = prox_l20_rows(h, beta, lam)
+            out = prox_l20_rows(h.copy(), beta, lam)
             expect = h.copy()
             zero_rows = (h * h).sum(axis=1) / (2.0 * beta) < lam * np.any(h != 0.0, axis=1)
             expect[zero_rows] = 0.0
@@ -247,7 +247,7 @@ def test_criterion_4_cg_solver(monkeypatch):
             a = tau * (w.T @ w) + pi * np.eye(d)
             b = tau * (w.T @ u_next) + pi * step(u_cur)
             ref = np.linalg.solve(a, b)
-            v = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            v, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
             assert np.linalg.norm(v - ref) / np.linalg.norm(ref) <= 1e-8
             col_res = np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
             # CG stops on its recursive residual, which rounding moves

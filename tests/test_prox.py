@@ -301,15 +301,27 @@ def l20_prox_oracle(h, beta, lam):
 
 
 class TestProxL20Rows:
+    # prox_l20_rows thresholds a float64 input in place, so each check
+    # passes a copy and compares against the untouched original.
     def test_exact_tie_keeps_row(self):
         h = np.array([[0.6, 0.8]])  # norm exactly 1.0 = sqrt(2 * 0.5 * 1)
-        assert np.array_equal(prox_l20_rows(h, beta=0.5, lam=1.0), h)
+        assert np.array_equal(prox_l20_rows(h.copy(), beta=0.5, lam=1.0), h)
 
     def test_lambda_zero_is_identity(self):
         rng = make_rng(41)
         h = rng.standard_normal((6, 4))
         h[2] = 0.0
-        assert np.array_equal(prox_l20_rows(h, beta=0.5, lam=0.0), h)
+        assert np.array_equal(prox_l20_rows(h.copy(), beta=0.5, lam=0.0), h)
+
+    def test_thresholds_a_float64_input_in_place(self):
+        h = np.array([[0.5, 0.0], [2.0, 0.0]])
+        out = prox_l20_rows(h, beta=0.5, lam=1.0)
+        assert out is h
+        assert np.array_equal(h, np.array([[0.0, 0.0], [2.0, 0.0]]))
+        # Any other input is converted first, and the conversion is thresholded.
+        f32 = np.array([[0.5, 0.0], [2.0, 0.0]], dtype=np.float32)
+        assert np.array_equal(prox_l20_rows(f32, beta=0.5, lam=1.0), h)
+        assert np.array_equal(f32, np.array([[0.5, 0.0], [2.0, 0.0]]))
 
     def test_below_and_above_threshold(self):
         h = np.array([[0.5, 0.0], [2.0, 0.0]])
@@ -322,12 +334,12 @@ class TestProxL20Rows:
             h = rng.standard_normal((int(rng.integers(1, 8)), int(rng.integers(1, 6))))
             beta = float(rng.uniform(0.01, 2.0))
             lam = float(rng.uniform(0.0, 2.0))
-            assert np.array_equal(prox_l20_rows(h, beta, lam), l20_prox_oracle(h, beta, lam))
+            assert np.array_equal(prox_l20_rows(h.copy(), beta, lam), l20_prox_oracle(h, beta, lam))
 
     @settings(max_examples=100, deadline=None)
     @given(finite_arrays, st.floats(1e-3, 10.0), st.floats(0.0, 10.0))
     def test_rows_kept_or_zeroed_never_shrunk(self, h, beta, lam):
-        out = prox_l20_rows(h, beta, lam)
+        out = prox_l20_rows(h.copy(), beta, lam)
         for s in range(h.shape[0]):
             assert np.array_equal(out[s], h[s]) or not np.any(out[s])
 

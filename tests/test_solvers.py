@@ -33,6 +33,24 @@ def random_instance(seed, n=8, p=6, q=4, scale=None):
     return u, v, w0
 
 
+class NoProducts(np.ndarray):
+    """An array whose every matrix product raises: proof that none is formed."""
+
+    def __matmul__(self, other):
+        raise AssertionError("a matrix product was formed")
+
+    __rmatmul__ = __matmul__
+
+
+def zero_residual_instance(seed, n=9, p=7, q=5):
+    """``u = v @ w`` exactly, with a negative column in ``v`` and ``-0.0`` entries in ``w``."""
+    _, v, w = random_instance(seed, n, p, q)
+    v[:, 0] = -np.abs(v[:, 0])
+    w[0, :] = -0.0
+    w[1, 1] = -0.0
+    return v @ w, v, w
+
+
 class TestGradPsi:
     def test_tau_zero_decouples(self):
         u, v, w = random_instance(1)
@@ -88,6 +106,33 @@ class TestGradPsi:
         with pytest.raises(ValueError, match="product"):
             grad_psi(w, u, v, 1.0, 0.1, (v @ w).T)
 
+    @pytest.mark.parametrize("frame", ["plain", "transposed"])
+    def test_zero_residual_gives_the_product_path_bits(self, frame):
+        # Signed zeros included: gamma * (-0.0) is -0.0, and it keeps its
+        # sign only if the gradient starts from -0.0, so a start that is not
+        # the product's +0.0 would show in the bytes.
+        u, v, w = zero_residual_instance(17)
+        if frame == "transposed":
+            u, v, w = (np.ascontiguousarray(a.T).T for a in (u, v, w))
+        tau, gamma = 0.7, 0.3
+        expected = v.T @ (v @ w - u)
+        assert not expected.any()
+        expected *= tau
+        expected += gamma * w
+        assert np.signbit(expected).any() and not np.signbit(expected[0]).any()
+        assert grad_psi(w, u, v, tau, gamma).tobytes() == expected.tobytes()
+        assert grad_psi(w, u, v, tau, gamma, v @ w).tobytes() == expected.tobytes()
+
+    def test_zero_residual_forms_no_product(self):
+        u, v, w = zero_residual_instance(18)
+        vw = v @ w
+        g = grad_psi(w, u, v.view(NoProducts), 0.7, 0.3, vw.copy())
+        assert np.array_equal(g, 0.3 * w)
+        # A nonzero residual does form v.T @ r.
+        vw[2, 3] += 1.0
+        with pytest.raises(AssertionError, match="product"):
+            grad_psi(w, u, v.view(NoProducts), 0.7, 0.3, vw)
+
 
 class TestPgm:
     def test_zero_iterations_returns_start(self):
@@ -134,6 +179,27 @@ class TestPgm:
         assert np.array_equal(vw0, v @ w0 - u)
         for a, ref in zip((u, v, w0), inputs):
             assert np.array_equal(a, ref)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_zero_first_residual_gives_the_product_path_bits(self, L):
+        # The first gradient skips its product, later ones form theirs; the
+        # reference forms every product, with pgm's in-place step.
+        u, v, w0 = zero_residual_instance(19, n=12, p=6, q=5)
+        tau, gamma, lam = 1.0, 0.2, 0.05
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        w = w0
+        for _ in range(L):
+            g = v.T @ (v @ w - u)
+            g *= tau
+            g += gamma * w
+            g *= beta
+            np.subtract(w, g, out=g)
+            g[np.linalg.norm(g, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
+            w = g
+        if L == 1:  # -0.0 minus the gradient's +0.0 stays -0.0
+            assert w[1, 1] == 0.0 and np.signbit(w[1, 1])
+        assert pgm(u, v, w0, tau, gamma, lam, L, beta).tobytes() == w.tobytes()
+        assert pgm(u, v, w0, tau, gamma, lam, L, beta, v @ w0).tobytes() == w.tobytes()
 
     def test_carried_product_of_wrong_shape_rejected(self):
         u, v, w0 = random_instance(15)
@@ -257,7 +323,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _ = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -267,7 +333,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _ = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -275,15 +341,15 @@ class TestSolveV:
         v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        out, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
         v_tol(tol)
-        cold = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
-        warm = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
+        cold, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
 
     def test_pi_nonpositive_rejected(self):
@@ -323,7 +389,7 @@ class TestSolveV:
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
         tau, pi = 1.0, 0.5
-        out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros((d, n)))
+        out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros((d, n)))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         assert from_v_init == (m >= d)
         if not from_v_init:
@@ -333,9 +399,41 @@ class TestSolveV:
             assert len(cg_calls) == 1 and cg_calls[0] > 0
             exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
             cg_calls.clear()
-            again = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
+            again, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
             assert cg_calls == [0]
             assert np.array_equal(again, exact)
+
+    @pytest.mark.parametrize("m, d", [(3, 8), (8, 8), (12, 8)])
+    def test_kept_start_hands_back_its_product(self, cg_calls, m, d):
+        # Below a narrower layer the kept start is the Woodbury iterate; on a
+        # square or tall layer it is an exact v_init.  Either way the product
+        # of the residual check comes back with the bits of w @ v.
+        rng = make_rng(26)
+        w = rng.standard_normal((m, d)) / np.sqrt(d)
+        u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
+        tau, pi = 1.0, 0.5
+        rhs = tau * (w.T @ u_next) + pi * step(u_cur)
+        exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
+        v, wv = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
+        assert cg_calls == [0]
+        assert v is exact or m < d
+        assert wv.tobytes() == (w @ v).tobytes()
+
+    @pytest.mark.parametrize("m, d", [(10, 200), (8, 8), (12, 8)])
+    def test_moved_start_hands_back_no_product(self, cg_calls, m, d):
+        # Narrow: an ill-conditioned Woodbury iterate misses V_TOL, so CG
+        # refines it.  Square or tall: CG iterates from a zero v_init.
+        if m < d:
+            w, u_next, u_cur = narrow_system(41)
+            pi = 1e-4
+        else:
+            rng = make_rng(27)
+            w = rng.standard_normal((m, d)) / np.sqrt(d)
+            u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
+            pi = 0.5
+        _, wv = solve_v(w, u_next, u_cur, 1.0, pi, v_init=np.zeros_like(u_cur))
+        assert len(cg_calls) == 1 and cg_calls[0] > 0
+        assert wv is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ill_conditioned_narrow_layer_is_refined(self, cg_calls, v_tol, seed):
@@ -347,7 +445,7 @@ class TestSolveV:
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+        out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
@@ -369,7 +467,7 @@ class TestSolveV:
         v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
@@ -402,7 +500,7 @@ class TestSolveV:
         s = step(u_cur)
         for scale in (0.3, 1.0, 3.0):
             w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
-            v = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            v, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
             b = tau * (w.T @ u_next) + pi * s
             bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
                      + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)

@@ -1,5 +1,10 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +125,28 @@ class TestBcdIteration:
         for x, y in zip(state.W + state.U + state.V, aliased.W + aliased.U + aliased.V):
             assert np.array_equal(x, y)
 
+    def test_kept_starts_hand_on_their_products(self, tiny_data):
+        # At the reference constants every state solve keeps its start, so
+        # b_next holds W_(i+1) V_i of the new iterate for each hidden layer,
+        # with the bits of the product formed afresh.
+        shape = NetworkShape((4, 6, 6, 3))  # V_1 by Woodbury, V_0 kept as it was
+        state = init_gaussian(shape, 0.3, make_rng(24), tiny_data.X)
+        v0 = state.V[0]
+        b_next = [None] * shape.h
+        bcd_iteration(state, tiny_data, Hyperparams(), b=state.U, b_next=b_next)
+        assert state.V[0] is v0
+        assert b_next[0] is None
+        for i in (1, 2):
+            assert b_next[i].tobytes() == (state.W[i] @ state.V[i - 1]).tobytes()
+
+    def test_sq_motion(self):
+        a = make_rng(25).standard_normal((5, 4))
+        b = a + 0.5
+        assert trainer_mod._sq_motion(b, a) == float(((b - a) ** 2).sum())
+        # A block kept as the same array takes no pass: None - None would raise.
+        kept = np.full((2, 2), None, dtype=object)
+        assert trainer_mod._sq_motion(kept, kept) == 0.0
+
     def test_update_order_and_staleness(self, monkeypatch):
         """Each sub-solver must receive exactly the iterate versions of the
         update scheme: stale W/V for the prox targets, fresh upstream blocks
@@ -216,6 +243,39 @@ class TestBcdIteration:
             assert np.linalg.norm(a - b) <= 1e-12
 
 
+# Trains one full-batch run twice at the reference constants: once as is,
+# so each state solve that keeps its start hands its W_(i+1) V_i product
+# on, and once with every product recomputed.  Prints how many products
+# were handed on and whether the two runs agree bit for bit.
+CARRIED_VS_RECOMPUTED = """
+import json
+import stepbcd.trainer as trainer
+from stepbcd.core import Hyperparams, NetworkShape, make_rng
+from datagen import make_cluster_dataset
+
+solve_v = trainer.solve_v
+handed_on = []
+
+def counted(*args, **kwargs):
+    v, wv = solve_v(*args, **kwargs)
+    handed_on.append(wv is not None)
+    return v, wv
+
+def run():
+    data = make_cluster_dataset(64, 10, 400, make_rng(5))
+    state, report = trainer.train(data, NetworkShape((64, 96, 96, 10)), Hyperparams(K=3), rng=make_rng(6))
+    blocks = [m.tobytes() for m in state.W + state.U + state.V]
+    return blocks, [rec.row()[:-1] for rec in report.records]
+
+trainer.solve_v = counted
+carried = run()
+trainer.solve_v = lambda *args, **kwargs: (solve_v(*args, **kwargs)[0], None)
+recomputed = run()
+print(json.dumps({"handed_on": sum(handed_on), "solves": len(handed_on),
+                  "blocks": carried[0] == recomputed[0], "rows": carried[1] == recomputed[1]}))
+"""
+
+
 def _sweep_loop(data, shape, hp, rng, init_scale, warmup_batch, shuffle_rng):
     """``train`` written as a loop of public calls, none of them given ``b``."""
     state = init_gaussian(shape, init_scale, rng, data.X)
@@ -258,6 +318,20 @@ class TestTrain:
         for a, b in zip(state.W + state.U + state.V, ref_state.W + ref_state.U + ref_state.V):
             assert np.array_equal(a, b)
         assert report.records[-1].dw > 0.0 and report.records[-1].upen > 0.0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_handed_on_products_match_recomputed_ones(self, threads):
+        # An OpenBLAS product splits its sums by thread count, so the
+        # equivalence is checked at one thread and at two, each in a fresh
+        # process that fixes the count before numpy loads.
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-c", CARRIED_VS_RECOMPUTED], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        result = json.loads(out)
+        assert result["handed_on"] == result["solves"] == 3 * 2
+        assert result["blocks"] and result["rows"]
 
     def test_full_batch_sweep_holds_one_state(self):
         # The sweep replaces each block in place and drops each b target once
