@@ -35,26 +35,21 @@ from .metrics import (
     predict_classes,
 )
 from .prox import (
-    hardmax,
     hardmax_columns,
     norm_l20,
-    prox_hardmax_column,
     prox_hardmax_matrix,
     prox_l20_rows,
     prox_step_matrix,
-    prox_step_scalar,
     step,
 )
 from .solvers import (
     CgError,
     cg_solve,
-    composite_objective,
     grad_psi,
-    p_stationarity_residual,
     pgm,
     solve_v,
     spectral_norm,
 )
-from .trainer import BcdRecord, BcdReport, bcd_iteration, check_descent, objective_f, train
+from .trainer import BcdRecord, BcdReport, bcd_iteration, objective_f, train
 
 __version__ = "0.1.0"

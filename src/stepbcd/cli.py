@@ -110,7 +110,8 @@ def _load_split(args, split, shape, required):
 
     ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
     sub-stream (train 0, test 1).  Labels name one of the ``shape.dims[-1]`` output units; a
-    label that does not, or a feature count other than ``shape.dims[0]``, raises ValueError.
+    label that does not, a feature count other than ``shape.dims[0]``, or a ``--{split}-n``
+    above the split's size raises ValueError.
     """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
@@ -130,6 +131,8 @@ def _load_split(args, split, shape, required):
     if data.input_dim != shape.dims[0]:
         raise ValueError(f"architecture {shape.dims} does not fit the {split} data ({data.input_dim} features)")
     n = getattr(args, f"{split}_n")
+    if n is not None and n > data.n:
+        raise ValueError(f"--{split}-n {n} exceeds the {data.n} samples of the {split} split")
     if n is not None and n < data.n:
         perm = make_rng(args.seed, STAGE_SHUFFLE, ("train", "test").index(split)).permutation(data.n)
         data = data.subset(np.sort(perm[:n]))

@@ -16,12 +16,9 @@ import numpy as np
 
 __all__ = [
     "step",
-    "hardmax",
     "hardmax_columns",
     "norm_l20",
-    "prox_hardmax_column",
     "prox_hardmax_matrix",
-    "prox_step_scalar",
     "prox_step_matrix",
     "prox_l20_rows",
 ]
@@ -46,18 +43,9 @@ def step(x):
     return (np.asarray(x, dtype=np.float64) > 0.0).astype(np.float64)
 
 
-def hardmax(a):
-    """Vector hardmax: 1 at every coordinate attaining the maximum, else 0.
-
-    Ties produce multiple ones; the all-equal vector maps to all ones.
-    Class decisions resolve ties separately (see ``metrics``).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    return (a == a.max()).astype(np.float64)
-
-
 def hardmax_columns(a):
-    """Columnwise hardmax of a matrix."""
+    """Columnwise hardmax: 1 at every entry attaining its column's maximum,
+    else 0, so ties give several ones (``metrics`` resolves class decisions)."""
     a = np.asarray(a, dtype=np.float64)
     return (a == a.max(axis=0, keepdims=True)).astype(np.float64)
 
@@ -67,27 +55,6 @@ def norm_l20(w):
     return int(np.any(np.asarray(w) != 0.0, axis=0).sum())
 
 
-def prox_hardmax_column(y_index, b, mu):
-    """Minimize ``||e_y - hardmax(u)||^2 + mu * ||u - b||^2`` over u.
-
-    The minimum is attained either at ``b`` itself or, in the limit, at
-    ``b + eps * e_y`` with ``eps`` just above ``delta = max(b) - b[y_index]``
-    (which makes the hot coordinate the strict maximum and zeroes the
-    hardmax term).  Comparing the two candidate values reduces to comparing
-    ``mu * delta^2`` against ``||e_y - hardmax(b)||^2``; the epsilon limit
-    is realized as ``delta + EPS_TINY``.  Exact equality keeps ``b``.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    delta = b.max() - b[y_index]
-    hm = hardmax(b)
-    miss = hm.sum() + 1.0 - 2.0 * hm[y_index]  # == ||e_y - hardmax(b)||^2
-    if mu * delta * delta >= miss:
-        return b.copy()
-    out = b.copy()
-    out[y_index] += delta + EPS_TINY
-    return out
-
-
 def prox_hardmax_matrix(b, y, tau):
     """Columnwise output-layer update: prox of the hardmax loss around ``b``.
 
@@ -95,8 +62,10 @@ def prox_hardmax_matrix(b, y, tau):
 
         min_u  (1/(2n)) ||y_s - hardmax(u)||^2 + (tau/2) ||u - b_s||^2
 
-    which is ``prox_hardmax_column`` with ``mu = tau * n``, ``n`` the
-    number of columns (the batch size in a mini-batch sweep).
+    with ``n`` the number of columns (the batch size in a mini-batch sweep).
+    With ``mu = tau * n`` and ``delta = max(b_s) - b_s[y]``, ``b_s`` is kept
+    when ``mu * delta^2 >= ||y_s - hardmax(b_s)||^2``; otherwise the hot entry
+    is raised to the strict maximum, by ``delta + EPS_TINY``.
 
     Parameters
     ----------
@@ -126,24 +95,6 @@ def prox_hardmax_matrix(b, y, tau):
     return out
 
 
-def prox_step_scalar(a, b, rho):
-    """Minimize ``(a - step(u))^2 + rho * (u - b)^2`` over scalar u.
-
-    With ``t = 2a - 1`` the minimizer is:
-
-    * ``b > 0``:  ``b`` if ``t > -rho b^2``, else 0 (equality keeps ``b``);
-    * ``b <= 0``: ``b`` if ``t < rho b^2`` (or equal), else the one-sided
-      limit 0+, realized as ``min(sqrt(t/rho) + b, EPS_TINY)`` (real since
-      ``t > rho b^2 >= 0`` there).
-    """
-    t = 2.0 * a - 1.0
-    if b > 0.0:
-        return b if t >= -rho * b * b else 0.0
-    if t > rho * b * b:
-        return min(np.sqrt(t / rho) + b, EPS_TINY)
-    return b
-
-
 def prox_step_matrix(v_target, b, tau, pi):
     """Entrywise hidden-layer update: fit ``u`` to ``b`` against a 0/1 target.
 
@@ -152,9 +103,12 @@ def prox_step_matrix(v_target, b, tau, pi):
 
         min_u  (tau/2) (u - b)^2 + (pi/2) (a - step(u))^2
 
-    i.e. ``prox_step_scalar`` with ``rho = tau / pi``.  The branch tests are
-    carried out in the homogeneous form ``pi * t`` vs ``-/+ tau * b^2`` so no
-    division is involved.
+    With ``t = 2a - 1`` and ``rho = tau / pi``, a positive ``b`` is kept if
+    ``t >= -rho b^2``, else zeroed; a nonpositive ``b`` is kept if
+    ``t <= rho b^2``, else moved to the one-sided limit 0+, realized as
+    ``min(sqrt(t/rho) + b, EPS_TINY)``.  The branch tests are carried out in
+    the homogeneous form ``pi * t`` vs ``-/+ tau * b^2`` so no division is
+    involved.
     """
     v_target = np.asarray(v_target, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -15,10 +15,7 @@ from .prox import prox_l20_rows, step
 __all__ = [
     "CgError",
     "grad_psi",
-    "smooth_objective",
-    "composite_objective",
     "pgm",
-    "p_stationarity_residual",
     "spectral_norm",
     "cg_solve",
     "solve_v",
@@ -73,18 +70,6 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     return g
 
 
-def smooth_objective(w, u, v, tau, gamma):
-    """``(tau/2) ||u - v w||^2 + (gamma/2) ||w||^2``."""
-    r = u - v @ w
-    return 0.5 * tau * float((r * r).sum()) + 0.5 * gamma * float((w * w).sum())
-
-
-def composite_objective(w, u, v, tau, gamma, lam):
-    """Smooth part plus ``lam`` times the nonzero-row count of ``w``."""
-    nnz_rows = int(np.any(w != 0.0, axis=1).sum())
-    return smooth_objective(w, u, v, tau, gamma) + lam * nnz_rows
-
-
 def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     """Run exactly ``L`` proximal-gradient iterations of step ``beta`` from ``w0``.
 
@@ -111,31 +96,6 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
         np.subtract(w, g, out=g)
         w = prox_l20_rows(g, beta, lam)
     return w
-
-
-def p_stationarity_residual(w, u, v, tau, gamma, lam, beta):
-    """Worst rowwise violation of the proximal fixed-point conditions.
-
-    A point is a fixed point of the thresholded gradient map iff every
-    nonzero row has zero gradient and norm at least ``sqrt(2 beta lam)``,
-    and every zero row has gradient norm at most ``sqrt(2 lam / beta)``.
-    Returns the maximum violation over rows; zero iff stationary for this
-    ``beta``.
-    """
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    g = grad_psi(w, u, v, tau, gamma)
-    g_rows = np.linalg.norm(g, axis=1)
-    w_rows = np.linalg.norm(w, axis=1)
-    nonzero = w_rows != 0.0
-    keep_floor = np.sqrt(2.0 * beta * lam)
-    zero_cap = np.sqrt(2.0 * lam / beta)
-    viol = np.where(
-        nonzero,
-        np.maximum(g_rows, np.maximum(0.0, keep_floor - w_rows)),
-        np.maximum(0.0, g_rows - zero_cap),
-    )
-    return float(viol.max()) if viol.size else 0.0
 
 
 def spectral_norm(v):

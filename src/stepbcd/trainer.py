@@ -1,4 +1,4 @@
-"""Outer block-coordinate loop, penalty objective, and descent monitoring.
+"""Outer block-coordinate loop and penalty objective.
 
 One outer iteration sweeps the blocks from the output layer inward:
 the output pre-activation (hardmax prox), the output weights (proximal
@@ -31,8 +31,6 @@ import logging
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import write_csv
 from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
@@ -44,7 +42,6 @@ __all__ = [
     "objective_f",
     "bcd_iteration",
     "train",
-    "check_descent",
 ]
 
 logger = logging.getLogger(__name__)
@@ -311,24 +308,3 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         logger.warning("%d output columns have tied maxima at the final iterate", tied)
     return state, BcdReport(records)
 
-
-def check_descent(report, hp, tol=1e-9):
-    """Check the per-iteration descent inequality
-
-        F(k+1) - F(k) <= -((gamma - 1/beta)/2) * dW - (pi/2) * dV + tol.
-
-    Returns ``(ok, worst_violation)``.  The bound is only guaranteed when
-    gamma >= 1/beta and the weight sub-problems are solved to their fixed
-    points, so this is a diagnostic, never an assertion; callers in the
-    theory-compliant regime may assert on ``ok``.
-    """
-    if not report.records:
-        raise ValueError("empty report")
-    coeff = 0.5 * (hp.gamma - 1.0 / hp.beta)
-    worst = -np.inf
-    for prev, cur in zip(report.records, report.records[1:]):
-        bound = -coeff * cur.dw - 0.5 * hp.pi * cur.dv
-        worst = max(worst, (cur.f - prev.f) - bound)
-    if worst == -np.inf:
-        worst = 0.0
-    return bool(worst <= tol), float(worst)

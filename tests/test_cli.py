@@ -205,6 +205,19 @@ class TestTrainCommand:
         state, _, _ = load_checkpoint(out / "checkpoint.bin")
         assert state.U[0].shape[1] == 30
 
+    def test_subsample_of_the_whole_split_runs(self, corpus, trained, tmp_path):
+        out = tmp_path / "all"
+        assert main(train_args(corpus, out, extra=["--train-n", "80", "--test-n", "40"])) == 0
+        assert (out / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
+
+    @pytest.mark.parametrize("flag,n,size", [("--train-n", "81", 80), ("--test-n", "41", 40)])
+    def test_subsample_above_the_split_exits_2_before_output(self, corpus, tmp_path, capsys, flag, n, size):
+        out = tmp_path / "over"
+        assert main(train_args(corpus, out, extra=[flag, n])) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} {n} exceeds the {size} samples" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_train_noise_flag_changes_run(self, corpus, trained, tmp_path):
         noisy = tmp_path / "noisy"
         assert main(train_args(corpus, noisy, extra=["--train-noise-sigma", "0.3"])) == 0
@@ -253,6 +266,23 @@ class TestEvalCommand:
         assert code == 2
         assert "empty split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_subsample_above_the_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys, split):
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--train-images", str(corpus["train_images"]),
+            "--train-labels", str(corpus["train_labels"]),
+            "--test-images", str(corpus["test_images"]),
+            "--test-labels", str(corpus["test_labels"]),
+            "--split", "both", f"--{split}-n", "200", "--out", str(out_csv),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        size = {"train": 80, "test": 40}[split]
+        assert f"--{split}-n 200 exceeds the {size} samples" in captured.err and captured.out == ""
+        assert not out_csv.exists()
+
 
 class TestRobustnessCommand:
     def rob_args(self, corpus, trained, out, sigmas="0,0.1,0.2"):
@@ -283,6 +313,13 @@ class TestRobustnessCommand:
         assert main(self.rob_args(corpus, trained, a)) == 0
         assert main(self.rob_args(corpus, trained, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_subsample_above_the_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys):
+        out = tmp_path / "rob.csv"
+        assert main(self.rob_args(corpus, trained, out) + ["--test-n", "41"]) == 2
+        captured = capsys.readouterr()
+        assert "--test-n 41 exceeds the 40 samples" in captured.err and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigmas", ["nan", "inf", "0,-0.1", "0,,0.1", "abc", "0.1,nan"])
     def test_bad_sigma_exits_2_before_output(self, corpus, trained, tmp_path, capsys, sigmas):

@@ -6,15 +6,21 @@ from hypothesis.extra import numpy as hnp
 
 from stepbcd.core import make_rng
 from stepbcd.prox import (
-    hardmax,
     hardmax_columns,
     norm_l20,
-    prox_hardmax_column,
     prox_hardmax_matrix,
     prox_l20_rows,
     prox_step_matrix,
-    prox_step_scalar,
     step,
+)
+
+from oracles import (
+    hardmax_objective,
+    hardmax_oracle_min,
+    prox_hardmax_column,
+    prox_step_scalar,
+    step_objective,
+    step_oracle_min,
 )
 
 finite_arrays = hnp.arrays(
@@ -22,36 +28,6 @@ finite_arrays = hnp.arrays(
     hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
     elements=st.floats(-1e6, 1e6),
 )
-
-
-def step_objective(u, a, b, rho):
-    """phi(u) = (a - step(u))^2 + rho (u - b)^2, the scalar sub-problem cost."""
-    s = 1.0 if u > 0.0 else 0.0
-    return (a - s) ** 2 + rho * (u - b) ** 2
-
-
-def step_oracle_min(a, b, rho, eps_tiny=1e-10):
-    """Grid search plus the one-sided-limit candidate evaluated at eps_tiny."""
-    grid = np.arange(-5.0, 5.0 + 1e-4, 1e-4)
-    s = (grid > 0.0).astype(float)
-    vals = (a - s) ** 2 + rho * (grid - b) ** 2
-    return min(float(vals.min()), step_objective(eps_tiny, a, b, rho))
-
-
-def hardmax_objective(u, y_index, b, mu):
-    """psi(u) = ||e_y - hardmax(u)||^2 + mu ||u - b||^2."""
-    hm = hardmax(u)
-    y = np.zeros_like(u)
-    y[y_index] = 1.0
-    return float(((y - hm) ** 2).sum() + mu * ((u - b) ** 2).sum())
-
-
-def hardmax_oracle_min(y_index, b, mu):
-    """Two candidates: keep b, or the analytic limit of the hot bump."""
-    delta = b.max() - b[y_index]
-    hm = hardmax(b)
-    miss = float(hm.sum() + 1.0 - 2.0 * hm[y_index])
-    return min(miss, mu * delta * delta)
 
 
 class TestStep:
@@ -77,27 +53,28 @@ class TestStep:
 
 class TestHardmax:
     def test_all_ties_gives_all_ones(self):
-        assert np.array_equal(hardmax(np.zeros(3)), [1.0, 1.0, 1.0])
+        assert np.array_equal(hardmax_columns(np.zeros((3, 1))), [[1.0], [1.0], [1.0]])
 
     def test_two_way_tie(self):
-        assert np.array_equal(hardmax(np.array([3.0, 1.0, 3.0])), [1.0, 0.0, 1.0])
+        assert np.array_equal(hardmax_columns(np.array([[3.0], [1.0], [3.0]])), [[1.0], [0.0], [1.0]])
 
     def test_unique_max(self):
-        assert np.array_equal(hardmax(np.array([0.5, 2.0])), [0.0, 1.0])
+        assert np.array_equal(hardmax_columns(np.array([[0.5], [2.0]])), [[0.0], [1.0]])
 
     @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-100, 100)))
     def test_ones_exactly_at_argmax_set(self, a):
-        hm = hardmax(a)
+        hm = hardmax_columns(a[:, None])[:, 0]
         assert set(np.unique(hm)) <= {0.0, 1.0}
         assert hm.sum() >= 1.0
         assert np.array_equal(np.flatnonzero(hm == 1.0), np.flatnonzero(a == a.max()))
 
     def test_columnwise_matches_vector(self):
         a = make_rng(3).standard_normal((5, 7))
+        a[:, 2] = 0.5  # an all-tied column next to untied ones
         cols = hardmax_columns(a)
         for s in range(7):
-            assert np.array_equal(cols[:, s], hardmax(a[:, s]))
+            assert np.array_equal(cols[:, s:s + 1], hardmax_columns(a[:, s:s + 1]))
 
 
 class TestProxHardmaxColumn:

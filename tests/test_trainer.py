@@ -13,10 +13,11 @@ import stepbcd.trainer as trainer_mod
 from stepbcd import solvers
 from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset
-from stepbcd.prox import hardmax, step
-from stepbcd.trainer import BcdReport, bcd_iteration, check_descent, objective_f, train
+from stepbcd.prox import step
+from stepbcd.trainer import BcdReport, bcd_iteration, objective_f, train
 
 from datagen import make_cluster_dataset
+from oracles import check_descent
 
 
 def objective_oracle(state, data, hp):
@@ -26,7 +27,7 @@ def objective_oracle(state, data, hp):
     total = 0.0
     for s in range(n):
         col = state.U[h - 1][:, s]
-        total += float(((data.Y[:, s] - hardmax(col)) ** 2).sum()) / (2.0 * n)
+        total += float(((data.Y[:, s] - (col == col.max())) ** 2).sum()) / (2.0 * n)
     for w in state.W:
         ncols = sum(1 for j in range(w.shape[1]) if np.any(w[:, j] != 0.0))
         total += hp.lam * ncols + 0.5 * hp.gamma * float((w ** 2).sum())
