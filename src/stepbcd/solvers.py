@@ -171,6 +171,33 @@ def _woodbury(w, rhs, tau, pi):
     return v
 
 
+def _start_meets_tol(w, u_next, u_cur, x, wx, tau, pi):
+    """Whether every column of the start ``x`` provably meets ``V_TOL``,
+    judged from the product ``wx = w @ x`` alone.
+
+    With ``e = u_next - wx`` and ``s = step(u_cur)`` the residual is
+    ``r = tau w^T e + pi (s - x)``, so ``||r_j|| <= R_j = tau ||w||_F ||e_j||
+    + pi ||s_j - x_j||``.  Expanding ``A x_j`` gives ``||A x_j||^2 >= Q_j^2 =
+    2 tau pi ||wx_j||^2 + pi^2 ||x_j||^2``, and ``||b_j|| >= Q_j - R_j``.  So
+    ``(1 + V_TOL) R_j <= V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the
+    test ``cg_solve`` applies; a zero ``b_j``, which it measures absolutely,
+    passes only with ``R_j = 0``, where ``r_j = 0`` too.  Each difference is
+    squared in its own buffer and released before this returns.
+    """
+    e = u_next - wx
+    e *= e
+    r = np.sqrt(e.sum(axis=0))
+    del e
+    r *= tau * np.linalg.norm(w)
+    sx = step(u_cur)
+    sx -= x
+    sx *= sx
+    r += pi * np.sqrt(sx.sum(axis=0))
+    del sx
+    q = np.sqrt(2.0 * tau * pi * np.einsum("ij,ij->j", wx, wx) + pi * pi * np.einsum("ij,ij->j", x, x))
+    return bool(np.all((1.0 + V_TOL) * r <= V_TOL * q))
+
+
 def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     """Solve the hidden-state block: the SPD system
 
@@ -187,9 +214,19 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     after ``10 * d`` iterations and raises ``CgError`` if a column still
     misses.  ``pi > 0`` guarantees positive definiteness.
 
-    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when CG kept its start,
-    taken from the residual check's operator call, so it has the bits of
-    that product computed afresh; it is None when CG moved the start.
+    On a square or tall layer (``m >= d``) ``v_init`` is first checked by
+    ``_start_meets_tol`` from the one product ``w v_init``, before the
+    right-hand side is formed.  A start it certifies is returned with that
+    product, so a kept solve forms one ``d x d x N`` product, the one handed
+    on.  The bound certifies a start that fits both terms of the system on
+    its own (``w v_init`` near ``u_next``, ``v_init`` near
+    ``step(u_cur)``); any other goes to ``cg_solve``, whose first operator
+    call reuses the product.  Narrow layers skip the check: their Woodbury
+    start solves the system without fitting each term.
+
+    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when the start was kept,
+    the product of its check, so it has the bits of that product computed
+    afresh; it is None when CG moved the start.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -201,14 +238,25 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
 
     m, d = w_next.shape
+    wx = None  # w_next @ x of the operator's latest x
+    if m >= d:
+        v_init = np.asarray(v_init, dtype=np.float64)
+        wx = w_next @ v_init
+        if _start_meets_tol(w_next, u_next, u_cur, v_init, wx, tau, pi):
+            return v_init, wx
     rhs = w_next.T @ u_next
     rhs *= tau
     rhs += pi * step(u_cur)
-    wx = None
+    # CG's first operator call is the start's residual check; on a square
+    # or tall layer the product of that start is already in wx.
+    reuse = wx is not None
 
     def a(x):
-        nonlocal wx
-        wx = w_next @ x
+        nonlocal wx, reuse
+        if reuse:
+            reuse = False
+        else:
+            wx = w_next @ x
         y = w_next.T @ (tau * wx)
         y += pi * x
         return y
@@ -219,5 +267,4 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         except np.linalg.LinAlgError:
             pass
     v, iters = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
-    # The first operator call is the start's residual check.
     return v, (wx if iters == 0 else None)

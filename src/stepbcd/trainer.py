@@ -14,10 +14,12 @@ computes them for the objective's coupling penalty and carries them into
 the next sweep as its ``b`` targets, where the ``U_i`` prox reads each one
 and the ``W_i`` step's first gradient reuses its buffer as the residual.
 A state solve that keeps its start has already formed ``W_(i+1) V_i`` of
-the new iterate; the sweep hands that product on, and ``train`` computes
-only the others (``W_0 X`` and any layer whose ``V`` moved).  After a
-forward pass (the init, a mini-batch, the state re-derived after a
-mini-batch epoch) they are the ``U`` blocks themselves.
+the new iterate: its check of the start is made from that product, and on
+a square layer it is the one ``d x d x N`` product the solve forms.  The
+sweep hands that product on, and ``train`` computes only the others
+(``W_0 X`` and any layer whose ``V`` moved).  After a forward pass (the
+init, a mini-batch, the state re-derived after a mini-batch epoch) they
+are the ``U`` blocks themselves.
 
 Every sweep, full-batch or per mini-batch, is one ``bcd_iteration`` call.
 It runs in place: each block is replaced in the state's own lists as soon
@@ -30,6 +32,8 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import write_csv
@@ -114,7 +118,8 @@ def objective_f(state, data, hp, b=None):
 
     Returns ``(F, terms)`` with terms keyed loss/l20/frob/upen/vpen.
     ``b`` holds the products ``W_i V_(i-1)`` when the caller has them
-    (read-only); they are computed here when absent.
+    (read-only); they are computed here when absent.  Each difference is
+    squared in its own buffer.
     """
     h = len(state.W)
     n = data.X.shape[1]
@@ -122,7 +127,8 @@ def objective_f(state, data, hp, b=None):
         raise ValueError(f"output block {state.U[-1].shape} does not match labels {data.Y.shape}")
 
     diff = data.Y - hardmax_columns(state.U[-1])
-    loss = 0.5 / n * float((diff * diff).sum())
+    diff *= diff
+    loss = 0.5 / n * float(diff.sum())
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
     frob = 0.5 * hp.gamma * sum(float((w * w).sum()) for w in state.W)
 
@@ -131,13 +137,16 @@ def objective_f(state, data, hp, b=None):
     upen = 0.0
     for u, wv in zip(state.U, b):
         r = u - wv
-        upen += float((r * r).sum())
+        r *= r
+        upen += float(r.sum())
     upen *= 0.5 * hp.tau
 
     vpen = 0.0
     for i in range(h - 1):
-        r = state.V[i] - step(state.U[i])
-        vpen += float((r * r).sum())
+        r = step(state.U[i])
+        np.subtract(state.V[i], r, out=r)
+        r *= r
+        vpen += float(r.sum())
     vpen *= 0.5 * hp.pi
 
     terms = {"loss": loss, "l20": l20, "frob": frob, "upen": upen, "vpen": vpen}

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stepbcd import solvers
 from stepbcd.core import make_rng
@@ -296,15 +298,37 @@ def v_tol(monkeypatch):
 
 
 def column_residuals(w, u_next, u_cur, v, tau, pi):
-    """Relative residual of each column of ``v`` in the dense ``d x d`` system."""
+    """Relative residual of each column of ``v`` in the dense ``d x d`` system;
+    a zero column of the right-hand side is measured absolutely, as ``cg_solve`` does."""
     a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
     b = tau * (w.T @ u_next) + pi * step(u_cur)
-    return np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
+    nb = np.linalg.norm(b, axis=0)
+    return np.linalg.norm(b - a @ v, axis=0) / np.where(nb > 0.0, nb, 1.0)
 
 
 def narrow_system(seed, m=10, d=200, n=20, scale=3.0):
     rng = make_rng(seed)
     return scale * rng.standard_normal((m, d)), rng.standard_normal((m, n)), rng.standard_normal((d, n))
+
+
+class CountsProducts(np.ndarray):
+    """An array that counts the matrix products it forms on the left, its transpose's included."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        CountsProducts.count += 1
+        return np.asarray(self) @ other
+
+
+def kept_start_system(seed, m, d, n=5):
+    """A start ``x = step(u_cur)`` that fits both terms of the system on its own:
+    ``u_next = (1 - 1e-12) w x``."""
+    rng = make_rng(seed)
+    w = rng.standard_normal((m, d)) / np.sqrt(d)
+    u_cur = rng.standard_normal((d, n))
+    x = step(u_cur)
+    return w, (1.0 - 1e-12) * (w @ x), u_cur, x
 
 
 class TestSolveV:
@@ -409,6 +433,94 @@ class TestSolveV:
         assert cg_calls == [0]
         assert v is exact or m < d
         assert wv.tobytes() == (w @ v).tobytes()
+
+    @pytest.mark.parametrize("m, d", [(8, 8), (12, 8), (200, 200)])
+    def test_start_fitting_each_term_is_kept_without_cg(self, cg_calls, m, d):
+        # The check certifies the start from w @ x alone: no right-hand side,
+        # no CG call, and the product comes back with the bits of w @ v.
+        w, u_next, u_cur, x = kept_start_system(28, m, d)
+        v, wv = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=x)
+        assert cg_calls == []
+        assert v is x
+        assert wv.tobytes() == (w @ v).tobytes()
+        assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
+
+    @pytest.mark.parametrize("m, d", [(8, 8), (12, 8)])
+    def test_one_flipped_state_entry_goes_to_cg_once(self, cg_calls, m, d):
+        w, _, u_cur, x = kept_start_system(29, m, d)
+        x[3, 2] = 1.0 - x[3, 2]
+        u_next = w @ x
+        v, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=x)
+        assert len(cg_calls) == 1 and cg_calls[0] > 0
+        assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
+
+    @pytest.mark.parametrize("m, d", [(8, 8), (12, 8)])
+    def test_failed_check_forms_no_extra_product(self, cg_calls, m, d):
+        # An exact start that does not fit each term on its own fails the
+        # check; CG keeps it after one operator call.  The products are the
+        # check's w x, the right-hand side's w^T u_next and that call's
+        # w^T (tau w x): the call reuses the check's product.
+        rng = make_rng(30)
+        w = rng.standard_normal((m, d)) / np.sqrt(d)
+        u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
+        rhs = w.T @ u_next + 0.5 * step(u_cur)
+        exact = np.linalg.solve(w.T @ w + 0.5 * np.eye(d), rhs)
+        CountsProducts.count = 0
+        v, wv = solve_v(w.view(CountsProducts), u_next, u_cur, 1.0, 0.5, v_init=exact)
+        assert cg_calls == [0]
+        assert v is exact
+        assert CountsProducts.count == 3
+        assert wv.tobytes() == (w @ exact).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(4, 4), (9, 6), (12, 12)]),
+        t=st.floats(0.0, 1.0),
+        log_ce=st.floats(-4.0, 3.0),
+        log_cx=st.floats(-4.0, 3.0),
+    )
+    def test_kept_start_meets_tol(self, seed, shape, t, log_ce, log_cx):
+        # (tau, pi) runs log-linearly from (1e-6, 1e-7) to (1, 0.5).  The
+        # start's two misfits, e = u_next - w x and s - x, are drawn so that
+        # tau ||w||_F ||e_j|| and pi ||s_j - x_j|| are c_e and c_x times
+        # V_TOL Q_j, on both sides of the bound.  A start the check keeps
+        # must meet V_TOL in the dense system, and one with c_e + c_x <= 0.9
+        # must be kept.
+        tau, pi = 1e-6 ** (1.0 - t), 1e-7 ** (1.0 - t) * 0.5 ** t
+        m, d = shape
+        rng = make_rng(seed)
+        w = rng.standard_normal((m, d)) / np.sqrt(d)
+        u_cur = rng.standard_normal((d, 3))
+        s = step(u_cur)
+
+        def unit_columns(shape):
+            z = rng.standard_normal(shape)
+            return z / np.linalg.norm(z, axis=0)
+
+        def q(x):
+            wx = w @ x
+            return np.sqrt(2.0 * tau * pi * (wx * wx).sum(axis=0) + pi * pi * (x * x).sum(axis=0))
+
+        x = s + unit_columns(s.shape) * (10.0 ** log_cx * solvers.V_TOL * q(s) / pi)
+        e = unit_columns((m, 3)) * (10.0 ** log_ce * solvers.V_TOL * q(x) / (tau * np.linalg.norm(w)))
+        u_next = w @ x + e
+        # Each example gets its own spy: the cg_calls fixture would be set
+        # once for all the examples of one test call.
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return cg_solve(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "cg_solve", spy)
+            v, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=x)
+        if not calls:
+            assert v is x
+            assert column_residuals(w, u_next, u_cur, v, tau, pi).max() <= solvers.V_TOL
+        if 10.0 ** log_ce + 10.0 ** log_cx <= 0.9:
+            assert not calls
 
     @pytest.mark.parametrize("m, d", [(10, 200), (8, 8), (12, 8)])
     def test_moved_start_hands_back_no_product(self, cg_calls, m, d):
