@@ -3,7 +3,9 @@
 All operations here act entrywise, columnwise, or rowwise, so they are
 trivially parallelizable and independent of evaluation order.  None
 writes its arguments except ``prox_l20_rows``, which thresholds a float64
-input in place.
+input in place.  ``prox_step_matrix`` may return its float64 ``b`` itself
+when it provably keeps every entry, so its callers must not write the
+result.
 
 Knife-edge equalities in the three thresholding solvers are resolved by the
 no-change branch (keep ``b`` / keep the row), so measure-zero ties never
@@ -109,12 +111,23 @@ def prox_step_matrix(v_target, b, tau, pi):
     ``min(sqrt(t/rho) + b, EPS_TINY)``.  The branch tests are carried out in
     the homogeneous form ``pi * t`` vs ``-/+ tau * b^2`` so no division is
     involved.
+
+    Where ``(b > 0) == (a > 1/2)`` holds in every entry, every entry is
+    kept: ``b > 0`` with ``a > 1/2`` gives ``t > 0 >= -rho b^2``, and
+    ``b <= 0`` with ``a <= 1/2`` gives ``t <= 0 <= rho b^2`` (for
+    nonnegative ``tau`` and ``pi``).  That case returns ``b`` itself, the
+    same array when it is float64, without forming the branch tests, so
+    the caller must not write the result.  Any other input takes the
+    entrywise path and gets a new array.
     """
     v_target = np.asarray(v_target, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if v_target.shape != b.shape:
         raise ValueError(f"target/prediction shape mismatch: {v_target.shape} vs {b.shape}")
 
+    positive = b > 0.0
+    if tau >= 0.0 and pi >= 0.0 and np.array_equal(positive, v_target > 0.5):
+        return b
     # lhs = pi * t and quad = tau * b^2, each built in place in one buffer:
     # this function's temporaries are among the largest of a sweep, so
     # ``out`` is allocated only after they are released.
@@ -123,7 +136,6 @@ def prox_step_matrix(v_target, b, tau, pi):
     lhs *= pi
     quad = tau * b
     quad *= b
-    positive = b > 0.0
     bump = (lhs > quad) & ~positive
     # -lhs > quad is exactly lhs < -quad (negation is exact).
     np.negative(lhs, out=lhs)

@@ -51,6 +51,11 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     it is overwritten with the residual ``v w - u``.  Either way the
     residual is formed in the product's own buffer.
 
+    A ``vw`` that is ``u`` itself, the same array, says the target is the
+    (finite) product, as when the step prox kept the carried product: the
+    residual is known to be zero, so it is neither formed nor scanned, and
+    that buffer is not written.
+
     A residual of zeros (a target the step prox left as it was) skips the
     product ``v.T @ r``: the gradient starts from the +0.0 entries that
     product gives, so the result has the same bits.  A zero residual means
@@ -58,6 +63,12 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
+    if vw is u:
+        # The bits of tau * (+0.0) + gamma * w, laid out as the product
+        # ``v.T @ r`` would be: adding +0.0 turns a -0.0 into +0.0.
+        g = np.multiply(gamma, w, order="C")
+        g += 0.0
+        return g
     if vw is None:
         vw = v @ w
     elif vw.shape != u.shape:
@@ -80,9 +91,11 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     proximal fixed-point inclusion.
 
     ``vw0``, when given, is the product ``v @ w0``: the first gradient
-    reuses it, overwriting it with its residual.  ``u``, ``v`` and ``w0``
-    are never written; ``L = 0`` returns a copy of ``w0``.  Each step is
-    taken and thresholded in the gradient's own buffer.
+    reuses it, overwriting it with its residual.  A ``vw0`` that is ``u``
+    itself says the first residual is zero; it is then neither formed nor
+    written (see ``grad_psi``).  ``u``, ``v`` and ``w0`` are never written;
+    ``L = 0`` returns a copy of ``w0``.  Each step is taken and
+    thresholded in the gradient's own buffer.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")

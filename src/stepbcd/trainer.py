@@ -13,6 +13,9 @@ Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
 computes them for the objective's coupling penalty and carries them into
 the next sweep as its ``b`` targets, where the ``U_i`` prox reads each one
 and the ``W_i`` step's first gradient reuses its buffer as the residual.
+A step prox that provably keeps every entry returns the target itself as
+the new ``U_i``; the ``W_i`` step then takes its first residual as zero,
+forms and scans none, and leaves that buffer, now ``U_i``, as it is.
 A state solve that keeps its start has already formed ``W_(i+1) V_i`` of
 the new iterate: its check of the start is made from that product, and on
 a square layer it is the one ``d x d x N`` product the solve forms.  The
@@ -21,10 +24,13 @@ sweep hands that product on, and ``train`` computes only the others
 init, a mini-batch, the state re-derived after a mini-batch epoch) they
 are the ``U`` blocks themselves.
 
-Every sweep, full-batch or per mini-batch, is one ``bcd_iteration`` call.
-It runs in place: each block is replaced in the state's own lists as soon
-as its update is made, and each target is dropped from ``b`` once its prox
-has read it, so a sweep holds one state, not an old and a new one.
+Every sweep, full-batch or per mini-batch, runs the one private sweep:
+full-batch ``train`` through ``bcd_iteration``, which also sums the block
+motions for the report, and a mini-batch epoch directly, since its report
+measures the whole epoch's motion.  A sweep runs in place: each block is
+replaced in the state's own lists as soon as its update is made, and each
+target is dropped from ``b`` once its prox has read it, so a sweep holds
+one state, not an old and a new one.
 """
 
 from __future__ import annotations
@@ -157,13 +163,18 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
     """Weight-block step in the transposed frame (rows = columns of W).
 
     ``wv_old`` is the product ``w_old @ v_old``; the first gradient
-    overwrites it.
+    overwrites it, unless it is ``u_new`` itself (the prox kept it).  Then
+    the first residual is zero, and ``pgm`` is told so by the one
+    transposed view passed as both target and product, since two
+    transposes would hide the identity.
     """
     beta = hp.beta
     if derive_beta:
         sigma = spectral_norm(v_old)
         beta = 0.9 / (hp.tau * sigma * sigma + hp.gamma)
-    return pgm(u_new.T, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta, wv_old.T).T
+    ut = u_new.T
+    vw = ut if wv_old is u_new else wv_old.T
+    return pgm(ut, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta, vw).T
 
 
 def _sq_motion(new, old):
@@ -201,8 +212,10 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
     The sweep consumes the arrays in ``b``, not only its slots: ``b[i]`` is
     set to None once its prox has read it, before ``U_i`` is replaced, so
     ``b`` may be ``state.U``, and the array is then handed to the ``W_i``
-    step, whose first gradient overwrites it with its residual.  The
-    motions are summed in layer order, as ``_sq_diff`` sums them.
+    step, whose first gradient overwrites it with its residual.  A step
+    prox that keeps every entry returns ``b[i]`` itself as the new ``U_i``;
+    the step then knows its first residual is zero and writes nothing.
+    The motions are summed in layer order, as ``_sq_diff`` sums them.
 
     ``b_next``, when given, is a list with one slot per layer that receives
     the new iterate's products: each state solve sets ``b_next[i + 1]`` to
@@ -214,6 +227,15 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
     h = len(state.W)
     dw = [0.0] * h
     dv = [0.0] * (h - 1)
+    _sweep(state, data, hp, derive_beta, b, b_next, dw, dv)
+    return sum(dw), sum(dv)
+
+
+def _sweep(state, data, hp, derive_beta, b, b_next=None, dw=None, dv=None):
+    """``bcd_iteration``'s sweep.  ``dw`` and ``dv``, when given, are lists
+    with one slot per weight and per state block that receive each block's
+    squared motion; a mini-batch epoch reads none and passes neither."""
+    h = len(state.W)
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
@@ -222,16 +244,17 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
             if b_next is not None:
                 b_next[i + 1] = wv_next
             del wv_next
-            dv[i] = _sq_motion(v, state.V[i])
+            if dv is not None:
+                dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
             u = prox_step_matrix(v, b[i], hp.tau, hp.pi)
         wv, b[i] = b[i], None
         state.U[i] = u
         w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta, wv)
         del wv
-        dw[i] = _sq_motion(w, state.W[i])
+        if dw is not None:
+            dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
-    return sum(dw), sum(dv)
 
 
 def _record(k, state, data, hp, dw, dv, seconds, b):
@@ -245,12 +268,13 @@ def _count_tied_output_columns(b_top):
 
 def _epoch_over_batches(w, data, hp, derive_beta, batch_size, perm):
     """Stateless mini-batch pass from weights ``w`` (left as they are): the
-    weights carry across batches, each batch's U/V start from a forward pass."""
+    weights carry across batches, each batch's U/V start from a forward pass.
+    No batch's block motions are summed: the report measures the epoch's."""
     w = list(w)
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
-        bcd_iteration(TrainState(w, u, v), batch, hp, derive_beta, b=u)
+        _sweep(TrainState(w, u, v), batch, hp, derive_beta, u)
     u, v = forward_blocks(w, data.X)
     return TrainState(w, u, v)
 

@@ -2,9 +2,10 @@
 
 The package ships the matrix solvers a run calls; the tests check them
 against these straight-line references: the single-column and scalar
-prox minimizers, their objectives and brute-force minima, the composite
-weight-block objective, its proximal stationarity residual, and the
-descent inequality of the outer loop.
+prox minimizers, their objectives and brute-force minima, the step
+prox's entrywise path, the composite weight-block objective, its
+proximal stationarity residual, and the descent inequality of the outer
+loop.
 """
 
 import numpy as np
@@ -65,6 +66,24 @@ def prox_step_scalar(a, b, rho):
     if t > rho * b * b:
         return min(np.sqrt(t / rho) + b, EPS_TINY)
     return b
+
+
+def prox_step_matrix_full(v_target, b, tau, pi):
+    """``prox.prox_step_matrix`` without its kept-block certificate: every
+    entry takes the branch tests, and the result is always a new array."""
+    v_target = np.asarray(v_target, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    lhs = pi * (2.0 * v_target - 1.0)
+    quad = tau * b * b
+    positive = b > 0.0
+    bump = (lhs > quad) & ~positive
+    zero = (-lhs > quad) & positive
+    out = b.copy()
+    out[zero] = 0.0
+    if np.any(bump):
+        tb = 2.0 * v_target[bump] - 1.0
+        out[bump] = np.minimum(np.sqrt(tb * (pi / tau)) + b[bump], EPS_TINY)
+    return out
 
 
 def step_objective(u, a, b, rho):

@@ -18,6 +18,7 @@ from oracles import (
     hardmax_objective,
     hardmax_oracle_min,
     prox_hardmax_column,
+    prox_step_matrix_full,
     prox_step_scalar,
     step_objective,
     step_oracle_min,
@@ -230,12 +231,14 @@ class TestProxStepMatrix:
         # (exact at tau/pi = 0.5) and signed zeros with a 0/1 target.
         v[-1] = [0.25, 0.75, 0.0, 1.0, 0.0, 1.0]
         b[-1] = [1.0, -1.0, 0.0, 0.0, -0.0, -0.0]
-        out = prox_step_matrix(v, b, tau, pi)
         rho = tau / pi
-        for j in range(5):
-            for r in range(6):
-                want = prox_step_scalar(v[j, r], b[j, r], rho)
-                assert out[j, r] == want and np.signbit(out[j, r]) == np.signbit(want)
+        # The oracles' entrywise path, which the kept-block certificate
+        # skips, is held to the scalar prox too.
+        for out in (prox_step_matrix(v, b, tau, pi), prox_step_matrix_full(v, b, tau, pi)):
+            for j in range(5):
+                for r in range(6):
+                    want = prox_step_scalar(v[j, r], b[j, r], rho)
+                    assert out[j, r] == want and np.signbit(out[j, r]) == np.signbit(want)
 
     def test_minimizes_weighted_entry_objective(self):
         # the matrix op must minimize (tau/2)(u-b)^2 + (pi/2)(a-step(u))^2
@@ -251,6 +254,43 @@ class TestProxStepMatrix:
                 got = 0.5 * tau * (out[j, r] - b[j, r]) ** 2 + 0.5 * pi * (v[j, r] - (out[j, r] > 0)) ** 2
                 limit = 0.5 * tau * (1e-10 - b[j, r]) ** 2 + 0.5 * pi * (v[j, r] - 1.0) ** 2
                 assert got <= min(vals.min(), limit) + 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+        st.one_of(st.sampled_from([(1e-6, 1e-7), (1.0, 0.5)]), st.tuples(st.floats(1e-6, 1.0), st.floats(1e-7, 0.5))),
+        st.booleans(),
+    )
+    def test_certified_block_is_b_itself(self, data, shape, tau_pi, certified):
+        # b holds exact signed zeros; v sits below, exactly at and just
+        # above 1/2.  A certified draw puts every v on b's side of 1/2;
+        # another moves some entries across, where a b = 0 entry with
+        # v > 1/2 must be bumped.
+        tau, pi = tau_pi
+        b = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))))
+        above = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([np.nextafter(0.5, 1.0), 1.0]), st.floats(0.5, 1.5, exclude_min=True))))
+        below = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.5, np.nextafter(0.5, 0.0), 0.0]), st.floats(-0.5, 0.5))))
+        side = b > 0.0
+        if not certified:
+            side ^= data.draw(hnp.arrays(np.bool_, shape))
+        v = np.where(side, above, below)
+        out = prox_step_matrix(v, b, tau, pi)
+        assert out.tobytes() == prox_step_matrix_full(v, b, tau, pi).tobytes()
+        assert (out is b) == np.array_equal(b > 0.0, v > 0.5)
+        if certified:
+            assert out is b
+
+    def test_uncertified_kept_block_is_a_new_array(self):
+        # b > 0 with v <= 1/2 fails the certificate, but tau b^2 outweighs
+        # pi |t|, so the entrywise path keeps it, in a copy.
+        b = np.array([[2.0, -1.0]])
+        v = np.array([[0.25, 0.0]])
+        out = prox_step_matrix(v, b, 1.0, 0.5)
+        assert out is not b and np.array_equal(out, b)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -127,6 +127,23 @@ class TestGradPsi:
             grad_psi(w, u, v.view(NoProducts), 0.7, 0.3, vw)
 
 
+    @pytest.mark.parametrize("frame", ["plain", "transposed"])
+    def test_target_that_is_the_product_forms_none(self, frame):
+        # The sweep passes the carried product as both target and product
+        # when the step prox kept it: the residual is known to be zero, and
+        # the buffer, now the new U_i, is neither read for a product nor
+        # written.
+        u, v, w = zero_residual_instance(20)
+        if frame == "transposed":
+            u, v, w = (np.ascontiguousarray(a.T).T for a in (u, v, w))
+        kept = u.copy()
+        g = grad_psi(w, u, v.view(NoProducts), 0.7, 0.3, u)
+        expected = grad_psi(w, u, v, 0.7, 0.3)
+        assert g.tobytes() == expected.tobytes()
+        assert g.flags.c_contiguous == expected.flags.c_contiguous
+        assert u.tobytes() == kept.tobytes()
+
+
 class TestPgm:
     def test_zero_iterations_returns_start(self):
         u, v, w0 = random_instance(5)
@@ -193,6 +210,19 @@ class TestPgm:
             assert w[1, 1] == 0.0 and np.signbit(w[1, 1])
         assert pgm(u, v, w0, tau, gamma, lam, L, beta).tobytes() == w.tobytes()
         assert pgm(u, v, w0, tau, gamma, lam, L, beta, v @ w0).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_target_that_is_the_product_gives_the_product_path_bits(self, L):
+        u, v, w0 = zero_residual_instance(21, n=12, p=6, q=5)
+        tau, gamma, lam = 1.0, 0.2, 0.05
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        kept = u.copy()
+        expected = pgm(u, v, w0, tau, gamma, lam, L, beta)
+        assert pgm(u, v, w0, tau, gamma, lam, L, beta, u).tobytes() == expected.tobytes()
+        if L == 1:  # later iterations form their products
+            out = pgm(u, v.view(NoProducts), w0, tau, gamma, lam, L, beta, u)
+            assert out.tobytes() == expected.tobytes()
+        assert u.tobytes() == kept.tobytes()
 
     def test_carried_product_of_wrong_shape_rejected(self):
         u, v, w0 = random_instance(15)

@@ -140,6 +140,29 @@ class TestBcdIteration:
         for i in (1, 2):
             assert b_next[i].tobytes() == (state.W[i] @ state.V[i - 1]).tobytes()
 
+    def test_kept_targets_become_the_new_u_blocks(self, tiny_data, monkeypatch):
+        # At the reference constants every step prox keeps its target and
+        # returns it as the new U_i, the same array that the W_i step is
+        # handed as its product.  The step must leave it as it was.
+        shape = NetworkShape((4, 6, 6, 3))
+        state = init_gaussian(shape, 0.3, make_rng(24), tiny_data.X)
+        b = trainer_mod._coupling_products(state, tiny_data)
+        targets, kept = list(b), [t.copy() for t in b]
+        prox = trainer_mod.prox_step_matrix
+        fired = []
+
+        def spied(v, target, tau, pi):
+            out = prox(v, target, tau, pi)
+            fired.append(out is target)
+            return out
+
+        monkeypatch.setattr(trainer_mod, "prox_step_matrix", spied)
+        bcd_iteration(state, tiny_data, Hyperparams(), b=b)
+        assert fired == [True, True]
+        for i in range(shape.h - 1):
+            assert state.U[i] is targets[i]
+            assert state.U[i].tobytes() == kept[i].tobytes()
+
     def test_sq_motion(self):
         a = make_rng(25).standard_normal((5, 4))
         b = a + 0.5
