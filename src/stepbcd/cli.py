@@ -110,8 +110,8 @@ def _load_split(args, split, shape, required):
 
     ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
     sub-stream (train 0, test 1).  Labels name one of the ``shape.dims[-1]`` output units; a
-    label that does not, a feature count other than ``shape.dims[0]``, or a ``--{split}-n``
-    above the split's size raises ValueError.
+    label that does not, a split with no samples, a feature count other than ``shape.dims[0]``,
+    or a ``--{split}-n`` above the split's size raises ValueError.
     """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
@@ -128,6 +128,8 @@ def _load_split(args, split, shape, required):
         raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels or --{split}-csv)")
     else:
         return None
+    if data.n == 0:
+        raise ValueError(f"empty split: the {split} data holds no samples")
     if data.input_dim != shape.dims[0]:
         raise ValueError(f"architecture {shape.dims} does not fit the {split} data ({data.input_dim} features)")
     n = getattr(args, f"{split}_n")
@@ -151,10 +153,15 @@ def _report_metrics(w_list, splits, out):
         print(f"{name} error {error:.6f}  fil_num {fil}  par_num {par}  flops {flops:.0f}")
 
 
+def _hyperparams(args):
+    """The train flags' hyperparameters; ``Hyperparams`` rejects a value out of range."""
+    return Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
+                       beta=args.beta, L=args.l, K=args.k)
+
+
 def cmd_train(args):
     shape = _parse_arch(args.arch)
-    hp = Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
-                     beta=args.beta, L=args.l, K=args.k)
+    hp = _hyperparams(args)
     train_data = _load_split(args, "train", shape, required=True)
     test_data = _load_split(args, "test", shape, required=False)
     if args.train_noise_sigma > 0.0:
@@ -246,7 +253,8 @@ def _read_config(path):
 
     Values reach argparse as text, so each flag's type parses them as it
     parses the command line; null and true/false only where the flag's own
-    default is.  A value its flag rejects raises ValueError naming the file.
+    default is.  A value its flag or ``Hyperparams`` rejects raises
+    ValueError naming the file.
     """
     try:
         with open(path) as f:
@@ -267,8 +275,8 @@ def _read_config(path):
         defaults[key] = value if value is None or isinstance(value, bool) else str(value)
     check.set_defaults(**defaults)
     try:
-        check.parse_args([])
-    except argparse.ArgumentError as e:
+        _hyperparams(check.parse_args([]))
+    except (argparse.ArgumentError, ValueError) as e:
         raise ValueError(f"config {path}: {e}") from e
     return defaults
 

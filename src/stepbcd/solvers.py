@@ -53,13 +53,8 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
 
     A ``vw`` that is ``u`` itself, the same array, says the target is the
     (finite) product, as when the step prox kept the carried product: the
-    residual is known to be zero, so it is neither formed nor scanned, and
-    that buffer is not written.
-
-    A residual of zeros (a target the step prox left as it was) skips the
-    product ``v.T @ r``: the gradient starts from the +0.0 entries that
-    product gives, so the result has the same bits.  A zero residual means
-    ``v`` is finite, since any inf or NaN in ``v`` reaches ``v w``.
+    residual is known to be zero, so it is not formed, and that buffer is
+    not written.
     """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
@@ -74,7 +69,7 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     elif vw.shape != u.shape:
         raise ValueError(f"grad_psi product {vw.shape} does not match u {u.shape}")
     vw -= u
-    g = v.T @ vw if vw.any() else np.zeros(w.shape)
+    g = v.T @ vw
     del vw
     g *= tau
     g += gamma * w
@@ -233,13 +228,14 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     product, so a kept solve forms one ``d x d x N`` product, the one handed
     on.  The bound certifies a start that fits both terms of the system on
     its own (``w v_init`` near ``u_next``, ``v_init`` near
-    ``step(u_cur)``); any other goes to ``cg_solve``, whose first operator
-    call reuses the product.  Narrow layers skip the check: their Woodbury
-    start solves the system without fitting each term.
+    ``step(u_cur)``); any other goes to ``cg_solve``, which forms that
+    product again.  Narrow layers skip the check: their Woodbury start
+    solves the system without fitting each term.
 
     Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when the start was kept,
-    the product of its check, so it has the bits of that product computed
-    afresh; it is None when CG moved the start.
+    the product of its check or of CG's first operator call, so it has the
+    bits of that product computed afresh; it is None when CG moved the
+    start.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -251,7 +247,6 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
 
     m, d = w_next.shape
-    wx = None  # w_next @ x of the operator's latest x
     if m >= d:
         v_init = np.asarray(v_init, dtype=np.float64)
         wx = w_next @ v_init
@@ -260,16 +255,10 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     rhs = w_next.T @ u_next
     rhs *= tau
     rhs += pi * step(u_cur)
-    # CG's first operator call is the start's residual check; on a square
-    # or tall layer the product of that start is already in wx.
-    reuse = wx is not None
 
     def a(x):
-        nonlocal wx, reuse
-        if reuse:
-            reuse = False
-        else:
-            wx = w_next @ x
+        nonlocal wx  # w_next @ x of the latest x, returned if CG keeps it
+        wx = w_next @ x
         y = w_next.T @ (tau * wx)
         y += pi * x
         return y

@@ -4,22 +4,23 @@ One outer iteration sweeps the blocks from the output layer inward:
 the output pre-activation (hardmax prox), the output weights (proximal
 gradient), then for each hidden layer the state solve (CG, seeded by
 Woodbury below a narrower layer), the pre-activation fit (entrywise step
-prox), and the weights.  Every
-sub-problem consumes exactly the iterate versions the update scheme
-prescribes: the pre-activation targets ``b = W_i V_(i-1)`` always use the
-not-yet-updated weights and states from the previous sweep.
+prox), and the weights.  Every sub-problem consumes exactly the iterate
+versions the update scheme prescribes: the pre-activation targets
+``b = W_i V_(i-1)`` always use the not-yet-updated weights and states from
+the previous sweep.
 
-Each iterate's products ``W_i V_(i-1)`` are computed once: ``train``
-computes them for the objective's coupling penalty and carries them into
-the next sweep as its ``b`` targets, where the ``U_i`` prox reads each one
-and the ``W_i`` step's first gradient reuses its buffer as the residual.
-A step prox that provably keeps every entry returns the target itself as
-the new ``U_i``; the ``W_i`` step then takes its first residual as zero,
-forms and scans none, and leaves that buffer, now ``U_i``, as it is.
-A state solve that keeps its start has already formed ``W_(i+1) V_i`` of
-the new iterate: its check of the start is made from that product, and on
-a square layer it is the one ``d x d x N`` product the solve forms.  The
-sweep hands that product on, and ``train`` computes only the others
+Each iterate's products ``W_i V_(i-1)`` are computed once.
+``bcd_iteration`` returns the new iterate's products with its motions;
+``train`` reads them for the objective's coupling penalty and hands them
+to the next sweep as its ``b`` targets, where the ``U_i`` prox reads each
+one and the ``W_i`` step's first gradient reuses its buffer as the
+residual.  A step prox that provably keeps every entry returns the target
+itself as the new ``U_i``; the ``W_i`` step then takes its first residual
+as zero, forms none, and leaves that buffer, now ``U_i``, as it is.  A
+state solve that keeps its start has already formed ``W_(i+1) V_i`` of the
+new iterate: its check of the start is made from that product, and on a
+square layer it is the one ``d x d x N`` product the solve forms.  The
+sweep hands that product on, and ``bcd_iteration`` forms only the others
 (``W_0 X`` and any layer whose ``V`` moved).  After a forward pass (the
 init, a mini-batch, the state re-derived after a mini-batch epoch) they
 are the ``U`` blocks themselves.
@@ -191,8 +192,9 @@ def _sq_diff(new, old):
     return sum(_sq_motion(a, b) for a, b in zip(new, old))
 
 
-def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
-    """One outer sweep in place; returns the squared block motions ``(dW, dV)``.
+def bcd_iteration(state, data, hp, derive_beta=False, b=None):
+    """One outer sweep in place; returns ``(dW, dV, b)``: the squared block
+    motions and the new iterate's products ``W_i V_(i-1)``, input layer first.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
     triple V_i, U_i, W_i.  Staleness discipline: each ``b = W_i V_(i-1)``
@@ -206,44 +208,41 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None, b_next=None):
     down, so every block the scheme reads stale (``U_i``, ``V_i``, ``W_i``,
     ``V_(i-1)``) is read before it is replaced.
 
-    ``b`` lists the targets, input layer first.  ``train`` carries them
-    from the previous iterate's objective, or passes ``state.U`` itself
-    when the state is a forward pass; they are computed here when absent.
-    The sweep consumes the arrays in ``b``, not only its slots: ``b[i]`` is
-    set to None once its prox has read it, before ``U_i`` is replaced, so
-    ``b`` may be ``state.U``, and the array is then handed to the ``W_i``
-    step, whose first gradient overwrites it with its residual.  A step
-    prox that keeps every entry returns ``b[i]`` itself as the new ``U_i``;
-    the step then knows its first residual is zero and writes nothing.
-    The motions are summed in layer order, as ``_sq_diff`` sums them.
+    ``b`` lists the targets, input layer first: the products this call
+    returned for the previous iterate, or ``state.U`` itself when the state
+    is a forward pass; they are computed here when absent.  The sweep
+    consumes the arrays in ``b``, not only its slots: ``b[i]`` is set to
+    None once its prox has read it, before ``U_i`` is replaced, so ``b``
+    may be ``state.U``, and the array is then handed to the ``W_i`` step,
+    whose first gradient overwrites it with its residual.  A step prox that
+    keeps every entry returns ``b[i]`` itself as the new ``U_i``; the step
+    then knows its first residual is zero and writes nothing.  The motions
+    are summed in layer order, as ``_sq_diff`` sums them.
 
-    ``b_next``, when given, is a list with one slot per layer that receives
-    the new iterate's products: each state solve sets ``b_next[i + 1]`` to
-    ``W_(i+1) V_i`` if it kept its start, else to None.  It must not be
-    ``b``, which may be ``state.U``.
+    The returned products have the bits of ``W_i V_(i-1)`` formed afresh:
+    a state solve that kept its start supplies its ``W_(i+1) V_i``, and the
+    others (``W_0 X`` and any layer whose ``V`` moved) are formed here.
     """
     if b is None:
         b = _coupling_products(state, data)
-    h = len(state.W)
-    dw = [0.0] * h
-    dv = [0.0] * (h - 1)
-    _sweep(state, data, hp, derive_beta, b, b_next, dw, dv)
-    return sum(dw), sum(dv)
+    dw, dv = [0.0] * len(state.W), [0.0] * len(state.V)
+    b = _coupling_products(state, data, _sweep(state, data, hp, derive_beta, b, dw, dv))
+    return sum(dw), sum(dv), b
 
 
-def _sweep(state, data, hp, derive_beta, b, b_next=None, dw=None, dv=None):
-    """``bcd_iteration``'s sweep.  ``dw`` and ``dv``, when given, are lists
+def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
+    """``bcd_iteration``'s sweep; returns a list with one slot per layer
+    that holds ``W_(i+1) V_i`` of the new iterate where the state solve
+    kept its start, else None.  ``dw`` and ``dv``, when given, are lists
     with one slot per weight and per state block that receive each block's
     squared motion; a mini-batch epoch reads none and passes neither."""
     h = len(state.W)
+    kept = [None] * h
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            v, wv_next = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
-            if b_next is not None:
-                b_next[i + 1] = wv_next
-            del wv_next
+            v, kept[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
             if dv is not None:
                 dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
@@ -255,6 +254,7 @@ def _sweep(state, data, hp, derive_beta, b, b_next=None, dw=None, dv=None):
         if dw is not None:
             dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
+    return kept
 
 
 def _record(k, state, data, hp, dw, dv, seconds, b):
@@ -293,6 +293,8 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     ``warmup_batch`` for the first iterations regardless of mode; default
     off.
     """
+    if data.n == 0:
+        raise ValueError("training needs at least one sample, got an empty dataset")
     if shape.dims[0] != data.X.shape[0]:
         raise ValueError(f"architecture input width {shape.dims[0]} != data dim {data.X.shape[0]}")
     if shape.dims[-1] != data.Y.shape[0]:
@@ -319,17 +321,14 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         if bs is not None:
             perm = shuffle_rng.permutation(data.X.shape[1])
             new_state = _epoch_over_batches(state.W, data, hp, derive_beta, int(bs), perm)
-            b = None  # release the spent products before the new ones exist
             dw = _sq_diff(new_state.W, state.W)
             dv = _sq_diff(new_state.V, state.V)
             state = new_state
+            b = state.U
         else:
-            b_next = [None] * len(state.W)
-            dw, dv = bcd_iteration(state, data, hp, derive_beta, b, b_next)
-            b = b_next  # the spent targets are all None by now
+            dw, dv, b = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()
         seconds = time.perf_counter() - t0
-        b = state.U if bs is not None else _coupling_products(state, data, b)
         records.append(_record(k, state, data, hp, dw, dv, seconds, b))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)
         if early_stop_tol is not None and abs(records[-1].f - records[-2].f) < early_stop_tol:

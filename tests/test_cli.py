@@ -48,6 +48,14 @@ def train_args(corpus, out_dir, extra=()):
     ]
 
 
+def write_empty_split(root):
+    """An IDX image/label pair of 8x8 images holding no samples."""
+    images, labels = root / "empty-images.idx", root / "empty-labels.idx"
+    write_idx_images(images, np.zeros((0, 8, 8), dtype=np.uint8))
+    write_idx_labels(labels, np.zeros(0, dtype=np.uint8))
+    return str(images), str(labels)
+
+
 @pytest.fixture(scope="session")
 def trained(tmp_path_factory, corpus):
     out = tmp_path_factory.mktemp("run")
@@ -169,6 +177,25 @@ class TestTrainCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--l", "4294967296"), ("--k", "4294967296"), ("--l", "-1"), ("--k", "-1"),
+    ])
+    def test_iteration_count_outside_32_bits_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
+        # The checkpoint stores L and K as 32-bit unsigned integers.
+        out = tmp_path / "out"
+        assert main(train_args(corpus, out, extra=[flag, value])) == 2
+        assert "32-bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_exits_2_before_output(self, corpus, tmp_path, capsys, split):
+        images, labels = write_empty_split(tmp_path)
+        out = tmp_path / "out"
+        empty = [f"--{split}-images", images, f"--{split}-labels", labels]
+        assert main(train_args(corpus, out, extra=empty)) == 2
+        assert f"empty split: the {split} data holds no samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_idx_label_outside_the_output_width_names_the_file(self, corpus, tmp_path, capsys):
         out = tmp_path / "out"
         args = train_args(corpus, out)
@@ -256,15 +283,28 @@ class TestEvalCommand:
         assert "does not fit" in capsys.readouterr().err
 
     def test_empty_split_exits_2(self, trained, tmp_path, capsys):
-        write_idx_images(tmp_path / "e.idx", np.zeros((0, 8, 8), dtype=np.uint8))
-        write_idx_labels(tmp_path / "el.idx", np.zeros(0, dtype=np.uint8))
+        images, labels = write_empty_split(tmp_path)
         code = main([
             "eval", "--checkpoint", str(trained / "checkpoint.bin"),
-            "--test-images", str(tmp_path / "e.idx"),
-            "--test-labels", str(tmp_path / "el.idx"),
+            "--test-images", images, "--test-labels", labels,
         ])
         assert code == 2
         assert "empty split" in capsys.readouterr().err
+
+    def test_empty_train_split_exits_2_before_output(self, trained, corpus, tmp_path, capsys):
+        images, labels = write_empty_split(tmp_path)
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--train-images", images, "--train-labels", labels,
+            "--test-images", str(corpus["test_images"]),
+            "--test-labels", str(corpus["test_labels"]),
+            "--split", "both", "--out", str(out_csv),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "empty split: the train data holds no samples" in captured.err and captured.out == ""
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_subsample_above_the_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys, split):
@@ -313,6 +353,15 @@ class TestRobustnessCommand:
         assert main(self.rob_args(corpus, trained, a)) == 0
         assert main(self.rob_args(corpus, trained, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_empty_split_exits_2_before_output(self, trained, tmp_path, capsys):
+        images, labels = write_empty_split(tmp_path)
+        out = tmp_path / "rob.csv"
+        empty = {"test_images": images, "test_labels": labels}
+        assert main(self.rob_args(empty, trained, out)) == 2
+        captured = capsys.readouterr()
+        assert "empty split: the test data holds no samples" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_subsample_above_the_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys):
         out = tmp_path / "rob.csv"
@@ -398,11 +447,11 @@ class TestInspectCommand:
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',
                                      '{"batch_size": 0}', '{"train_noise_sigma": -1}', '{"warmup_epochs": -3}',
                                      '{"early_stop_tol": -1}', '{"early_stop_tol": NaN}', '{"seed": -1}',
-                                     '{"scale": 0}', '{"scale": NaN}'],
+                                     '{"scale": 0}', '{"scale": NaN}', '{"l": 4294967296}', '{"k": 4294967296}'],
                          ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k",
                               "zero-batch-size", "negative-noise", "negative-warmup-epochs",
                               "negative-early-stop-tol", "nan-early-stop-tol", "negative-seed",
-                              "zero-scale", "nan-scale"])
+                              "zero-scale", "nan-scale", "l-above-32-bits", "k-above-32-bits"])
 def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
     config = tmp_path / "run_config.json"
     if content is not None:

@@ -12,6 +12,7 @@ from stepbcd.core import (
     init_gaussian,
     make_rng,
 )
+from stepbcd.dataio import load_checkpoint, save_checkpoint
 from stepbcd.prox import step
 
 
@@ -89,6 +90,17 @@ class TestHyperparams:
             for value in (np.nan, np.inf, -np.inf):
                 with pytest.raises(ValueError, match=name):
                     Hyperparams(**{name: value})
+
+    def test_iteration_counts_fit_the_checkpoint(self, tmp_path, tiny_data):
+        # The checkpoint stores L and K as 32-bit unsigned integers: the
+        # largest is accepted and stored, one more is rejected up front.
+        for name in ("L", "K"):
+            with pytest.raises(ValueError, match="32-bit"):
+                Hyperparams(**{name: 2**32})
+        hp = Hyperparams(L=2**32 - 1, K=2**32 - 1)
+        shape = NetworkShape((4, 3))
+        save_checkpoint(init_gaussian(shape, 0.1, make_rng(3), tiny_data.X), shape, hp, tmp_path / "c.bin")
+        assert load_checkpoint(tmp_path / "c.bin")[2] == hp
 
 
 class TestInitGaussian:

@@ -1,12 +1,19 @@
-"""Every public name of the package has a caller in the shipped code.
+"""Every public name of the package has a caller in the shipped code, and
+every argument the benchmark's tracer reads is a parameter of its function.
 
 The shipped code is ``src/stepbcd`` and the benchmark harness in
 ``perfbench``; the tests are not part of it.  A name in a module's
 ``__all__`` that only its own definition mentions is a helper nothing
 runs: the references the tests check against live in ``tests/oracles.py``.
+
+``perfbench/tracer.py`` counts each traced call's work from its arguments,
+read by name at the call.  A renamed parameter would break traced runs
+alone, so the names are checked here against the functions' signatures.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +83,58 @@ def test_guard_flags_an_export_only_its_own_definition_reads(tmp_path):
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
     )
     assert uncalled_exports([mod], []) == ["mod.recursive", "mod.unused"]
+
+
+def traced_argument_reads(tree):
+    """``{"module.function": keys}``: the argument keys ``Tracer._count`` reads in
+    each branch of its if/elif chain on the traced function's name."""
+    count = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_count")
+    # The local bound to ``span.args``, the arguments keyed by parameter name.
+    args = next(t.id for n in count.body if isinstance(n, ast.Assign)
+                and isinstance(n.value, ast.Attribute) and n.value.attr == "args" for t in n.targets)
+    reads = {}
+    branch = next(n for n in count.body if isinstance(n, ast.If))
+    while branch is not None:
+        test = branch.test
+        assert isinstance(test, ast.Compare) and len(test.comparators) == 1, ast.unparse(test)
+        names = ast.literal_eval(test.comparators[0])
+        names = (names,) if isinstance(names, str) else names
+        keys = {n.slice.value for stmt in branch.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == args}
+        for name in names:
+            reads.setdefault(name, set()).update(keys)
+        branch = branch.orelse[0] if len(branch.orelse) == 1 and isinstance(branch.orelse[0], ast.If) else None
+    return reads
+
+
+def unknown_arguments(reads):
+    """``module.function(key)`` for each key read that is not a parameter of that function."""
+    unknown = []
+    for name, keys in sorted(reads.items()):
+        module, function = name.split(".")
+        params = inspect.signature(getattr(importlib.import_module(f"stepbcd.{module}"), function)).parameters
+        unknown += [f"{name}({key})" for key in sorted(keys - set(params))]
+    return unknown
+
+
+def test_every_traced_argument_is_a_parameter():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    reads = traced_argument_reads(tree)
+    assert reads["solvers.solve_v"] >= {"w_next", "u_next"} and "w0" in reads["solvers.pgm"]
+    assert unknown_arguments(reads) == []
+
+
+def test_guard_flags_an_argument_its_function_lacks():
+    tree = ast.parse(
+        "class Tracer:\n"
+        "    def _count(self, span, ret):\n"
+        "        a = span.args\n"
+        "        name = span.name\n"
+        '        if name in ("solvers.grad_psi", "solvers.pgm"):\n'
+        '            n = a["v"].shape\n'
+        '        elif name == "solvers.solve_v":\n'
+        '            m = a["w"].shape\n'
+    )
+    reads = traced_argument_reads(tree)
+    assert reads == {"solvers.grad_psi": {"v"}, "solvers.pgm": {"v"}, "solvers.solve_v": {"w"}}
+    assert unknown_arguments(reads) == ["solvers.solve_v(w)"]

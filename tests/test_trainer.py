@@ -8,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 import stepbcd.trainer as trainer_mod
 from stepbcd import solvers
 from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset
-from stepbcd.prox import step
+from stepbcd.prox import EPS_TINY, step
 from stepbcd.trainer import BcdReport, bcd_iteration, objective_f, train
 
 from datagen import make_cluster_dataset
@@ -112,33 +114,46 @@ class TestBcdIteration:
         blocks = (state.W, state.U, state.V)
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.1, L=2)
         b = list(state.U)
-        dw, dv = bcd_iteration(state, tiny_data, hp, b=b)
+        dw, dv, products = bcd_iteration(state, tiny_data, hp, b=b)
         # The state's own lists now hold the new blocks, and the motions are
         # those of the new iterate against the old one, bit for bit.
         assert all(x is y for x, y in zip((state.W, state.U, state.V), blocks))
         assert dw > 0.0 and dv > 0.0
         assert dw == trainer_mod._sq_diff(state.W, old.W)
         assert dv == trainer_mod._sq_diff(state.V, old.V)
-        # Each target is dropped once its prox has read it.
+        # Each target is dropped once its prox has read it, and the returned
+        # products are the new iterate's, bit for bit, W_0 X included.
         assert len(b) == shape.h and all(t is None for t in b)
+        inputs = [tiny_data.X] + state.V
+        assert [p.tobytes() for p in products] == [(w @ x).tobytes() for w, x in zip(state.W, inputs)]
         # The U list may serve as the targets: same bits as a copy of it.
-        assert bcd_iteration(aliased, tiny_data, hp, b=aliased.U) == (dw, dv)
-        for x, y in zip(state.W + state.U + state.V, aliased.W + aliased.U + aliased.V):
+        dw_a, dv_a, products_a = bcd_iteration(aliased, tiny_data, hp, b=aliased.U)
+        assert (dw_a, dv_a) == (dw, dv)
+        for x, y in zip(state.W + state.U + state.V + products, aliased.W + aliased.U + aliased.V + products_a):
             assert np.array_equal(x, y)
 
-    def test_kept_starts_hand_on_their_products(self, tiny_data):
+    def test_kept_starts_hand_on_their_products(self, tiny_data, monkeypatch):
         # At the reference constants every state solve keeps its start, so
-        # b_next holds W_(i+1) V_i of the new iterate for each hidden layer,
-        # with the bits of the product formed afresh.
+        # the returned W_(i+1) V_i of each hidden layer is the product the
+        # solve handed on; W_0 X is formed after the sweep.  Every product
+        # has the bits of the product formed afresh.
         shape = NetworkShape((4, 6, 6, 3))  # V_1 by Woodbury, V_0 kept as it was
         state = init_gaussian(shape, 0.3, make_rng(24), tiny_data.X)
         v0 = state.V[0]
-        b_next = [None] * shape.h
-        bcd_iteration(state, tiny_data, Hyperparams(), b=state.U, b_next=b_next)
+        solve = trainer_mod.solve_v
+        handed = []
+
+        def spied(*args, **kwargs):
+            v, wv = solve(*args, **kwargs)
+            handed.insert(0, wv)
+            return v, wv
+
+        monkeypatch.setattr(trainer_mod, "solve_v", spied)
+        _, _, products = bcd_iteration(state, tiny_data, Hyperparams(), b=state.U)
         assert state.V[0] is v0
-        assert b_next[0] is None
-        for i in (1, 2):
-            assert b_next[i].tobytes() == (state.W[i] @ state.V[i - 1]).tobytes()
+        assert all(p is wv for p, wv in zip(products[1:], handed, strict=True))
+        inputs = [tiny_data.X] + state.V
+        assert [p.tobytes() for p in products] == [(w @ x).tobytes() for w, x in zip(state.W, inputs)]
 
     def test_kept_targets_become_the_new_u_blocks(self, tiny_data, monkeypatch):
         # At the reference constants every step prox keeps its target and
@@ -267,6 +282,68 @@ class TestBcdIteration:
             assert np.linalg.norm(a - b) <= 1e-12
 
 
+def cascade_columns(seed, hidden, n, tau, pi, scale):
+    """One ``L = 0`` sweep from a forward-pass state.  For each layer ``i``
+    below the top hidden layer, per column: the number of units of ``V_i``
+    that moved by more than 1/2, the norm of the ``V_i`` move, the number
+    ``k`` of ``U_(i+1)`` entries the step prox changed, ``max |2 V_(i+1) - 1|``
+    over those entries (0 where none changed) and the slack of the state
+    solve's tolerance and of ``EPS_TINY``."""
+    data = make_cluster_dataset(6, 3, n, make_rng(seed))
+    shape = NetworkShape((6, *hidden, 3))
+    state = init_gaussian(shape, scale, make_rng(seed + 1), data.X)
+    old = state.copy()
+    bcd_iteration(state, data, Hyperparams(tau=tau, pi=pi, L=0))
+    assert all(np.array_equal(a, b) for a, b in zip(state.W, old.W))
+    layers = []
+    for i in range(shape.h - 2):
+        move = state.V[i] - old.V[i]
+        changed = state.U[i + 1] != old.U[i + 1]
+        k = changed.sum(axis=0)
+        t_max = np.where(changed, np.abs(2.0 * state.V[i + 1] - 1.0), 0.0).max(axis=0)
+        rhs = tau * (state.W[i + 1].T @ state.U[i + 1]) + pi * step(old.U[i])
+        slack = 0.5 * np.sqrt(tau / pi * k) * EPS_TINY + solvers.V_TOL * np.linalg.norm(rhs, axis=0) / pi
+        layers.append(((np.abs(move) > 0.5).sum(axis=0), np.linalg.norm(move, axis=0), k, t_max, slack))
+    return layers
+
+
+class TestFlipCascade:
+    # With the weights held (L = 0), a forward-pass state has
+    # U_(i+1) = W_(i+1) V_i and V_i = step(U_i), so the V_i solve's residual
+    # is the change D that the step prox made to U_(i+1).  An entry changes
+    # only where tau b^2 < pi |t|, t = 2 V_(i+1) - 1, and by at most
+    # sqrt(pi |t| / tau), so ||D_j||^2 <= (pi / tau) k max|t|.  By the V
+    # solve's oracle bound the V_i column then moves by at most
+    # (1/2) sqrt(k max|t|), and each unit that moves by more than 1/2 adds
+    # more than 1/4 to the squared move: fewer than k max|t| units flip.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        hidden=st.lists(st.integers(2, 24), min_size=2, max_size=3),
+        n=st.integers(4, 32),
+        log_tau=st.floats(-6.0, 0.0),
+        log_ratio=st.floats(0.0, 7.0),
+        log_scale=st.floats(-2.0, 0.5),
+    )
+    def test_flips_below_a_hidden_layer_are_bounded(self, seed, hidden, n, log_tau, log_ratio, log_scale):
+        tau = 10.0 ** log_tau
+        pi = tau / 10.0 ** log_ratio
+        worst = 0.0
+        for moved, move, k, t_max, slack in cascade_columns(seed, hidden, n, tau, pi, 10.0 ** log_scale):
+            bound = 0.5 * np.sqrt(k * t_max) + slack
+            worst = max(worst, float(np.max(move / np.where(bound > 0.0, bound, 1.0))))
+            assert np.all(move <= bound)
+            assert np.all((moved == 0) | (moved < (2.0 * bound) ** 2))
+        target(worst, label="move / bound")
+
+    def test_a_changed_u_block_moves_the_layer_below(self):
+        # The property above is not vacuous: here the step prox changes
+        # U_1 and V_0 moves to within a factor 2 of its bound.
+        (moved, move, k, t_max, slack), = cascade_columns(133, (11, 9), 24, 10.0 ** -4.58, 10.0 ** -4.83, 0.842)
+        assert k.sum() > 0
+        assert np.max(move / (0.5 * np.sqrt(k * t_max) + slack)) > 0.5
+
+
 # Trains one full-batch run twice at the reference constants: once as is,
 # so each state solve that keeps its start hands its W_(i+1) V_i product
 # on, and once with every product recomputed.  Prints how many products
@@ -381,6 +458,12 @@ class TestTrain:
     def test_negative_warmup_epochs_rejected(self, tiny_data):
         with pytest.raises(ValueError, match="warmup_epochs must be at least 0"):
             train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), warmup_epochs=-1)
+
+    def test_empty_dataset_rejected(self):
+        # The loss term divides by the sample count.
+        empty = Dataset(np.zeros((4, 0)), np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="at least one sample"):
+            train(empty, NetworkShape((4, 5, 3)), Hyperparams(K=1), rng=make_rng(1))
 
     def test_k_zero_returns_initial_state(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
