@@ -301,7 +301,8 @@ def load_checkpoint(path):
         raise TruncatedCheckpointError(f"{path}: expected {expected} bytes, file has {len(data)}")
     if len(data) > expected:
         raise CheckpointError(f"{path}: {len(data) - expected} bytes of trailing data")
-    payload = data[head : head + payload_len]
+    # A memoryview slice: a bytes slice would copy the whole payload.
+    payload = memoryview(data)[head : head + payload_len]
     (stored_crc,) = struct.unpack_from("<I", data, head + payload_len)
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")

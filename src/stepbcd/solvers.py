@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prox import prox_l20_rows, step
+from .prox import _step, prox_l20_rows, step
 
 __all__ = [
     "CgError",
@@ -25,6 +25,10 @@ __all__ = [
 # The per-column relative residual every state solve meets; CG stops after
 # ``10 * d`` iterations on a ``d x d`` system.
 V_TOL = 1e-8
+
+# Entries in one block of the state solve's blockwise kernels (512 KiB of
+# float64), so that none forms a d x N temporary.
+V_BLOCK = 1 << 16
 
 
 class CgError(RuntimeError):
@@ -118,6 +122,27 @@ def spectral_norm(v):
     return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
+def _col_blocks(d, n):
+    """``(lo, hi)`` bounds of the column blocks of a ``d x n`` array: about
+    ``V_BLOCK`` entries each, and at least two columns unless ``n`` is 1.
+    numpy sums a one-column array along its contiguous axis, in another
+    order than it adds the rows of a wider one."""
+    blocks = max(1, n // max(2, V_BLOCK // max(d, 1)))
+    return ((n * i // blocks, n * (i + 1) // blocks) for i in range(blocks))
+
+
+def _col_sq(part, shape):
+    """``(c * c).sum(axis=0)`` of the ``shape`` array ``c`` whose columns
+    ``lo:hi`` the call ``part(lo, hi)`` returns, formed one column block at
+    a time.  A column's sum does not depend on the other columns, so this
+    has the bits of numpy's sum over the whole array."""
+    out = np.empty(shape[1])
+    for lo, hi in _col_blocks(*shape):
+        c = part(lo, hi)
+        out[lo:hi] = (c * c).sum(axis=0)
+    return out
+
+
 def cg_solve(a, b, x0, tol, max_iters, callback=None):
     """Multi-RHS conjugate gradients for the SPD operator ``a`` (a callable
     ``x -> A x``); columns are independent.
@@ -131,15 +156,22 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     first update that moves the iterate makes its copy.  Raises
     ``CgError`` if ``max_iters`` iterations do not.
 
+    The column norms are summed one column block at a time, and the start
+    is checked that way too, through ``a`` applied to each block of
+    columns; the full residual is formed only when a column misses
+    ``tol``.
+
     Returns ``(x, iterations_used)``.
     """
-    nb = np.linalg.norm(b, axis=0)
+    nb = np.sqrt(_col_sq(lambda lo, hi: b[:, lo:hi], b.shape))
     scale = np.where(nb > 0.0, nb, 1.0)
     col_target = tol * scale
     x = np.asarray(x0, dtype=np.float64)
+    if np.all(np.sqrt(_col_sq(lambda lo, hi: b[:, lo:hi] - a(x[:, lo:hi]), b.shape)) <= col_target):
+        return x, 0
     r = a(x)
     np.subtract(b, r, out=r)
-    rs = (r * r).sum(axis=0)
+    rs = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
 
     for it in range(max_iters):
         active = np.sqrt(rs) > col_target
@@ -156,7 +188,7 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
         else:
             x += alpha * p
         r -= alpha * ap
-        rs_new = (r * r).sum(axis=0)
+        rs_new = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
         beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=rs > 0.0)
         p = r + beta * p
         rs = rs_new
@@ -220,7 +252,9 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     products per application, and ``w^T w`` is never formed.  A start
     that meets ``V_TOL`` is returned as it is, the same array.  CG stops
     after ``10 * d`` iterations and raises ``CgError`` if a column still
-    misses.  ``pi > 0`` guarantees positive definiteness.
+    misses.  ``pi > 0`` guarantees positive definiteness.  The
+    right-hand side's ``pi step(u_cur)`` is added one row block at a
+    time.
 
     On a square or tall layer (``m >= d``) ``v_init`` is first checked by
     ``_start_meets_tol`` from the one product ``w v_init``, before the
@@ -228,14 +262,14 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     product, so a kept solve forms one ``d x d x N`` product, the one handed
     on.  The bound certifies a start that fits both terms of the system on
     its own (``w v_init`` near ``u_next``, ``v_init`` near
-    ``step(u_cur)``); any other goes to ``cg_solve``, which forms that
-    product again.  Narrow layers skip the check: their Woodbury start
-    solves the system without fitting each term.
+    ``step(u_cur)``); any other goes to ``cg_solve``.  Narrow layers skip
+    the bound: their Woodbury start solves the system without fitting each
+    term.
 
-    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when the start was kept,
-    the product of its check or of CG's first operator call, so it has the
-    bits of that product computed afresh; it is None when CG moved the
-    start.
+    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when the start was kept:
+    the check's product on a square or tall layer, else formed once after
+    CG, so it has the bits of that product computed afresh.  It is None
+    when CG moved the start.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -247,6 +281,7 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
 
     m, d = w_next.shape
+    wx = None
     if m >= d:
         v_init = np.asarray(v_init, dtype=np.float64)
         wx = w_next @ v_init
@@ -254,12 +289,12 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
             return v_init, wx
     rhs = w_next.T @ u_next
     rhs *= tau
-    rhs += pi * step(u_cur)
+    k = max(1, V_BLOCK // max(rhs.shape[1], 1))
+    for lo in range(0, d, k):
+        rhs[lo:lo + k] += pi * _step(u_cur[lo:lo + k])
 
     def a(x):
-        nonlocal wx  # w_next @ x of the latest x, returned if CG keeps it
-        wx = w_next @ x
-        y = w_next.T @ (tau * wx)
+        y = w_next.T @ (tau * (w_next @ x))
         y += pi * x
         return y
 
@@ -269,4 +304,6 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         except np.linalg.LinAlgError:
             pass
     v, iters = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
-    return v, (wx if iters == 0 else None)
+    if iters:
+        return v, None
+    return v, (w_next @ v if wx is None else wx)

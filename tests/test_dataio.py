@@ -244,6 +244,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
+    def test_load_holds_the_file_once(self, tmp_path):
+        # The file's bytes and the loaded blocks, about 2x the file; a copy
+        # of the payload would make it 3x.
+        shape = NetworkShape((60, 120, 120, 10))
+        state = init_gaussian(shape, 0.3, make_rng(16), make_rng(17).random((60, 300)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, shape, Hyperparams(), path)
+        (loaded, _, _), peak = _traced(load_checkpoint, path)
+        for a, b in zip(loaded.W + loaded.U + loaded.V, state.W + state.U + state.V):
+            assert _same_bits(a, b)
+        size = path.stat().st_size
+        assert peak <= 2.1 * size, f"peak {peak / size:.2f}x the file"
+
 
 class TestSynthetic:
     def test_images_deterministic_and_typed(self):

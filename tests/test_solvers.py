@@ -466,8 +466,8 @@ class TestSolveV:
     @pytest.mark.parametrize("m, d", [(8, 8), (12, 8)])
     def test_failed_check_kept_by_cg_hands_back_its_product(self, cg_calls, m, d):
         # An exact start that does not fit each term on its own fails the
-        # check; CG keeps it after one operator call, whose product w x is
-        # handed back with the bits of that product formed afresh.
+        # check; CG keeps it, and the check's product w x is handed back
+        # with the bits of that product formed afresh.
         rng = make_rng(30)
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
@@ -657,3 +657,54 @@ class TestCgProperties:
         x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-10, max_iters=100)
         assert iters > 0 and x is not x0
         assert np.array_equal(x0, saved)
+
+    def test_start_is_checked_one_column_block_at_a_time(self, monkeypatch):
+        # A kept start is checked through the operator applied to blocks of
+        # two or three columns here, never to the whole start.
+        monkeypatch.setattr(solvers, "V_BLOCK", 20)
+        _, _, _, a, b = spd_system(26, d=10, n=7)
+        x_star = np.linalg.solve(a, b)
+        widths = []
+
+        def op(x):
+            widths.append(x.shape[1])
+            return a @ x
+
+        x, iters = cg_solve(op, b, x_star, tol=1e-8, max_iters=100)
+        assert iters == 0 and x is x_star
+        assert sum(widths) == 7 and max(widths) <= 3
+
+
+# One row, one column, a block's worth of entries and a little more, more
+# than two blocks, and sizes that are not a multiple of 8.
+BLOCK = solvers.V_BLOCK
+EDGE_SHAPES = [(1, BLOCK - 1), (1, BLOCK + 1), (BLOCK + 1, 1), (BLOCK + 1, 2), (64, BLOCK // 64),
+               (64, BLOCK // 64 + 1), (65, BLOCK // 64), (259, 127), (181, 181), (BLOCK // 2 + 3, 3)]
+
+
+class TestColSq:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.integers(1, 70), st.integers(1, 70)),
+                        st.tuples(st.integers(1, 12), st.integers(1, 400)), st.sampled_from(EDGE_SHAPES)),
+        budget=st.sampled_from([1, 16, 136, 1000, BLOCK]),
+        order_a=st.sampled_from("CF"),
+        order_b=st.sampled_from(["C", "F", None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_bit_for_bit(self, shape, budget, order_a, order_b, seed):
+        # Entries over 16 decades, so a sum in any other order rounds differently.
+        rng = make_rng(seed)
+
+        def draw(order):
+            return np.asarray(rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape), order=order)
+
+        a = draw(order_a)
+        b = None if order_b is None else draw(order_b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "V_BLOCK", budget)
+            if b is None:
+                got, want = solvers._col_sq(lambda lo, hi: a[:, lo:hi], shape), (a ** 2).sum(axis=0)
+            else:
+                got, want = solvers._col_sq(lambda lo, hi: a[:, lo:hi] - b[:, lo:hi], shape), ((a - b) ** 2).sum(axis=0)
+        assert got.tobytes() == want.tobytes()
