@@ -93,6 +93,8 @@ class Hyperparams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (self.lam >= 0.0 and np.isfinite(self.lam)):
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.L, self.K)):
+            raise ValueError(f"L and K must be integers, got L={self.L!r} K={self.K!r}")
         if not (0 <= self.L < 2**32 and 0 <= self.K < 2**32):
             raise ValueError(f"L and K must lie in [0, 2^32), the range of the checkpoint's "
                              f"32-bit fields, got L={self.L} K={self.K}")

@@ -152,14 +152,15 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     are batched.  Stops once every column has relative residual
     ``||b_j - A x_j|| / ||b_j||`` at most ``tol`` (a zero column is measured
     absolutely); a float64 start that already meets it is returned as it
-    is, the same array, after 0 iterations.  ``x0`` is never written: the
-    first update that moves the iterate makes its copy.  Raises
+    is, the same array, after 0 iterations.  ``x0`` is never written: a
+    start that misses is copied once, before the first iteration.  Raises
     ``CgError`` if ``max_iters`` iterations do not.
 
     The column norms are summed one column block at a time, and the start
     is checked that way too, through ``a`` applied to each block of
     columns; the full residual is formed only when a column misses
-    ``tol``.
+    ``tol``.  Each iteration updates the iterate, the residual and the
+    direction in place, through the one buffer of ``A p``.
 
     Returns ``(x, iterations_used)``.
     """
@@ -169,28 +170,29 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     x = np.asarray(x0, dtype=np.float64)
     if np.all(np.sqrt(_col_sq(lambda lo, hi: b[:, lo:hi] - a(x[:, lo:hi]), b.shape)) <= col_target):
         return x, 0
+    x = x.copy()
     r = a(x)
     np.subtract(b, r, out=r)
     rs = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
+    p = r.copy()
 
     for it in range(max_iters):
         active = np.sqrt(rs) > col_target
         if not active.any():
             return x, it
-        if it == 0:
-            p = r.copy()
         ap = a(p)
         pap = (p * ap).sum(axis=0)
         safe = active & (pap > 0.0)
         alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=safe)
-        if it == 0:  # the first move copies the start
-            x = x + alpha * p
-        else:
-            x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        np.multiply(p, alpha, out=ap)
+        x += ap
+        del ap  # released before the next a(p) forms its own
         rs_new = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
         beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=rs > 0.0)
-        p = r + beta * p
+        p *= beta
+        p += r
         rs = rs_new
         if callback is not None:
             callback(x.copy())
@@ -260,16 +262,15 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     ``_start_meets_tol`` from the one product ``w v_init``, before the
     right-hand side is formed.  A start it certifies is returned with that
     product, so a kept solve forms one ``d x d x N`` product, the one handed
-    on.  The bound certifies a start that fits both terms of the system on
-    its own (``w v_init`` near ``u_next``, ``v_init`` near
-    ``step(u_cur)``); any other goes to ``cg_solve``.  Narrow layers skip
-    the bound: their Woodbury start solves the system without fitting each
-    term.
+    on; a start it does not certify drops the product.  The bound certifies
+    a start that fits both terms of the system on its own (``w v_init``
+    near ``u_next``, ``v_init`` near ``step(u_cur)``); any other goes to
+    ``cg_solve``.  Narrow layers skip the bound: their Woodbury start
+    solves the system without fitting each term.
 
-    Returns ``(v, wv)``.  ``wv`` is ``w_next @ v`` when the start was kept:
-    the check's product on a square or tall layer, else formed once after
-    CG, so it has the bits of that product computed afresh.  It is None
-    when CG moved the start.
+    Returns ``(v, wv)``, with ``wv`` the product ``w_next @ v`` on every
+    path: the check's product for a certified start, else formed once
+    after CG.  Either way it has the bits of that product computed afresh.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -281,12 +282,12 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
 
     m, d = w_next.shape
-    wx = None
     if m >= d:
         v_init = np.asarray(v_init, dtype=np.float64)
         wx = w_next @ v_init
         if _start_meets_tol(w_next, u_next, u_cur, v_init, wx, tau, pi):
             return v_init, wx
+        del wx
     rhs = w_next.T @ u_next
     rhs *= tau
     k = max(1, V_BLOCK // max(rhs.shape[1], 1))
@@ -303,7 +304,5 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
             v_init = _woodbury(w_next, rhs, tau, pi)
         except np.linalg.LinAlgError:
             pass
-    v, iters = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
-    if iters:
-        return v, None
-    return v, (w_next @ v if wx is None else wx)
+    v, _ = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
+    return v, w_next @ v

@@ -9,29 +9,27 @@ versions the update scheme prescribes: the pre-activation targets
 ``b = W_i V_(i-1)`` always use the not-yet-updated weights and states from
 the previous sweep.
 
-Each iterate's products ``W_i V_(i-1)`` are computed once.
-``bcd_iteration`` returns the new iterate's products with its motions;
-``train`` reads them for the objective's coupling penalty and hands them
-to the next sweep as its ``b`` targets, where the ``U_i`` prox reads each
-one and the ``W_i`` step's first gradient reuses its buffer as the
-residual.  A step prox that provably keeps every entry returns the target
-itself as the new ``U_i``; the ``W_i`` step then takes its first residual
-as zero, forms none, and leaves that buffer, now ``U_i``, as it is.  A
-state solve that keeps its start has already formed ``W_(i+1) V_i`` of the
-new iterate: its check of the start is made from that product, and on a
-square layer it is the one ``d x d x N`` product the solve forms.  The
-sweep hands that product on, and ``bcd_iteration`` forms only the others
-(``W_0 X`` and any layer whose ``V`` moved).  After a forward pass (the
-init, a mini-batch, the state re-derived after a mini-batch epoch) they
-are the ``U`` blocks themselves.
+Each iterate's products ``W_i V_(i-1)`` are computed once.  Every outer
+iteration, a full-batch sweep (``bcd_iteration``) or a mini-batch epoch,
+updates the state in place and returns ``(dW, dV, b)``: the summed block
+motions and the new iterate's products.  ``train`` reads ``b`` for the
+objective's coupling penalty and hands it to the next sweep as its
+targets, where the ``U_i`` prox reads each one and the ``W_i`` step's
+first gradient reuses its buffer as the residual.  A step prox that
+provably keeps every entry returns the target itself as the new ``U_i``;
+the ``W_i`` step then takes its first residual as zero, forms none, and
+leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
+``W_(i+1) V_i`` of the new iterate; where it keeps a square layer's start,
+that is the product its check was made from, the one ``d x d x N``
+product the solve forms.  ``bcd_iteration`` forms only ``W_0 X``.  After
+a forward pass (the init, a mini-batch, the state re-derived after a
+mini-batch epoch) the products are the ``U`` blocks themselves.
 
-Every sweep, full-batch or per mini-batch, runs the one private sweep:
-full-batch ``train`` through ``bcd_iteration``, which also sums the block
-motions for the report, and a mini-batch epoch directly, since its report
-measures the whole epoch's motion.  A sweep runs in place: each block is
-replaced in the state's own lists as soon as its update is made, and each
-target is dropped from ``b`` once its prox has read it, so a sweep holds
-one state, not an old and a new one.
+Every sweep, full-batch or per mini-batch, runs the one private sweep.  A
+sweep runs in place: each block is replaced in the state's own lists as
+soon as its update is made, and each target is dropped from ``b`` once
+its prox has read it, so a sweep holds one state, not an old and a new
+one.
 """
 
 from __future__ import annotations
@@ -107,12 +105,9 @@ def _layer_input(state, data, i):
     return data.X if i == 0 else state.V[i - 1]
 
 
-def _coupling_products(state, data, known=None):
-    """The coupling products ``W_i V_(i-1)`` of every layer, input layer
-    first; a product that ``known[i]`` already holds is taken as it is."""
-    known = known or [None] * len(state.W)
-    return [w @ _layer_input(state, data, i) if known[i] is None else known[i]
-            for i, w in enumerate(state.W)]
+def _coupling_products(state, data):
+    """The coupling products ``W_i V_(i-1)`` of every layer, input layer first."""
+    return [w @ _layer_input(state, data, i) for i, w in enumerate(state.W)]
 
 
 def objective_f(state, data, hp, b=None):
@@ -220,29 +215,30 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     are summed in layer order, as ``_sq_diff`` sums them.
 
     The returned products have the bits of ``W_i V_(i-1)`` formed afresh:
-    a state solve that kept its start supplies its ``W_(i+1) V_i``, and the
-    others (``W_0 X`` and any layer whose ``V`` moved) are formed here.
+    each state solve supplies its ``W_(i+1) V_i``, and ``W_0 X`` is formed
+    here.
     """
     if b is None:
         b = _coupling_products(state, data)
     dw, dv = [0.0] * len(state.W), [0.0] * len(state.V)
-    b = _coupling_products(state, data, _sweep(state, data, hp, derive_beta, b, dw, dv))
+    b = _sweep(state, data, hp, derive_beta, b, dw, dv)
+    b[0] = state.W[0] @ data.X
     return sum(dw), sum(dv), b
 
 
 def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
-    """``bcd_iteration``'s sweep; returns a list with one slot per layer
-    that holds ``W_(i+1) V_i`` of the new iterate where the state solve
-    kept its start, else None.  ``dw`` and ``dv``, when given, are lists
-    with one slot per weight and per state block that receive each block's
+    """``bcd_iteration``'s sweep; returns the new iterate's products with
+    slot 0 empty: each state solve hands on its ``W_(i+1) V_i``, and no
+    solve forms ``W_0 X``.  ``dw`` and ``dv``, when given, are lists with
+    one slot per weight and per state block that receive each block's
     squared motion; a mini-batch epoch reads none and passes neither."""
     h = len(state.W)
-    kept = [None] * h
+    products = [None] * h
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            v, kept[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
+            v, products[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
             if dv is not None:
                 dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
@@ -254,7 +250,7 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
         if dw is not None:
             dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
-    return kept
+    return products
 
 
 def _record(k, state, data, hp, dw, dv, seconds, b):
@@ -266,17 +262,23 @@ def _count_tied_output_columns(b_top):
     return int(((b_top == b_top.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
 
 
-def _epoch_over_batches(w, data, hp, derive_beta, batch_size, perm):
-    """Stateless mini-batch pass from weights ``w`` (left as they are): the
-    weights carry across batches, each batch's U/V start from a forward pass.
-    No batch's block motions are summed: the report measures the epoch's."""
-    w = list(w)
+def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
+    """One mini-batch epoch in place; returns ``(dW, dV, b)`` as
+    ``bcd_iteration`` does.  The weights carry across batches, and each
+    batch's U/V start from a forward pass.  The new state is the forward
+    pass of the trained weights over all of ``data``, so ``b`` is its
+    ``U`` list.  No batch's block motions are summed: ``dW`` and ``dV``
+    measure the whole epoch's motion."""
+    w = list(state.W)
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
         _sweep(TrainState(w, u, v), batch, hp, derive_beta, u)
+    del batch  # else its X stays live through the closing pass and the sums
     u, v = forward_blocks(w, data.X)
-    return TrainState(w, u, v)
+    dw, dv = _sq_diff(w, state.W), _sq_diff(v, state.V)
+    state.W[:], state.U[:], state.V[:] = w, u, v
+    return dw, dv, state.U
 
 
 def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
@@ -319,12 +321,7 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         t0 = time.perf_counter()
         bs = warmup_batch if k <= warmup_epochs else batch_size
         if bs is not None:
-            perm = shuffle_rng.permutation(data.X.shape[1])
-            new_state = _epoch_over_batches(state.W, data, hp, derive_beta, int(bs), perm)
-            dw = _sq_diff(new_state.W, state.W)
-            dv = _sq_diff(new_state.V, state.V)
-            state = new_state
-            b = state.U
+            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, int(bs), shuffle_rng.permutation(data.n))
         else:
             dw, dv, b = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()

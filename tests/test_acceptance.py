@@ -398,7 +398,32 @@ def test_criterion_8_robustness_protocol(desk_corpus, desk_run, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# learning witness: do the hidden layers learn?
+# learning witnesses: the readout learns; do the hidden layers?
+
+
+def witness_split():
+    """The witness corpus: one 3000-image draw split 2000 train / 1000 test."""
+    images, labels = make_synthetic_images(3000, 10, make_rng(606))
+    return to_dataset(images[:2000], labels[:2000], 10), to_dataset(images[2000:], labels[2000:], 10)
+
+
+def test_mini_batch_readout_learns():
+    # The desk-minibatch regime (the benchmark's learning workload) on the
+    # witness corpus: three epochs cut the test error well below that of
+    # the untrained network of the same seed.  Only the output layer
+    # learns here (see test_hidden_layers_learn); with L = 0 the weights
+    # hold and the error stays at the untrained one.
+    train_set, test_set = witness_split()
+    shape = NetworkShape((784, 200, 200, 10))
+    flags = dict(tau=1.0, pi=0.5, gamma=1e-8, lam=0.0, beta=0.00072, L=5)
+    errors = {}
+    for k in (0, 3):
+        state, _ = train(train_set, shape, Hyperparams(**flags, K=k), rng=make_rng(17),
+                         batch_size=100, derive_beta=True)
+        errors[k] = evaluate(state.W, test_set).error_rate
+    print(f"\n[acceptance] readout witness: test error {errors[3]:.3f} after 3 epochs, "
+          f"{errors[0]:.3f} untrained")
+    assert errors[3] <= errors[0] - 0.1
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -413,8 +438,7 @@ def test_hidden_layers_learn():
     # and the derived step is beta = 0.9 / (tau sigma^2 + gamma) with sigma
     # at least the smallest input column norm, so decay alone moves W_0 by
     # at most ``decay`` relative to its init.
-    images, labels = make_synthetic_images(3000, 10, make_rng(606))
-    train_set, test_set = to_dataset(images[:2000], labels[:2000], 10), to_dataset(images[2000:], labels[2000:], 10)
+    train_set, test_set = witness_split()
     shape = NetworkShape((784, 20, 20, 10))
     hp = Hyperparams(tau=1.0, pi=1e-3, gamma=1e-8, lam=0.0, beta=0.00072, L=5, K=3)
     batch_size, seed = 100, 17

@@ -91,6 +91,14 @@ class TestHyperparams:
                 with pytest.raises(ValueError, match=name):
                     Hyperparams(**{name: value})
 
+    @pytest.mark.parametrize("kw", [dict(K=1.5), dict(L=2.0), dict(K="3")])
+    def test_iteration_counts_are_integers(self, kw):
+        # train runs range(1, K + 1) and pgm range(L): a float fails there,
+        # after the run has started, unless it is rejected here.
+        with pytest.raises(ValueError, match="must be integers"):
+            Hyperparams(**kw)
+        assert Hyperparams(L=np.int64(2), K=np.uint32(3)).K == 3
+
     def test_iteration_counts_fit_the_checkpoint(self, tmp_path, tiny_data):
         # The checkpoint stores L and K as 32-bit unsigned integers: the
         # largest is accepted and stored, one more is rejected up front.

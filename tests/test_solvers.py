@@ -529,9 +529,11 @@ class TestSolveV:
             assert not calls
 
     @pytest.mark.parametrize("m, d", [(10, 200), (8, 8), (12, 8)])
-    def test_moved_start_hands_back_no_product(self, cg_calls, m, d):
+    def test_moved_start_hands_on_its_product(self, cg_calls, m, d):
         # Narrow: an ill-conditioned Woodbury iterate misses V_TOL, so CG
-        # refines it.  Square or tall: CG iterates from a zero v_init.
+        # refines it.  Square or tall: CG iterates from a zero v_init.  The
+        # solve hands on w v of the moved iterate, with the bits of that
+        # product formed afresh.
         if m < d:
             w, u_next, u_cur = narrow_system(41)
             pi = 1e-4
@@ -540,9 +542,11 @@ class TestSolveV:
             w = rng.standard_normal((m, d)) / np.sqrt(d)
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             pi = 0.5
-        _, wv = solve_v(w, u_next, u_cur, 1.0, pi, v_init=np.zeros_like(u_cur))
+        v_init = np.zeros_like(u_cur)
+        v, wv = solve_v(w, u_next, u_cur, 1.0, pi, v_init=v_init)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
-        assert wv is None
+        assert v is not v_init and not v_init.any()
+        assert wv.tobytes() == (w @ v).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ill_conditioned_narrow_layer_is_refined(self, cg_calls, v_tol, seed):
