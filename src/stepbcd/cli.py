@@ -19,8 +19,6 @@ import numpy as np
 
 from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, Hyperparams, NetworkShape, make_rng
 from .dataio import (
-    CheckpointError,
-    IdxFormatError,
     add_gaussian_noise,
     load_checkpoint,
     load_csv_dataset,
@@ -360,7 +358,7 @@ def main(argv=None):
     except (CgError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (IdxFormatError, CheckpointError, FileNotFoundError, IsADirectoryError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -106,10 +106,6 @@ class Dataset:
     def input_dim(self):
         return self.X.shape[0]
 
-    @property
-    def num_classes(self):
-        return self.Y.shape[0]
-
     def labels(self):
         return np.argmax(self.Y, axis=0)
 

@@ -33,11 +33,6 @@ class EvalResult:
     error_rate: float
     correct: int
     total: int
-    per_class_errors: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.correct + sum(self.per_class_errors) != self.total:
-            raise ValueError("correct + errors must equal total")
 
 
 def forward_scores(w_list, x):
@@ -54,12 +49,8 @@ def evaluate(w_list, data):
     """Top-1 evaluation over a dataset; order-independent."""
     if data.n == 0:
         raise ValueError("empty split")
-    preds = predict_classes(w_list, data.X)
-    truth = data.labels()
-    wrong = preds != truth
-    per_class = tuple(int(((truth == c) & wrong).sum()) for c in range(data.num_classes))
-    correct = int((~wrong).sum())
-    return EvalResult(1.0 - correct / data.n, correct, data.n, per_class)
+    correct = int((predict_classes(w_list, data.X) == data.labels()).sum())
+    return EvalResult(1.0 - correct / data.n, correct, data.n)
 
 
 def filter_count(w_list, convention="outgoing"):

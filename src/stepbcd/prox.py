@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "step",
-    "hardmax_columns",
     "norm_l20",
     "prox_hardmax_matrix",
     "prox_step_matrix",
@@ -53,11 +52,16 @@ def _step(u):
     return np.greater(u, 0.0, out=np.empty_like(u))
 
 
-def hardmax_columns(a):
-    """Columnwise hardmax: 1 at every entry attaining its column's maximum,
-    else 0, so ties give several ones (``metrics`` resolves class decisions)."""
-    a = np.asarray(a, dtype=np.float64)
-    return (a == a.max(axis=0, keepdims=True)).astype(np.float64)
+def _hardmax_gap_miss(b, y_idx):
+    """Per column s of ``b`` with label ``y_idx[s]``: the gap
+    ``max(b_s) - b_s[y_s]`` and the miss ``||e_(y_s) - hardmax(b_s)||^2``,
+    where hardmax puts a 1 at every entry attaining the column's maximum,
+    so ties count as several ones.  The miss is a small integer, so its
+    sum over columns is exact."""
+    colmax = b.max(axis=0)
+    hot = b[y_idx, np.arange(b.shape[1])]
+    n_max = (b == colmax).sum(axis=0)
+    return colmax - hot, n_max + 1.0 - 2.0 * (hot == colmax)
 
 
 def norm_l20(w):
@@ -91,17 +95,12 @@ def prox_hardmax_matrix(b, y, tau):
     check_one_hot(y)
     n = b.shape[1]
 
-    cols = np.arange(n)
     y_idx = np.argmax(y, axis=0)
-    colmax = b.max(axis=0)
-    hot = b[y_idx, cols]
-    delta = colmax - hot
-    n_max = (b == colmax).sum(axis=0)
-    miss = n_max + 1.0 - 2.0 * (hot == colmax)  # ||y_s - hardmax(b_s)||^2
+    delta, miss = _hardmax_gap_miss(b, y_idx)
     bump = tau * n * delta * delta < miss
 
     out = b.copy()
-    out[y_idx[bump], cols[bump]] += delta[bump] + EPS_TINY
+    out[y_idx[bump], np.flatnonzero(bump)] += delta[bump] + EPS_TINY
     return out
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import write_csv
-from .prox import hardmax_columns, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
+from .prox import _hardmax_gap_miss, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
 from .solvers import pgm, solve_v, spectral_norm
 
 __all__ = [
@@ -128,9 +128,7 @@ def objective_f(state, data, hp, b=None):
     if state.U[-1].shape != data.Y.shape:
         raise ValueError(f"output block {state.U[-1].shape} does not match labels {data.Y.shape}")
 
-    diff = data.Y - hardmax_columns(state.U[-1])
-    diff *= diff
-    loss = 0.5 / n * float(diff.sum())
+    loss = 0.5 / n * float(_hardmax_gap_miss(state.U[-1], data.labels())[1].sum())
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
     frob = 0.5 * hp.gamma * sum(float((w * w).sum()) for w in state.W)
 

@@ -10,8 +10,7 @@ loop.
 
 import numpy as np
 
-from stepbcd.prox import EPS_TINY, hardmax_columns
-from stepbcd.solvers import grad_psi
+from stepbcd.prox import EPS_TINY
 
 
 def prox_hardmax_column(y_index, b, mu):
@@ -34,8 +33,9 @@ def prox_hardmax_column(y_index, b, mu):
 
 
 def hardmax_miss(y_index, b):
-    """``||e_y - hardmax(b)||^2``: the hardmax loss of keeping ``b``."""
-    hm = hardmax_columns(b[:, None])[:, 0]
+    """``||e_y - hardmax(b)||^2``: the hardmax loss of keeping ``b``, with a
+    1 at every entry attaining the maximum."""
+    hm = (b == b.max()).astype(np.float64)
     return float(hm.sum() + 1.0 - 2.0 * hm[y_index])
 
 
@@ -140,7 +140,7 @@ def p_stationarity_residual(w, u, v, tau, gamma, lam, beta):
     """
     if beta <= 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    g = grad_psi(w, u, v, tau, gamma)
+    g = tau * (v.T @ (v @ w - u)) + gamma * w
     g_rows = np.linalg.norm(g, axis=1)
     w_rows = np.linalg.norm(w, axis=1)
     nonzero = w_rows != 0.0

@@ -79,6 +79,14 @@ class TestTrainCommand:
         assert main(args) == 2
         assert "nope.idx" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_exits_2(self, corpus, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main(train_args(corpus, taken)) == 2
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_incomplete_data_flags_exit_2(self, corpus, tmp_path, capsys):
         code = main(["train", "--train-images", str(corpus["train_images"]),
                      "--arch", "64,12,10", "--out-dir", str(tmp_path)])
@@ -266,6 +274,19 @@ class TestEvalCommand:
         eval_rows = out_csv.read_text().splitlines()[1:]
         train_rows = (trained / "metrics.csv").read_text().splitlines()[1:]
         assert eval_rows == train_rows
+
+    def test_checkpoint_under_a_file_exits_2(self, corpus, tmp_path, capsys):
+        (tmp_path / "file.txt").write_text("")
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(tmp_path / "file.txt" / "x"),
+            "--test-images", str(corpus["test_images"]),
+            "--test-labels", str(corpus["test_labels"]),
+            "--out", str(out_csv),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
 
     def test_wrong_architecture_exits_2(self, corpus, tmp_path, capsys):
         from stepbcd.core import Hyperparams, NetworkShape, init_gaussian

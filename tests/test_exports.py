@@ -1,10 +1,13 @@
-"""Every public name of the package has a caller in the shipped code, and
-every argument the benchmark's tracer reads is a parameter of its function.
+"""Every public name of the package has a caller in the shipped code and
+one import path, its module, and every argument the benchmark's tracer
+reads is a parameter of its function.
 
 The shipped code is ``src/stepbcd`` and the benchmark harness in
 ``perfbench``; the tests are not part of it.  A name in a module's
 ``__all__`` that only its own definition mentions is a helper nothing
 runs: the references the tests check against live in ``tests/oracles.py``.
+The package root binds no name from a submodule, so no name has a second
+import path.
 
 ``perfbench/tracer.py`` counts each traced call's work from its arguments,
 read by name at the call.  A renamed parameter would break traced runs
@@ -20,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def shipped_sources():
-    """The package modules (re-exports in ``__init__`` are not callers) and the harness modules."""
+    """The package modules but ``__init__``, which defines only the version, and the harness modules."""
     package = sorted(p for p in (ROOT / "src" / "stepbcd").glob("*.py") if p.name != "__init__.py")
     harness = sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
     return package, harness
@@ -83,6 +86,34 @@ def test_guard_flags_an_export_only_its_own_definition_reads(tmp_path):
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
     )
     assert uncalled_exports([mod], []) == ["mod.recursive", "mod.unused"]
+
+
+def submodule_bindings(tree):
+    """Names a package ``__init__`` binds by importing from the package itself."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "stepbcd"):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.asname or alias.name for alias in node.names if alias.name.split(".")[0] == "stepbcd"]
+    return names
+
+
+def test_package_root_binds_no_submodule_name():
+    tree = ast.parse((ROOT / "src" / "stepbcd" / "__init__.py").read_text())
+    assert submodule_bindings(tree) == []
+
+
+def test_guard_flags_a_root_re_export():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from .core import make_rng\n"
+        "from . import prox as p\n"
+        "from stepbcd.trainer import train\n"
+        "import stepbcd.metrics\n"
+        '__version__ = "0.1.0"\n'
+    )
+    assert submodule_bindings(tree) == ["make_rng", "p", "train", "stepbcd.metrics"]
 
 
 def traced_argument_reads(tree):

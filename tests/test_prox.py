@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from stepbcd.core import make_rng
 from stepbcd.prox import (
-    hardmax_columns,
+    _hardmax_gap_miss,
     norm_l20,
     prox_hardmax_matrix,
     prox_l20_rows,
@@ -15,6 +15,7 @@ from stepbcd.prox import (
 )
 
 from oracles import (
+    hardmax_miss,
     hardmax_objective,
     hardmax_oracle_min,
     prox_hardmax_column,
@@ -52,30 +53,49 @@ class TestStep:
         assert set(np.unique(once)) <= {0.0, 1.0}
 
 
+def gap_miss_column(b, y_index):
+    """``prox._hardmax_gap_miss`` of the one-column matrix ``b``."""
+    delta, miss = _hardmax_gap_miss(np.asarray(b, dtype=np.float64)[:, None], np.array([y_index]))
+    return float(delta[0]), float(miss[0])
+
+
 class TestHardmax:
+    """The gap and the miss count ``||e_y - hardmax(b)||^2`` that the hardmax
+    prox and the objective's loss share, against the straight-line oracle."""
+
     def test_all_ties_gives_all_ones(self):
-        assert np.array_equal(hardmax_columns(np.zeros((3, 1))), [[1.0], [1.0], [1.0]])
+        # hardmax(0) is all ones: the two entries besides the label miss
+        for y in range(3):
+            assert gap_miss_column(np.zeros(3), y) == (0.0, 2.0) == (0.0, hardmax_miss(y, np.zeros(3)))
 
     def test_two_way_tie(self):
-        assert np.array_equal(hardmax_columns(np.array([[3.0], [1.0], [3.0]])), [[1.0], [0.0], [1.0]])
+        b = np.array([3.0, 1.0, 3.0])
+        assert [gap_miss_column(b, y) for y in range(3)] == [(0.0, 1.0), (2.0, 3.0), (0.0, 1.0)]
+        assert [gap_miss_column(b, y)[1] for y in range(3)] == [hardmax_miss(y, b) for y in range(3)]
 
     def test_unique_max(self):
-        assert np.array_equal(hardmax_columns(np.array([[0.5], [2.0]])), [[0.0], [1.0]])
+        b = np.array([0.5, 2.0])
+        assert [gap_miss_column(b, y) for y in range(2)] == [(1.5, 2.0), (0.0, 0.0)]
+        assert [gap_miss_column(b, y)[1] for y in range(2)] == [hardmax_miss(y, b) for y in range(2)]
 
     @settings(max_examples=100, deadline=None)
-    @given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-100, 100)))
-    def test_ones_exactly_at_argmax_set(self, a):
-        hm = hardmax_columns(a[:, None])[:, 0]
-        assert set(np.unique(hm)) <= {0.0, 1.0}
-        assert hm.sum() >= 1.0
-        assert np.array_equal(np.flatnonzero(hm == 1.0), np.flatnonzero(a == a.max()))
+    @given(hnp.arrays(np.float64, st.integers(1, 8), elements=st.floats(-100, 100)), st.data())
+    def test_ones_exactly_at_argmax_set(self, a, data):
+        y = data.draw(st.integers(0, a.size - 1))
+        delta, miss = gap_miss_column(a, y)
+        assert delta == a.max() - a[y] and delta >= 0.0
+        assert miss == hardmax_miss(y, a)
+        assert miss == np.count_nonzero(a == a.max()) + (1.0 if a[y] < a.max() else -1.0)
 
     def test_columnwise_matches_vector(self):
-        a = make_rng(3).standard_normal((5, 7))
+        rng = make_rng(3)
+        a = rng.standard_normal((5, 7))
         a[:, 2] = 0.5  # an all-tied column next to untied ones
-        cols = hardmax_columns(a)
+        labels = rng.integers(0, 5, 7)
+        delta, miss = _hardmax_gap_miss(a, labels)
         for s in range(7):
-            assert np.array_equal(cols[:, s:s + 1], hardmax_columns(a[:, s:s + 1]))
+            assert (delta[s], miss[s]) == gap_miss_column(a[:, s], int(labels[s]))
+            assert miss[s] == hardmax_miss(int(labels[s]), a[:, s])
 
 
 class TestProxHardmaxColumn:
@@ -127,7 +147,7 @@ class TestProxHardmaxMatrix:
     def test_zero_loss_input_unchanged(self):
         rng = make_rng(22)
         b = rng.standard_normal((4, 9))
-        y = hardmax_columns(b)
+        y = (b == b.max(axis=0)).astype(np.float64)
         # force unique maxima so every label column is one-hot
         keep = np.flatnonzero(y.sum(axis=0) == 1.0)
         b, y = b[:, keep], y[:, keep]
