@@ -54,14 +54,14 @@ def _step(u):
 
 def _hardmax_gap_miss(b, y_idx):
     """Per column s of ``b`` with label ``y_idx[s]``: the gap
-    ``max(b_s) - b_s[y_s]`` and the miss ``||e_(y_s) - hardmax(b_s)||^2``,
-    where hardmax puts a 1 at every entry attaining the column's maximum,
-    so ties count as several ones.  The miss is a small integer, so its
-    sum over columns is exact."""
+    ``max(b_s) - b_s[y_s]``, the miss ``||e_(y_s) - hardmax(b_s)||^2`` and
+    ``n_max``, the number of entries attaining the column's maximum, where
+    hardmax puts a 1 at each, so ties count as several ones.  The miss is a
+    small integer, so its sum over columns is exact."""
     colmax = b.max(axis=0)
     hot = b[y_idx, np.arange(b.shape[1])]
     n_max = (b == colmax).sum(axis=0)
-    return colmax - hot, n_max + 1.0 - 2.0 * (hot == colmax)
+    return colmax - hot, n_max + 1.0 - 2.0 * (hot == colmax), n_max
 
 
 def norm_l20(w):
@@ -96,7 +96,7 @@ def prox_hardmax_matrix(b, y, tau):
     n = b.shape[1]
 
     y_idx = np.argmax(y, axis=0)
-    delta, miss = _hardmax_gap_miss(b, y_idx)
+    delta, miss, _ = _hardmax_gap_miss(b, y_idx)
     bump = tau * n * delta * delta < miss
 
     out = b.copy()

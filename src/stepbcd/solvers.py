@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prox import _step, prox_l20_rows, step
+from .prox import _step, prox_l20_rows
 
 __all__ = [
     "CgError",
@@ -124,22 +124,38 @@ def spectral_norm(v):
 
 def _col_blocks(d, n):
     """``(lo, hi)`` bounds of the column blocks of a ``d x n`` array: about
-    ``V_BLOCK`` entries each, and at least two columns unless ``n`` is 1.
-    numpy sums a one-column array along its contiguous axis, in another
-    order than it adds the rows of a wider one."""
+    ``V_BLOCK`` entries each, and at least two columns unless ``n`` is 1:
+    ``_col_sq`` sums a one-column array pairwise, as numpy does, not row
+    after row as numpy adds a column of a wider one."""
     blocks = max(1, n // max(2, V_BLOCK // max(d, 1)))
     return ((n * i // blocks, n * (i + 1) // blocks) for i in range(blocks))
 
 
-def _col_sq(part, shape):
-    """``(c * c).sum(axis=0)`` of the ``shape`` array ``c`` whose columns
-    ``lo:hi`` the call ``part(lo, hi)`` returns, formed one column block at
-    a time.  A column's sum does not depend on the other columns, so this
-    has the bits of numpy's sum over the whole array."""
-    out = np.empty(shape[1])
-    for lo, hi in _col_blocks(*shape):
+def _row_blocks(d, n):
+    """``(lo, hi)`` bounds of the row blocks of a ``d x n`` array, about
+    ``V_BLOCK`` entries each.  A one-column array is one block: numpy sums
+    it pairwise, not row after row."""
+    k = max(d, 1) if n == 1 else max(1, V_BLOCK // max(n, 1))
+    return ((lo, min(lo + k, d)) for lo in range(0, d, k))
+
+
+def _col_sq(part, shape=None):
+    """``(c * c).sum(axis=0)``, the package's one sum of squares, where ``c``
+    is the array ``part`` or, given ``shape``, the ``shape`` array whose rows
+    ``lo:hi`` the call ``part(lo, hi)`` returns.  Each row block is squared
+    into a C-ordered buffer whose first row is seeded with the running
+    sums, so each column is added row after row, as numpy sums a C-ordered
+    array: the result has the bits of that sum over the whole array,
+    whatever the layout of the blocks."""
+    if shape is None:
+        part, shape = (lambda lo, hi, c=part: c[lo:hi]), part.shape
+    out = np.zeros(shape[1])
+    for lo, hi in _row_blocks(*shape):
         c = part(lo, hi)
-        out[lo:hi] = (c * c).sum(axis=0)
+        c = np.multiply(c, c, order="C")
+        c[0] += out
+        out = c.sum(axis=0)
+        del c  # else it is live while the next block is formed
     return out
 
 
@@ -156,24 +172,26 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     start that misses is copied once, before the first iteration.  Raises
     ``CgError`` if ``max_iters`` iterations do not.
 
-    The column norms are summed one column block at a time, and the start
-    is checked that way too, through ``a`` applied to each block of
-    columns; the full residual is formed only when a column misses
-    ``tol``.  Each iteration updates the iterate, the residual and the
-    direction in place, through the one buffer of ``A p``.
+    The column norms are summed by ``_col_sq`` one row block at a time.
+    The start is checked one column block at a time, through ``a`` applied
+    to each block of columns, since an operator image needs whole columns;
+    the full residual is formed only when a column misses ``tol``.  Each
+    iteration updates the iterate, the residual and the direction in place,
+    through the one buffer of ``A p``.
 
     Returns ``(x, iterations_used)``.
     """
-    nb = np.sqrt(_col_sq(lambda lo, hi: b[:, lo:hi], b.shape))
+    nb = np.sqrt(_col_sq(b))
     scale = np.where(nb > 0.0, nb, 1.0)
     col_target = tol * scale
     x = np.asarray(x0, dtype=np.float64)
-    if np.all(np.sqrt(_col_sq(lambda lo, hi: b[:, lo:hi] - a(x[:, lo:hi]), b.shape)) <= col_target):
+    rs = np.concatenate([_col_sq(b[:, lo:hi] - a(x[:, lo:hi])) for lo, hi in _col_blocks(*b.shape)])
+    if np.all(np.sqrt(rs) <= col_target):
         return x, 0
     x = x.copy()
     r = a(x)
     np.subtract(b, r, out=r)
-    rs = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
+    rs = _col_sq(r)
     p = r.copy()
 
     for it in range(max_iters):
@@ -189,7 +207,7 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
         np.multiply(p, alpha, out=ap)
         x += ap
         del ap  # released before the next a(p) forms its own
-        rs_new = _col_sq(lambda lo, hi: r[:, lo:hi], r.shape)
+        rs_new = _col_sq(r)
         beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=rs > 0.0)
         p *= beta
         p += r
@@ -223,19 +241,12 @@ def _start_meets_tol(w, u_next, u_cur, x, wx, tau, pi):
     2 tau pi ||wx_j||^2 + pi^2 ||x_j||^2``, and ``||b_j|| >= Q_j - R_j``.  So
     ``(1 + V_TOL) R_j <= V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the
     test ``cg_solve`` applies; a zero ``b_j``, which it measures absolutely,
-    passes only with ``R_j = 0``, where ``r_j = 0`` too.  Each difference is
-    squared in its own buffer and released before this returns.
+    passes only with ``R_j = 0``, where ``r_j = 0`` too.  Both differences
+    are squared one row block at a time by ``_col_sq``.
     """
-    e = u_next - wx
-    e *= e
-    r = np.sqrt(e.sum(axis=0))
-    del e
+    r = np.sqrt(_col_sq(lambda lo, hi: u_next[lo:hi] - wx[lo:hi], wx.shape))
     r *= tau * np.linalg.norm(w)
-    sx = step(u_cur)
-    sx -= x
-    sx *= sx
-    r += pi * np.sqrt(sx.sum(axis=0))
-    del sx
+    r += pi * np.sqrt(_col_sq(lambda lo, hi: _step(u_cur[lo:hi]) - x[lo:hi], x.shape))
     q = np.sqrt(2.0 * tau * pi * np.einsum("ij,ij->j", wx, wx) + pi * pi * np.einsum("ij,ij->j", x, x))
     return bool(np.all((1.0 + V_TOL) * r <= V_TOL * q))
 
@@ -290,9 +301,8 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
         del wx
     rhs = w_next.T @ u_next
     rhs *= tau
-    k = max(1, V_BLOCK // max(rhs.shape[1], 1))
-    for lo in range(0, d, k):
-        rhs[lo:lo + k] += pi * _step(u_cur[lo:lo + k])
+    for lo, hi in _row_blocks(*rhs.shape):
+        rhs[lo:hi] += pi * _step(u_cur[lo:hi])
 
     def a(x):
         y = w_next.T @ (tau * (w_next @ x))

@@ -36,14 +36,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import astuple, dataclass
 
 from .core import TrainState, forward_blocks, init_gaussian
 from .dataio import write_csv
-from .prox import _hardmax_gap_miss, norm_l20, prox_hardmax_matrix, prox_step_matrix, step
-from .solvers import pgm, solve_v, spectral_norm
+from .prox import _hardmax_gap_miss, _step, norm_l20, prox_hardmax_matrix, prox_step_matrix
+from .solvers import _col_sq, pgm, solve_v, spectral_norm
 
 __all__ = [
     "BcdRecord",
@@ -83,7 +81,7 @@ class BcdRecord:
     seconds: float
 
     def row(self):
-        return (self.k, self.f, self.loss, self.l20, self.frob, self.upen, self.vpen, self.dw, self.dv, self.seconds)
+        return astuple(self)
 
 
 @dataclass
@@ -120,34 +118,25 @@ def objective_f(state, data, hp, b=None):
 
     Returns ``(F, terms)`` with terms keyed loss/l20/frob/upen/vpen.
     ``b`` holds the products ``W_i V_(i-1)`` when the caller has them
-    (read-only); they are computed here when absent.  Each difference is
-    squared in its own buffer.
+    (read-only); they are computed here when absent.  Each sum of squares
+    is taken one row block at a time (see ``_sq_motion``), ``step(U_i)``
+    included.
     """
-    h = len(state.W)
     n = data.X.shape[1]
     if state.U[-1].shape != data.Y.shape:
         raise ValueError(f"output block {state.U[-1].shape} does not match labels {data.Y.shape}")
 
     loss = 0.5 / n * float(_hardmax_gap_miss(state.U[-1], data.labels())[1].sum())
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
-    frob = 0.5 * hp.gamma * sum(float((w * w).sum()) for w in state.W)
-
+    frob = 0.5 * hp.gamma * sum(_sq_motion(w) for w in state.W)
     if b is None:
         b = _coupling_products(state, data)
-    upen = 0.0
-    for u, wv in zip(state.U, b):
-        r = u - wv
-        r *= r
-        upen += float(r.sum())
-    upen *= 0.5 * hp.tau
-
-    vpen = 0.0
-    for i in range(h - 1):
-        r = step(state.U[i])
-        np.subtract(state.V[i], r, out=r)
-        r *= r
-        vpen += float(r.sum())
-    vpen *= 0.5 * hp.pi
+    # A U block that is its product, a kept target, has no residual.
+    upen = 0.5 * hp.tau * sum(_sq_motion(u, wv) for u, wv in zip(state.U, b))
+    vpen = 0.5 * hp.pi * sum(
+        float(_col_sq(lambda lo, hi: v[lo:hi] - _step(u[lo:hi]), v.shape).sum())
+        for u, v in zip(state.U, state.V)
+    )
 
     terms = {"loss": loss, "l20": l20, "frob": frob, "upen": upen, "vpen": vpen}
     return loss + l20 + frob + upen + vpen, terms
@@ -171,14 +160,18 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
     return pgm(ut, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta, vw).T
 
 
-def _sq_motion(new, old):
-    """Squared Frobenius distance of one block from its previous value;
-    a block kept as the same array has not moved."""
+def _sq_motion(new, old=None):
+    """Squared Frobenius distance of one block from its previous value, or
+    from 0 without one, summed by ``solvers._col_sq`` one row block at a
+    time: an F-ordered weight block through its C-ordered transpose.  A
+    block kept as the same array has not moved."""
     if new is old:
         return 0.0
-    d = new - old
-    d *= d
-    return float(d.sum())
+    if new.flags.f_contiguous:
+        new, old = new.T, None if old is None else old.T
+    if old is None:
+        return float(_col_sq(new).sum())
+    return float(_col_sq(lambda lo, hi: new[lo:hi] - old[lo:hi], new.shape).sum())
 
 
 def _sq_diff(new, old):
@@ -253,11 +246,7 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
 
 def _record(k, state, data, hp, dw, dv, seconds, b):
     f, terms = objective_f(state, data, hp, b)
-    return BcdRecord(k, f, terms["loss"], terms["l20"], terms["frob"], terms["upen"], terms["vpen"], dw, dv, seconds)
-
-
-def _count_tied_output_columns(b_top):
-    return int(((b_top == b_top.max(axis=0, keepdims=True)).sum(axis=0) > 1).sum())
+    return BcdRecord(k, f, **terms, dw=dw, dv=dv, seconds=seconds)
 
 
 def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
@@ -330,7 +319,7 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
             logger.info("early stop at iteration %d: |dF| < %g", k, early_stop_tol)
             break
 
-    tied = _count_tied_output_columns(b[-1])
+    tied = int((_hardmax_gap_miss(b[-1], data.labels())[2] > 1).sum())
     if tied:
         logger.warning("%d output columns have tied maxima at the final iterate", tied)
     return state, BcdReport(records)

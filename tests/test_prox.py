@@ -55,7 +55,7 @@ class TestStep:
 
 def gap_miss_column(b, y_index):
     """``prox._hardmax_gap_miss`` of the one-column matrix ``b``."""
-    delta, miss = _hardmax_gap_miss(np.asarray(b, dtype=np.float64)[:, None], np.array([y_index]))
+    delta, miss, _ = _hardmax_gap_miss(np.asarray(b, dtype=np.float64)[:, None], np.array([y_index]))
     return float(delta[0]), float(miss[0])
 
 
@@ -92,7 +92,8 @@ class TestHardmax:
         a = rng.standard_normal((5, 7))
         a[:, 2] = 0.5  # an all-tied column next to untied ones
         labels = rng.integers(0, 5, 7)
-        delta, miss = _hardmax_gap_miss(a, labels)
+        delta, miss, n_max = _hardmax_gap_miss(a, labels)
+        assert n_max.tolist() == [1, 1, 5, 1, 1, 1, 1]
         for s in range(7):
             assert (delta[s], miss[s]) == gap_miss_column(a[:, s], int(labels[s]))
             assert miss[s] == hardmax_miss(int(labels[s]), a[:, s])

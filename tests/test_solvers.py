@@ -697,7 +697,11 @@ class TestColSq:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_numpy_bit_for_bit(self, shape, budget, order_a, order_b, seed):
-        # Entries over 16 decades, so a sum in any other order rounds differently.
+        # Entries over 16 decades, so a sum in any other order rounds
+        # differently.  Whatever the layout of the blocks, the kernel adds
+        # each column row after row, as numpy sums a C-ordered array, and
+        # takes blocks of whole rows, at most ``budget`` entries unless one
+        # row is more or the array has one column.
         rng = make_rng(seed)
 
         def draw(order):
@@ -705,10 +709,16 @@ class TestColSq:
 
         a = draw(order_a)
         b = None if order_b is None else draw(order_b)
+        c = np.ascontiguousarray(a if b is None else a - b)
+        heights = []
+
+        def part(lo, hi):
+            heights.append(hi - lo)
+            return a[lo:hi] if b is None else a[lo:hi] - b[lo:hi]
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "V_BLOCK", budget)
-            if b is None:
-                got, want = solvers._col_sq(lambda lo, hi: a[:, lo:hi], shape), (a ** 2).sum(axis=0)
-            else:
-                got, want = solvers._col_sq(lambda lo, hi: a[:, lo:hi] - b[:, lo:hi], shape), ((a - b) ** 2).sum(axis=0)
-        assert got.tobytes() == want.tobytes()
+            got = solvers._col_sq(part, shape)
+        assert got.tobytes() == (c * c).sum(axis=0).tobytes()
+        assert sum(heights) == shape[0]
+        assert shape[1] == 1 or max(heights) * shape[1] <= max(budget, shape[1])

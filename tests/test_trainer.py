@@ -179,9 +179,14 @@ class TestBcdIteration:
             assert state.U[i].tobytes() == kept[i].tobytes()
 
     def test_sq_motion(self):
+        # The kernel's sum: each column's squares added row after row, then
+        # the column sums totalled; an F-ordered block goes through its
+        # C-ordered transpose, so its sum has the same bits.
         a = make_rng(25).standard_normal((5, 4))
         b = a + 0.5
-        assert trainer_mod._sq_motion(b, a) == float(((b - a) ** 2).sum())
+        assert trainer_mod._sq_motion(b, a) == float(((b - a) ** 2).sum(axis=0).sum())
+        assert trainer_mod._sq_motion(b.T, a.T) == trainer_mod._sq_motion(b, a)
+        assert trainer_mod._sq_motion(b) == float((b ** 2).sum(axis=0).sum())
         # A block kept as the same array takes no pass: None - None would raise.
         kept = np.full((2, 2), None, dtype=object)
         assert trainer_mod._sq_motion(kept, kept) == 0.0
@@ -398,8 +403,8 @@ def _sweep_loop(data, shape, hp, rng, init_scale, warmup_batch, shuffle_rng):
         else:
             new = state.copy()
             bcd_iteration(new, data, hp)
-        dw = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.W, state.W))
-        dv = sum(float(((a - b) ** 2).sum()) for a, b in zip(new.V, state.V))
+        # The motions are summed by the package's one sum of squares.
+        dw, dv = trainer_mod._sq_diff(new.W, state.W), trainer_mod._sq_diff(new.V, state.V)
         state = new
         rows.append((k, *objective_f(state, data, hp), dw, dv))
     return state, rows
@@ -463,8 +468,8 @@ class TestTrain:
         # the Woodbury iterate below the output layer and the certified
         # v_init of the square layer.  The peak comes in the first: the
         # state, the two products not yet read, the right-hand side and the
-        # iterate, about 2.02x the state.  Squaring the right-hand side
-        # whole for its column norms there adds one 400x1000 block (2.13x).
+        # iterate, about 1.98x the state.  Squaring the right-hand side
+        # whole for its column norms there adds one 400x1000 block, 0.22x.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
         tracemalloc.start()
         try:
@@ -474,6 +479,44 @@ class TestTrain:
             tracemalloc.stop()
         state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
         assert peak <= 2.1 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+
+    def test_sums_of_squares_form_no_full_size_buffer(self):
+        # Every sum of squares is taken one row block at a time: the
+        # objective, a block motion and a kept square-layer solve each add
+        # at most about two blocks of solvers.V_BLOCK entries to their
+        # inputs and to the product the solve hands on.  Squaring one
+        # 400x1000 difference whole adds 3.2 MB, six blocks.
+        data = make_cluster_dataset(30, 5, 1000, make_rng(31))
+        state = init_gaussian(NetworkShape((30, 400, 400, 5)), 0.01, make_rng(32), data.X)
+        hp = Hyperparams()
+        b = trainer_mod._coupling_products(state, data)  # not the U blocks, so upen squares
+        moved = state.V[0] + 0.5
+
+        def added(f, *args):
+            tracemalloc.start()
+            try:
+                out = f(*args)
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = solvers.V_BLOCK * 8
+        _, peak = added(objective_f, state, data, hp, b)
+        assert peak <= 2.1 * block, f"objective_f adds {peak / block:.2f} blocks"
+        _, peak = added(trainer_mod._sq_motion, moved, state.V[0])
+        assert peak <= 2.1 * block, f"_sq_motion adds {peak / block:.2f} blocks"
+        (v, wv), peak = added(solvers.solve_v, state.W[1], state.U[1], state.U[0], hp.tau, hp.pi, state.V[0])
+        assert v is state.V[0]
+        assert peak - wv.nbytes <= 2.1 * block, f"solve_v adds {(peak - wv.nbytes) / block:.2f} blocks"
+
+    def test_tied_output_columns_are_counted(self, caplog):
+        # A zero input column gives zero states above it, so all three
+        # outputs of its column tie; the four others tie nowhere.
+        x = np.zeros((4, 10))
+        x[:, :4] = make_rng(33).uniform(0.5, 1.0, (4, 4))
+        data = Dataset(x, np.eye(3)[:, np.arange(10) % 3])
+        train(data, NetworkShape((4, 6, 3)), Hyperparams(K=0), rng=make_rng(34))
+        assert "6 output columns have tied maxima" in caplog.text
 
     @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(batch_size=-5), dict(warmup_epochs=1, warmup_batch=-1)])
     def test_batch_size_below_one_rejected(self, tiny_data, kw):
