@@ -109,11 +109,12 @@ def _load_split(args, split, shape, required):
     ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
     sub-stream (train 0, test 1).  Labels name one of the ``shape.dims[-1]`` output units; a
     label that does not, a split with no samples, a feature count other than ``shape.dims[0]``,
-    or a ``--{split}-n`` above the split's size raises ValueError.
+    or a ``--{split}-n`` above the split's size or for an absent split raises ValueError.
     """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
     csv_path = getattr(args, f"{split}_csv")
+    n = getattr(args, f"{split}_n")
     if csv_path is not None and (images is not None or labels is not None):
         raise ValueError(f"--{split}-csv and --{split}-images/--{split}-labels name two sources; give one")
     if csv_path is not None:
@@ -124,13 +125,14 @@ def _load_split(args, split, shape, required):
         raise ValueError(f"--{split}-images and --{split}-labels must be given together")
     elif required:
         raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels or --{split}-csv)")
+    elif n is not None:
+        raise ValueError(f"--{split}-n {n} names no {split} data (--{split}-images/--{split}-labels or --{split}-csv)")
     else:
         return None
     if data.n == 0:
         raise ValueError(f"empty split: the {split} data holds no samples")
     if data.input_dim != shape.dims[0]:
         raise ValueError(f"architecture {shape.dims} does not fit the {split} data ({data.input_dim} features)")
-    n = getattr(args, f"{split}_n")
     if n is not None and n > data.n:
         raise ValueError(f"--{split}-n {n} exceeds the {data.n} samples of the {split} split")
     if n is not None and n < data.n:

@@ -122,15 +122,6 @@ def spectral_norm(v):
     return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
-def _col_blocks(d, n):
-    """``(lo, hi)`` bounds of the column blocks of a ``d x n`` array: about
-    ``V_BLOCK`` entries each, and at least two columns unless ``n`` is 1:
-    ``_col_sq`` sums a one-column array pairwise, as numpy does, not row
-    after row as numpy adds a column of a wider one."""
-    blocks = max(1, n // max(2, V_BLOCK // max(d, 1)))
-    return ((n * i // blocks, n * (i + 1) // blocks) for i in range(blocks))
-
-
 def _row_blocks(d, n):
     """``(lo, hi)`` bounds of the row blocks of a ``d x n`` array, about
     ``V_BLOCK`` entries each.  A one-column array is one block: numpy sums
@@ -159,9 +150,19 @@ def _col_sq(part, shape=None):
     return out
 
 
-def cg_solve(a, b, x0, tol, max_iters, callback=None):
-    """Multi-RHS conjugate gradients for the SPD operator ``a`` (a callable
-    ``x -> A x``); columns are independent.
+def _add_pi_x(y, pi, x, b=None):
+    """``y + pi x``, or ``b - (y + pi x)`` given ``b``, in ``y``'s buffer, with
+    ``pi x`` formed one row block at a time.  With ``y = w^T (tau w x)`` this
+    applies the state system ``A = tau w^T w + pi I`` to ``x``."""
+    for lo, hi in _row_blocks(*y.shape):
+        y[lo:hi] += pi * x[lo:hi]
+    return y if b is None else np.subtract(b, y, out=y)
+
+
+def cg_solve(w, tau, pi, b, x0, tol, max_iters, callback=None):
+    """Multi-RHS conjugate gradients for the state system
+    ``(tau w^T w + pi I) x = b`` with ``w`` of shape ``m x d``; columns are
+    independent.
 
     Each column runs its own CG (scalar steps are computed per column and
     converged columns freeze), so the result is independent of how columns
@@ -172,11 +173,11 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     start that misses is copied once, before the first iteration.  Raises
     ``CgError`` if ``max_iters`` iterations do not.
 
-    The column norms are summed by ``_col_sq`` one row block at a time.
-    The start is checked one column block at a time, through ``a`` applied
-    to each block of columns, since an operator image needs whole columns;
-    the full residual is formed only when a column misses ``tol``.  Each
-    iteration updates the iterate, the residual and the direction in place,
+    The start's residual is formed from the one ``m x N`` product
+    ``tau w x0`` and squared by ``_col_sq`` one row block at a time, like
+    the column norms; the full residual is formed only when a column misses
+    ``tol``.  Each iteration applies the system once, through ``_add_pi_x``,
+    and updates the iterate, the residual and the direction in place,
     through the one buffer of ``A p``.
 
     Returns ``(x, iterations_used)``.
@@ -185,12 +186,14 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
     scale = np.where(nb > 0.0, nb, 1.0)
     col_target = tol * scale
     x = np.asarray(x0, dtype=np.float64)
-    rs = np.concatenate([_col_sq(b[:, lo:hi] - a(x[:, lo:hi])) for lo, hi in _col_blocks(*b.shape)])
+    twx = w @ x
+    twx *= tau
+    rs = _col_sq(lambda lo, hi: _add_pi_x(w[:, lo:hi].T @ twx, pi, x[lo:hi], b[lo:hi]), b.shape)
     if np.all(np.sqrt(rs) <= col_target):
         return x, 0
+    r = _add_pi_x(w.T @ twx, pi, x, b)
+    del twx
     x = x.copy()
-    r = a(x)
-    np.subtract(b, r, out=r)
     rs = _col_sq(r)
     p = r.copy()
 
@@ -198,15 +201,15 @@ def cg_solve(a, b, x0, tol, max_iters, callback=None):
         active = np.sqrt(rs) > col_target
         if not active.any():
             return x, it
-        ap = a(p)
-        pap = (p * ap).sum(axis=0)
+        ap = _add_pi_x(w.T @ (tau * (w @ p)), pi, p)
+        pap = np.einsum("ij,ij->j", p, ap)
         safe = active & (pap > 0.0)
         alpha = np.divide(rs, pap, out=np.zeros_like(rs), where=safe)
         ap *= alpha
         r -= ap
         np.multiply(p, alpha, out=ap)
         x += ap
-        del ap  # released before the next a(p) forms its own
+        del ap  # released before the next A p is formed
         rs_new = _col_sq(r)
         beta = np.divide(rs_new, rs, out=np.zeros_like(rs), where=rs > 0.0)
         p *= beta
@@ -260,14 +263,12 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     ``cg_solve`` until every column meets ``V_TOL``.  When ``m < d`` (the
     layer below a narrower one) the start is the Woodbury solution through
     the ``m x m`` system, or ``v_init`` if that system is numerically
-    singular; otherwise it is ``v_init``.  CG applies the operator
-    matrix-free for every shape, as ``w^T (tau (w x)) + pi x``: two
-    products per application, and ``w^T w`` is never formed.  A start
-    that meets ``V_TOL`` is returned as it is, the same array.  CG stops
-    after ``10 * d`` iterations and raises ``CgError`` if a column still
-    misses.  ``pi > 0`` guarantees positive definiteness.  The
-    right-hand side's ``pi step(u_cur)`` is added one row block at a
-    time.
+    singular; otherwise it is ``v_init``.  ``cg_solve`` takes the system
+    as ``w``, ``tau`` and ``pi`` and never forms ``w^T w``.  A start that
+    meets ``V_TOL`` is returned as it is, the same array.  CG stops after
+    ``10 * d`` iterations and raises ``CgError`` if a column still misses.
+    ``pi > 0`` guarantees positive definiteness.  The right-hand side's
+    ``pi step(u_cur)`` is added one row block at a time.
 
     On a square or tall layer (``m >= d``) ``v_init`` is first checked by
     ``_start_meets_tol`` from the one product ``w v_init``, before the
@@ -304,15 +305,10 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     for lo, hi in _row_blocks(*rhs.shape):
         rhs[lo:hi] += pi * _step(u_cur[lo:hi])
 
-    def a(x):
-        y = w_next.T @ (tau * (w_next @ x))
-        y += pi * x
-        return y
-
     if m < d:
         try:
             v_init = _woodbury(w_next, rhs, tau, pi)
         except np.linalg.LinAlgError:
             pass
-    v, _ = cg_solve(a, rhs, v_init, V_TOL, 10 * d)
+    v, _ = cg_solve(w_next, tau, pi, rhs, v_init, V_TOL, 10 * d)
     return v, w_next @ v

@@ -32,7 +32,7 @@ from stepbcd.dataio import (
 )
 from stepbcd.metrics import evaluate, filter_count, flops_estimate
 from stepbcd.prox import prox_l20_rows, step
-from stepbcd import solvers
+from stepbcd import solvers, trainer
 from stepbcd.solvers import cg_solve, pgm, solve_v
 from stepbcd.trainer import train
 
@@ -195,7 +195,8 @@ def test_criterion_4_cg_solver(monkeypatch):
             b = rng.standard_normal((d, ncols))
             ref = np.linalg.solve(a, b)
             iterates = []
-            x, _ = cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-10, max_iters=10 * d, callback=iterates.append)
+            x, _ = cg_solve(w, tau, pi, b, np.zeros_like(b), tol=1e-10, max_iters=10 * d,
+                            callback=iterates.append)
             assert np.linalg.norm(x - ref) / np.linalg.norm(ref) <= 1e-8
             prev = ((0.0 - ref) * (a @ (0.0 - ref))).sum(axis=0)
             for xk in iterates:
@@ -424,6 +425,45 @@ def test_mini_batch_readout_learns():
     print(f"\n[acceptance] readout witness: test error {errors[3]:.3f} after 3 epochs, "
           f"{errors[0]:.3f} untrained")
     assert errors[3] <= errors[0] - 0.1
+
+
+def test_witness_run_takes_the_learning_path(monkeypatch):
+    # No benchmark workload iterates CG, takes the step prox's entrywise
+    # path or changes a U entry: every start and every U block there is
+    # kept.  The regime of test_hidden_layers_learn takes all three, so this
+    # run is the end-to-end witness that those paths are reached, and that
+    # they replay bit for bit.
+    train_set, _ = witness_split()
+    shape = NetworkShape((784, 20, 20, 10))
+    hp = Hyperparams(tau=1.0, pi=1e-3, gamma=1e-8, lam=0.0, beta=0.00072, L=5, K=3)
+    cg_iters, changed = [], []  # over both runs
+    prox_step = trainer.prox_step_matrix
+
+    def spy_cg(*args):
+        x, iters = cg_solve(*args)
+        cg_iters.append(iters)
+        return x, iters
+
+    def spy_prox(v, b, tau, pi):
+        out = prox_step(v, b, tau, pi)
+        changed.append(int((out != b).sum()))
+        return out
+
+    monkeypatch.setattr(solvers, "cg_solve", spy_cg)
+    monkeypatch.setattr(trainer, "prox_step_matrix", spy_prox)
+    runs = [train(train_set, shape, hp, rng=make_rng(17), batch_size=100, derive_beta=True)[0] for _ in range(2)]
+    init = init_gaussian(shape, 0.01, make_rng(17), train_set.X)
+    flips = sum(int((step(u) != step(u0)).sum()) for u, u0 in zip(runs[0].U[:-1], init.U[:-1]))
+    iterating = sum(i > 0 for i in cg_iters) // 2
+    changing = sum(c > 0 for c in changed) // 2
+    print(f"\n[acceptance] learning path: {iterating} of {len(cg_iters) // 2} state solves iterate, "
+          f"{changing} of {len(changed) // 2} step-prox calls change {sum(changed) // 2} entries, "
+          f"hidden U flips {flips}")
+    assert iterating > 0
+    assert changing > 0
+    assert flips > 0
+    for a, b in zip(runs[0].W + runs[0].U + runs[0].V, runs[1].W + runs[1].U + runs[1].V):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -253,6 +253,15 @@ class TestTrainCommand:
         assert f"{flag} {n} exceeds the {size} samples" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_subsample_of_an_absent_split_exits_2_before_output(self, corpus, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--train-images", str(corpus["train_images"]),
+                     "--train-labels", str(corpus["train_labels"]), "--arch", "64,12,10", "--k", "1",
+                     "--test-n", "5", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--test-n 5 names no test data" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_train_noise_flag_changes_run(self, corpus, trained, tmp_path):
         noisy = tmp_path / "noisy"
         assert main(train_args(corpus, noisy, extra=["--train-noise-sigma", "0.3"])) == 0

@@ -381,23 +381,23 @@ class TestSolveV:
             solve_v(np.eye(2), np.eye(2), np.eye(2), 1.0, 0.0, np.eye(2))
 
     def test_nonconvergence_raises_with_residual(self):
-        _, _, _, a, b = spd_system(16, d=40, n=6)
+        w, _, _, _, b = spd_system(16, d=40, n=6)
         with pytest.raises(CgError, match="relative residual") as exc:
-            cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-14, max_iters=1)
+            cg_solve(w, 1.0, 0.5, b, np.zeros_like(b), tol=1e-14, max_iters=1)
         assert exc.value.residual > 1e-14
 
     def test_error_reports_the_worst_column(self):
         # Column 0 is an eigenvector, so one CG step solves it; column 1 is
         # tiny and still far off.  The Frobenius ratio of the two sits below
         # tol, but the failing column's own ratio does not.
-        _, _, _, a, _ = spd_system(19, d=40, n=1)
+        w, _, _, a, _ = spd_system(19, d=40, n=1)
         eigvec = np.linalg.eigh(a)[1][:, -1]
         small = 1e-6 * make_rng(20).standard_normal(40)
         b = np.column_stack([eigvec, small])
         tol = 1e-5
         iterates = []
         with pytest.raises(CgError) as exc:
-            cg_solve(a.__matmul__, b, np.zeros_like(b), tol=tol, max_iters=1, callback=iterates.append)
+            cg_solve(w, 1.0, 0.5, b, np.zeros_like(b), tol=tol, max_iters=1, callback=iterates.append)
         assert np.linalg.norm(b - a @ iterates[-1]) / np.linalg.norm(b) < tol
         assert exc.value.residual > tol
         assert exc.value.iters == 1
@@ -584,14 +584,32 @@ class TestSolveV:
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
+    def test_refined_woodbury_start_holds_six_state_blocks(self, cg_calls):
+        # Below a narrower layer whose Woodbury start misses, CG iterates
+        # (7 times here).  The solve holds six d x N blocks at its peak: the
+        # right-hand side, the start, the iterate, r, p and A p, one of them
+        # the v it returns.  Each iteration's sums and its pi p term take a
+        # row block at a time; a full-size temporary per iteration, such as
+        # p * A p, puts the peak at seven.
+        w, u_next, u_cur = narrow_system(50, d=2000, n=1000, scale=30.0)
+        v_init = np.zeros_like(u_cur)
+        tracemalloc.start()
+        try:
+            solve_v(w, u_next, u_cur, 1.0, 1e-8, v_init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cg_calls) == 1 and cg_calls[0] > 0
+        assert peak <= 6.1 * v_init.nbytes, f"peak {peak / v_init.nbytes:.2f} blocks"
+
     def test_unreachable_tolerance_raises(self, monkeypatch, v_tol):
         w, u_next, u_cur = narrow_system(50, scale=30.0)
         tau, pi, tol = 1.0, 1e-8, 1e-8
         v_tol(tol)
         iterates = []
 
-        def one_cg_iteration(a, b, x0, tol, max_iters):
-            return cg_solve(a, b, x0, tol, 1, callback=iterates.append)
+        def one_cg_iteration(w, tau, pi, b, x0, tol, max_iters):
+            return cg_solve(w, tau, pi, b, x0, tol, 1, callback=iterates.append)
 
         monkeypatch.setattr(solvers, "cg_solve", one_cg_iteration)
         with pytest.raises(CgError, match="relative residual") as exc:
@@ -622,10 +640,10 @@ class TestSolveV:
 
 class TestCgProperties:
     def test_a_norm_error_nonincreasing(self):
-        _, _, _, a, b = spd_system(17, d=25, n=8)
+        w, _, _, a, b = spd_system(17, d=25, n=8)
         ref = np.linalg.solve(a, b)
         iterates = []
-        cg_solve(a.__matmul__, b, np.zeros_like(b), tol=1e-12, max_iters=500, callback=iterates.append)
+        cg_solve(w, 1.0, 0.5, b, np.zeros_like(b), tol=1e-12, max_iters=500, callback=iterates.append)
 
         def a_norm_sq(e):
             return (e * (a @ e)).sum(axis=0)
@@ -637,46 +655,51 @@ class TestCgProperties:
             prev = cur
 
     def test_exactly_solved_start_returns_immediately(self):
-        _, _, _, a, b = spd_system(18, d=10, n=3)
+        w, _, _, a, b = spd_system(18, d=10, n=3)
         x_star = np.linalg.solve(a, b)
-        x, iters = cg_solve(a.__matmul__, b, x_star, tol=1e-8, max_iters=100)
+        x, iters = cg_solve(w, 1.0, 0.5, b, x_star, tol=1e-8, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x_star)
 
     def test_start_within_tolerance_returns_it(self):
         # An inexact start whose every column already meets tol: no iteration runs.
-        _, _, _, a, b = spd_system(22, d=10, n=3)
+        w, _, _, a, b = spd_system(22, d=10, n=3)
         x0 = np.linalg.solve(a, b) + 1e-9 * make_rng(23).standard_normal(b.shape)
         rel = np.linalg.norm(b - a @ x0, axis=0) / np.linalg.norm(b, axis=0)
         assert 0.0 < rel.max() < 1e-6
-        x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-6, max_iters=100)
+        x, iters = cg_solve(w, 1.0, 0.5, b, x0, tol=1e-6, max_iters=100)
         assert iters == 0
         assert np.array_equal(x, x0)
         assert x is x0
 
     def test_start_is_never_written(self):
-        _, _, _, a, b = spd_system(24, d=10, n=3)
+        w, _, _, _, b = spd_system(24, d=10, n=3)
         x0 = make_rng(25).standard_normal(b.shape)
         saved = x0.copy()
-        x, iters = cg_solve(a.__matmul__, b, x0, tol=1e-10, max_iters=100)
+        x, iters = cg_solve(w, 1.0, 0.5, b, x0, tol=1e-10, max_iters=100)
         assert iters > 0 and x is not x0
         assert np.array_equal(x0, saved)
 
-    def test_start_is_checked_one_column_block_at_a_time(self, monkeypatch):
-        # A kept start is checked through the operator applied to blocks of
-        # two or three columns here, never to the whole start.
+    def test_start_is_checked_one_row_block_at_a_time(self, monkeypatch):
+        # A kept start's residual is formed and squared in blocks of two
+        # whole rows here, like every other blockwise pass, never whole.
         monkeypatch.setattr(solvers, "V_BLOCK", 20)
-        _, _, _, a, b = spd_system(26, d=10, n=7)
+        w, _, _, a, b = spd_system(26, d=10, n=7)
         x_star = np.linalg.solve(a, b)
-        widths = []
+        col_sq, blocks = solvers._col_sq, []
 
-        def op(x):
-            widths.append(x.shape[1])
-            return a @ x
+        def spy(part, shape=None):
+            if shape is not None:
+                def part(lo, hi, whole=part):
+                    c = whole(lo, hi)
+                    blocks.append(c.shape)
+                    return c
+            return col_sq(part, shape)
 
-        x, iters = cg_solve(op, b, x_star, tol=1e-8, max_iters=100)
+        monkeypatch.setattr(solvers, "_col_sq", spy)
+        x, iters = cg_solve(w, 1.0, 0.5, b, x_star, tol=1e-8, max_iters=100)
         assert iters == 0 and x is x_star
-        assert sum(widths) == 7 and max(widths) <= 3
+        assert blocks == [(2, 7)] * 5
 
 
 # One row, one column, a block's worth of entries and a little more, more
