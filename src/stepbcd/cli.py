@@ -194,9 +194,14 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    chosen = [split for split in ("train", "test") if args.split in (split, "both")]
+    for split in ("train", "test"):
+        given = [f"--{split}-{kind}" for kind in ("images", "labels", "csv", "n")
+                 if getattr(args, f"{split}_{kind}") is not None]
+        if given and split not in chosen:
+            raise ValueError(f"{', '.join(given)} given, but --split {args.split} does not load the {split} split")
     state, shape, _ = load_checkpoint(args.checkpoint)
-    splits = [(split, _load_split(args, split, shape, required=True))
-              for split in ("train", "test") if args.split in (split, "both")]
+    splits = [(split, _load_split(args, split, shape, required=True)) for split in chosen]
     _report_metrics(state.W, splits, args.out)
     return EXIT_OK
 

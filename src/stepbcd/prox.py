@@ -27,6 +27,18 @@ __all__ = [
 # Numeric surrogate for the one-sided limits the closed-form solvers reach.
 EPS_TINY = 1e-10
 
+# Entries in one block of the package's blockwise kernels (512 KiB of
+# float64), so that none forms a full-size temporary.
+V_BLOCK = 1 << 16
+
+
+def _row_blocks(d, n):
+    """``(lo, hi)`` bounds of the row blocks of a ``d x n`` array, about
+    ``V_BLOCK`` entries each.  A one-column array is one block: numpy sums
+    it pairwise, not row after row."""
+    k = max(d, 1) if n == 1 else max(1, V_BLOCK // max(n, 1))
+    return ((lo, min(lo + k, d)) for lo in range(0, d, k))
+
 
 def check_one_hot(y):
     """Raise ValueError naming the first column of ``y`` that is not a one-hot 0/1 vector."""
@@ -165,7 +177,9 @@ def prox_l20_rows(h, beta, lam):
 
     A float64 ``h`` is thresholded in place and returned: ``pgm`` passes
     the step buffer it owns.  Other inputs are converted to a new float64
-    array first.
+    array first.  The row norms are taken one row block of about ``V_BLOCK``
+    entries at a time, each with the bits of ``np.linalg.norm(h, axis=1)``:
+    rows are summed independently, so no full-size square is formed.
     """
     h = np.asarray(h, dtype=np.float64)
     if beta <= 0.0:
@@ -174,5 +188,8 @@ def prox_l20_rows(h, beta, lam):
         raise ValueError(f"lam must be nonnegative, got {lam}")
     # At lam == 0 the threshold is 0 and no norm lies below it.
     if lam > 0.0:
-        h[np.linalg.norm(h, axis=1) < np.sqrt(2.0 * beta * lam)] = 0.0
+        threshold = np.sqrt(2.0 * beta * lam)
+        for lo, hi in _row_blocks(*h.shape):
+            c = h[lo:hi]
+            c[np.sqrt(np.add.reduce(c * c, axis=1)) < threshold] = 0.0
     return h

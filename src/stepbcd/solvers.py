@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prox import _step, prox_l20_rows
+from .prox import _row_blocks, prox_l20_rows
 
 __all__ = [
     "CgError",
@@ -25,11 +25,6 @@ __all__ = [
 # The per-column relative residual every state solve meets; CG stops after
 # ``10 * d`` iterations on a ``d x d`` system.
 V_TOL = 1e-8
-
-# Entries in one block of the state solve's blockwise kernels (512 KiB of
-# float64), so that none forms a d x N temporary.
-V_BLOCK = 1 << 16
-
 
 class CgError(RuntimeError):
     """The state solve left a column above the requested relative residual.
@@ -120,14 +115,6 @@ def spectral_norm(v):
         return 0.0
     gram = v @ v.T if v.shape[0] <= v.shape[1] else v.T @ v
     return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
-
-
-def _row_blocks(d, n):
-    """``(lo, hi)`` bounds of the row blocks of a ``d x n`` array, about
-    ``V_BLOCK`` entries each.  A one-column array is one block: numpy sums
-    it pairwise, not row after row."""
-    k = max(d, 1) if n == 1 else max(1, V_BLOCK // max(n, 1))
-    return ((lo, min(lo + k, d)) for lo in range(0, d, k))
 
 
 def _col_sq(part, shape=None):
@@ -234,41 +221,48 @@ def _woodbury(w, rhs, tau, pi):
     return v
 
 
-def _start_meets_tol(w, u_next, u_cur, x, wx, tau, pi):
+def _start_meets_tol(w, u_next, s_cur, x, wx, tau, pi):
     """Whether every column of the start ``x`` provably meets ``V_TOL``,
     judged from the product ``wx = w @ x`` alone.
 
-    With ``e = u_next - wx`` and ``s = step(u_cur)`` the residual is
-    ``r = tau w^T e + pi (s - x)``, so ``||r_j|| <= R_j = tau ||w||_F ||e_j||
-    + pi ||s_j - x_j||``.  Expanding ``A x_j`` gives ``||A x_j||^2 >= Q_j^2 =
-    2 tau pi ||wx_j||^2 + pi^2 ||x_j||^2``, and ``||b_j|| >= Q_j - R_j``.  So
-    ``(1 + V_TOL) R_j <= V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the
-    test ``cg_solve`` applies; a zero ``b_j``, which it measures absolutely,
-    passes only with ``R_j = 0``, where ``r_j = 0`` too.  Both differences
-    are squared one row block at a time by ``_col_sq``.
+    With ``e = u_next - wx`` and the boolean ``s_cur``, read as the 0/1
+    ``step(U_i)``, the residual is ``r = tau w^T e + pi (s_cur - x)``, so
+    ``||r_j|| <= R_j = tau ||w||_F ||e_j|| + pi ||s_j - x_j||``.  Expanding
+    ``A x_j`` gives ``||A x_j||^2 >= Q_j^2 = 2 tau pi ||wx_j||^2 + pi^2
+    ||x_j||^2``, and ``||b_j|| >= Q_j - R_j``.  So ``(1 + V_TOL) R_j <=
+    V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the test ``cg_solve``
+    applies; a zero ``b_j``, which it measures absolutely, passes only with
+    ``R_j = 0``, where ``r_j = 0`` too.  Both differences are squared one
+    row block at a time by ``_col_sq``.
     """
     r = np.sqrt(_col_sq(lambda lo, hi: u_next[lo:hi] - wx[lo:hi], wx.shape))
     r *= tau * np.linalg.norm(w)
-    r += pi * np.sqrt(_col_sq(lambda lo, hi: _step(u_cur[lo:hi]) - x[lo:hi], x.shape))
+    r += pi * np.sqrt(_col_sq(lambda lo, hi: s_cur[lo:hi] - x[lo:hi], x.shape))
     q = np.sqrt(2.0 * tau * pi * np.einsum("ij,ij->j", wx, wx) + pi * pi * np.einsum("ij,ij->j", x, x))
     return bool(np.all((1.0 + V_TOL) * r <= V_TOL * q))
 
 
-def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
+def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     """Solve the hidden-state block: the SPD system
 
-        (tau w^T w + pi I) v = tau w^T u_next + pi step(u_cur)
+        (tau w^T w + pi I) v = tau w^T u_next + pi step(U_i)
 
-    with ``w = w_next`` of shape ``m x d``: pick a start, then run
-    ``cg_solve`` until every column meets ``V_TOL``.  When ``m < d`` (the
-    layer below a narrower one) the start is the Woodbury solution through
-    the ``m x m`` system, or ``v_init`` if that system is numerically
-    singular; otherwise it is ``v_init``.  ``cg_solve`` takes the system
-    as ``w``, ``tau`` and ``pi`` and never forms ``w^T w``.  A start that
-    meets ``V_TOL`` is returned as it is, the same array.  CG stops after
-    ``10 * d`` iterations and raises ``CgError`` if a column still misses.
-    ``pi > 0`` guarantees positive definiteness.  The right-hand side's
-    ``pi step(u_cur)`` is added one row block at a time.
+    with ``w = w_next`` of shape ``m x d`` and ``s_cur`` the boolean
+    pattern ``U_i > 0``, which is ``step(U_i)``: the solve reads ``U_i``
+    through nothing else, so the caller may release ``U_i`` before the
+    call.  A non-boolean ``s_cur``, such as ``U_i`` itself, raises
+    ``ValueError``.
+
+    Pick a start, then run ``cg_solve`` until every column meets
+    ``V_TOL``.  When ``m < d`` (the layer below a narrower one) the start
+    is the Woodbury solution through the ``m x m`` system, or ``v_init`` if
+    that system is numerically singular; otherwise it is ``v_init``.
+    ``cg_solve`` takes the system as ``w``, ``tau`` and ``pi`` and never
+    forms ``w^T w``.  A start that meets ``V_TOL`` is returned as it is,
+    the same array.  CG stops after ``10 * d`` iterations and raises
+    ``CgError`` if a column still misses.  ``pi > 0`` guarantees positive
+    definiteness.  The right-hand side's ``pi s_cur`` is added one row
+    block at a time.
 
     On a square or tall layer (``m >= d``) ``v_init`` is first checked by
     ``_start_meets_tol`` from the one product ``w v_init``, before the
@@ -276,7 +270,7 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     product, so a kept solve forms one ``d x d x N`` product, the one handed
     on; a start it does not certify drops the product.  The bound certifies
     a start that fits both terms of the system on its own (``w v_init``
-    near ``u_next``, ``v_init`` near ``step(u_cur)``); any other goes to
+    near ``u_next``, ``v_init`` near ``s_cur``); any other goes to
     ``cg_solve``.  Narrow layers skip the bound: their Woodbury start
     solves the system without fitting each term.
 
@@ -286,24 +280,27 @@ def solve_v(w_next, u_next, u_cur, tau, pi, v_init):
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
-    if w_next.shape[0] != u_next.shape[0] or w_next.shape[1] != u_cur.shape[0]:
+    s_cur = np.asarray(s_cur)
+    if s_cur.dtype != np.bool_:
+        raise ValueError(f"solve_v takes the boolean pattern U_i > 0, got a {s_cur.dtype} array")
+    if w_next.shape[0] != u_next.shape[0] or w_next.shape[1] != s_cur.shape[0]:
         raise ValueError(
-            f"solve_v shape mismatch: w {w_next.shape}, u_next {u_next.shape}, u_cur {u_cur.shape}"
+            f"solve_v shape mismatch: w {w_next.shape}, u_next {u_next.shape}, s_cur {s_cur.shape}"
         )
-    if v_init.shape != u_cur.shape:
-        raise ValueError(f"warm start {v_init.shape} does not match {u_cur.shape}")
+    if v_init.shape != s_cur.shape:
+        raise ValueError(f"warm start {v_init.shape} does not match {s_cur.shape}")
 
     m, d = w_next.shape
     if m >= d:
         v_init = np.asarray(v_init, dtype=np.float64)
         wx = w_next @ v_init
-        if _start_meets_tol(w_next, u_next, u_cur, v_init, wx, tau, pi):
+        if _start_meets_tol(w_next, u_next, s_cur, v_init, wx, tau, pi):
             return v_init, wx
         del wx
     rhs = w_next.T @ u_next
     rhs *= tau
     for lo, hi in _row_blocks(*rhs.shape):
-        rhs[lo:hi] += pi * _step(u_cur[lo:hi])
+        rhs[lo:hi] += pi * s_cur[lo:hi]
 
     if m < d:
         try:

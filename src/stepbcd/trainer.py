@@ -29,7 +29,10 @@ Every sweep, full-batch or per mini-batch, runs the one private sweep.  A
 sweep runs in place: each block is replaced in the state's own lists as
 soon as its update is made, and each target is dropped from ``b`` once
 its prox has read it, so a sweep holds one state, not an old and a new
-one.
+one.  Each old block goes once nothing reads it: the state solve reads
+the old ``U_i`` only as its boolean pattern ``U_i > 0``, so ``U_i`` is
+released before the solve, and a mini-batch epoch, which reads no old
+``U``, drops those blocks on entry.
 """
 
 from __future__ import annotations
@@ -192,7 +195,11 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     made, so its old value is released once superseded; a caller that needs
     the previous iterate takes ``state.copy()`` first.  The sweep runs top
     down, so every block the scheme reads stale (``U_i``, ``V_i``, ``W_i``,
-    ``V_(i-1)``) is read before it is replaced.
+    ``V_(i-1)``) is read before it is replaced.  The state solve reads the
+    old ``U_i`` only through the boolean pattern ``U_i > 0``; once that is
+    taken, the slot ``state.U[i]`` is set to None for the solve, unless
+    ``b[i]`` is that same array, and then filled with the new ``U_i``.  A
+    sweep that raises (``CgError``) may so leave a ``U`` slot empty.
 
     ``b`` lists the targets, input layer first: the products this call
     returned for the previous iterate, or ``state.U`` itself when the state
@@ -229,7 +236,13 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            v, products[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], state.U[i], hp.tau, hp.pi, v_init=state.V[i])
+            # The solve reads the old U_i only as step(U_i), so its slot is
+            # released before the solve unless it is also the target b[i].
+            s = state.U[i] > 0.0
+            if b[i] is not state.U[i]:
+                state.U[i] = None
+            v, products[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
+            del s
             if dv is not None:
                 dv[i] = _sq_motion(v, state.V[i])
             state.V[i] = v
@@ -255,8 +268,14 @@ def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
     batch's U/V start from a forward pass.  The new state is the forward
     pass of the trained weights over all of ``data``, so ``b`` is its
     ``U`` list.  No batch's block motions are summed: ``dW`` and ``dV``
-    measure the whole epoch's motion."""
+    measure the whole epoch's motion.
+
+    No batch and no motion reads the old ``U`` blocks, so their slots are
+    emptied on entry, in ``state.U`` itself (the caller's ``b`` may be that
+    list), and the closing pass fills them: it then holds the old ``V``,
+    read by ``dV``, and the new ``U`` and ``V``."""
     w = list(state.W)
+    state.U[:] = [None] * len(state.U)  # read by no batch, replaced by the closing pass
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)

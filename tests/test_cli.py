@@ -336,6 +336,25 @@ class TestEvalCommand:
         assert "empty split: the train data holds no samples" in captured.err and captured.out == ""
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("loaded", ["train", "test"])
+    @pytest.mark.parametrize("flags", [["n", "5"], ["images", "x.idx", "labels", "y.idx"], ["csv", "x.csv"]])
+    def test_flag_of_an_unloaded_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys, loaded, flags):
+        # A data or -n flag of the split --split leaves out is an error, not ignored.
+        other = {"train": "test", "test": "train"}[loaded]
+        stray = [f"--{other}-{flag}" if i % 2 == 0 else flag for i, flag in enumerate(flags)]
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
+            f"--{loaded}-images", str(corpus[f"{loaded}_images"]),
+            f"--{loaded}-labels", str(corpus[f"{loaded}_labels"]),
+            "--split", loaded, *stray, "--out", str(out_csv),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{', '.join(stray[::2])} given, but --split {loaded} does not load the {other} split" in captured.err
+        assert captured.out == ""
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_subsample_above_the_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys, split):
         out_csv = tmp_path / "eval.csv"

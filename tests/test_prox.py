@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from stepbcd import prox
 from stepbcd.core import make_rng
 from stepbcd.prox import (
     _hardmax_gap_miss,
@@ -380,6 +383,40 @@ class TestProxL20Rows:
         out = prox_l20_rows(h.copy(), beta, lam)
         for s in range(h.shape[0]):
             assert np.array_equal(out[s], h[s]) or not np.any(out[s])
+
+    @pytest.mark.parametrize("shape, order", [((2000, 2000), "C"), ((784, 2000), "C"), ((200, 200), "C"),
+                                              ((784, 200), "C"), ((2000, 10), "C"), ((784, 200), "F"),
+                                              ((300, 2), "C")])
+    def test_row_norms_have_the_bits_of_numpy_norm(self, shape, order):
+        # Each row is scaled to unit norm, so its computed norm lands on the
+        # threshold 1 = sqrt(2 * 0.5 * 1) or an ulp or two beside it: a norm
+        # with other bits than np.linalg.norm(h, axis=1) keeps or zeroes
+        # some row differently.  The first row sits exactly on it.
+        rng = make_rng(shape[0] + shape[1])
+        h = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        h[0] = 0.0
+        h[0, 0] = 1.0
+        h = np.asarray(h, order=order)
+        norms = np.linalg.norm(h, axis=1)
+        assert norms[0] == 1.0 and np.any(norms < 1.0)
+        expected = np.where((norms < 1.0)[:, None], 0.0, h)
+        assert prox_l20_rows(h.copy(order="K"), beta=0.5, lam=1.0).tobytes() == expected.tobytes()
+
+    def test_row_norms_form_no_full_size_square(self):
+        # The norms take one row block of about V_BLOCK entries at a time:
+        # the call adds about one block's square to its input.  Squaring
+        # the 784x2000 input whole adds 24 blocks.
+        h = make_rng(43).standard_normal((784, 2000))
+        block = prox.V_BLOCK * 8
+        tracemalloc.start()
+        try:
+            prox_l20_rows(h, beta=0.5, lam=1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not h.any()
+        assert peak <= 1.2 * block, f"prox_l20_rows adds {peak / block:.2f} blocks"
 
     def test_validation(self):
         with pytest.raises(ValueError):

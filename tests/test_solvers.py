@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepbcd import solvers
+from stepbcd import prox, solvers
 from stepbcd.core import make_rng
 from stepbcd.prox import step
 from stepbcd.solvers import CgError, cg_solve, grad_psi, pgm, solve_v, spectral_norm
@@ -347,7 +347,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _ = solve_v(w, u_next, u_cur, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _ = solve_v(w, u_next, u_cur > 0, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -357,7 +357,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _ = solve_v(w, u_next, u_cur, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _ = solve_v(w, u_next, u_cur > 0, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -365,16 +365,45 @@ class TestSolveV:
         v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        out, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
         v_tol(tol)
-        cold, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=np.zeros_like(u_cur))
-        warm, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
+        cold, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
+
+    def test_float_pattern_is_rejected(self):
+        # The solve takes U_i's boolean pattern; U_i itself, or its 0/1
+        # step as floats, raises rather than being read as that pattern.
+        w, u_next, u_cur, _, _ = spd_system(60, d=6, n=3)
+        for wrong in (u_cur, step(u_cur)):
+            with pytest.raises(ValueError, match="boolean pattern"):
+                solve_v(w, u_next, wrong, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+
+    @pytest.mark.parametrize("m, d", [(10, 200), (8, 8)])
+    def test_pattern_gives_the_float_step_bits(self, cg_calls, m, d):
+        # The boolean pattern enters the right-hand side as pi * step(U_i)
+        # did, bit for bit: CG from the same start (the Woodbury iterate on
+        # a narrow layer, v_init on a square one, whose check fails) takes
+        # the same iterations to the same bits.
+        if m < d:
+            w, u_next, u_cur = narrow_system(50, scale=30.0)
+            tau, pi = 1.0, 1e-8
+        else:
+            rng = make_rng(61)
+            w = rng.standard_normal((m, d)) / np.sqrt(d)
+            u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
+            tau, pi = 1.0, 0.5
+        v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+        rhs = tau * (w.T @ u_next) + pi * step(u_cur)
+        start = solvers._woodbury(w, rhs, tau, pi) if m < d else np.zeros_like(u_cur)
+        ref, iters = cg_solve(w, tau, pi, rhs, start, solvers.V_TOL, 10 * d)
+        assert cg_calls == [iters] and iters > 0
+        assert v.tobytes() == ref.tobytes()
 
     def test_pi_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -413,7 +442,7 @@ class TestSolveV:
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
         tau, pi = 1.0, 0.5
-        out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros((d, n)))
+        out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros((d, n)))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         assert from_v_init == (m >= d)
         if not from_v_init:
@@ -423,7 +452,7 @@ class TestSolveV:
             assert len(cg_calls) == 1 and cg_calls[0] > 0
             exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
             cg_calls.clear()
-            again, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
+            again, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
             assert cg_calls == [0]
             assert np.array_equal(again, exact)
 
@@ -438,7 +467,7 @@ class TestSolveV:
         tau, pi = 1.0, 0.5
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
-        v, wv = solve_v(w, u_next, u_cur, tau, pi, v_init=exact)
+        v, wv = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
         assert cg_calls == [0]
         assert v is exact or m < d
         assert wv.tobytes() == (w @ v).tobytes()
@@ -448,7 +477,7 @@ class TestSolveV:
         # The check certifies the start from w @ x alone: no right-hand side,
         # no CG call, and the product comes back with the bits of w @ v.
         w, u_next, u_cur, x = kept_start_system(28, m, d)
-        v, wv = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=x)
+        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
         assert cg_calls == []
         assert v is x
         assert wv.tobytes() == (w @ v).tobytes()
@@ -459,7 +488,7 @@ class TestSolveV:
         w, _, u_cur, x = kept_start_system(29, m, d)
         x[3, 2] = 1.0 - x[3, 2]
         u_next = w @ x
-        v, _ = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=x)
+        v, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
 
@@ -473,7 +502,7 @@ class TestSolveV:
         u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
         rhs = w.T @ u_next + 0.5 * step(u_cur)
         exact = np.linalg.solve(w.T @ w + 0.5 * np.eye(d), rhs)
-        v, wv = solve_v(w, u_next, u_cur, 1.0, 0.5, v_init=exact)
+        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=exact)
         assert cg_calls == [0]
         assert v is exact
         assert wv.tobytes() == (w @ exact).tobytes()
@@ -521,7 +550,7 @@ class TestSolveV:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "cg_solve", spy)
-            v, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=x)
+            v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=x)
         if not calls:
             assert v is x
             assert column_residuals(w, u_next, u_cur, v, tau, pi).max() <= solvers.V_TOL
@@ -543,7 +572,7 @@ class TestSolveV:
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             pi = 0.5
         v_init = np.zeros_like(u_cur)
-        v, wv = solve_v(w, u_next, u_cur, 1.0, pi, v_init=v_init)
+        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, pi, v_init=v_init)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert v is not v_init and not v_init.any()
         assert wv.tobytes() == (w @ v).tobytes()
@@ -558,7 +587,7 @@ class TestSolveV:
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+        out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
@@ -580,7 +609,7 @@ class TestSolveV:
         v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
@@ -592,10 +621,10 @@ class TestSolveV:
         # row block at a time; a full-size temporary per iteration, such as
         # p * A p, puts the peak at seven.
         w, u_next, u_cur = narrow_system(50, d=2000, n=1000, scale=30.0)
-        v_init = np.zeros_like(u_cur)
+        v_init, s_cur = np.zeros_like(u_cur), u_cur > 0
         tracemalloc.start()
         try:
-            solve_v(w, u_next, u_cur, 1.0, 1e-8, v_init)
+            solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -613,7 +642,7 @@ class TestSolveV:
 
         monkeypatch.setattr(solvers, "cg_solve", one_cg_iteration)
         with pytest.raises(CgError, match="relative residual") as exc:
-            solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
         assert exc.value.residual > tol
         assert exc.value.iters == 1 and len(iterates) == 1
         worst = column_residuals(w, u_next, u_cur, iterates[-1], tau, pi).max()
@@ -631,7 +660,7 @@ class TestSolveV:
         s = step(u_cur)
         for scale in (0.3, 1.0, 3.0):
             w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
-            v, _ = solve_v(w, u_next, u_cur, tau, pi, v_init=np.zeros_like(u_cur))
+            v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
             b = tau * (w.T @ u_next) + pi * s
             bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
                      + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)
@@ -683,7 +712,7 @@ class TestCgProperties:
     def test_start_is_checked_one_row_block_at_a_time(self, monkeypatch):
         # A kept start's residual is formed and squared in blocks of two
         # whole rows here, like every other blockwise pass, never whole.
-        monkeypatch.setattr(solvers, "V_BLOCK", 20)
+        monkeypatch.setattr(prox, "V_BLOCK", 20)
         w, _, _, a, b = spd_system(26, d=10, n=7)
         x_star = np.linalg.solve(a, b)
         col_sq, blocks = solvers._col_sq, []
@@ -704,7 +733,7 @@ class TestCgProperties:
 
 # One row, one column, a block's worth of entries and a little more, more
 # than two blocks, and sizes that are not a multiple of 8.
-BLOCK = solvers.V_BLOCK
+BLOCK = prox.V_BLOCK
 EDGE_SHAPES = [(1, BLOCK - 1), (1, BLOCK + 1), (BLOCK + 1, 1), (BLOCK + 1, 2), (64, BLOCK // 64),
                (64, BLOCK // 64 + 1), (65, BLOCK // 64), (259, 127), (181, 181), (BLOCK // 2 + 3, 3)]
 
@@ -740,7 +769,7 @@ class TestColSq:
             return a[lo:hi] if b is None else a[lo:hi] - b[lo:hi]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "V_BLOCK", budget)
+            mp.setattr(prox, "V_BLOCK", budget)
             got = solvers._col_sq(part, shape)
         assert got.tobytes() == (c * c).sum(axis=0).tobytes()
         assert sum(heights) == shape[0]

@@ -12,7 +12,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import stepbcd.trainer as trainer_mod
-from stepbcd import solvers
+from stepbcd import prox, solvers
 from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset
 from stepbcd.prox import EPS_TINY, step
@@ -219,9 +219,9 @@ class TestBcdIteration:
             calls["pgm"].append({"u": u, "v": v, "w0": w0, "vw0": vw0.copy()})
             return real_pgm(u, v, w0, tau, gamma, lam, L, beta, vw0)
 
-        def spy_solve_v(w_next, u_next, u_cur, tau, pi, v_init):
-            calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "u_cur": u_cur, "v_init": v_init})
-            return real_solve_v(w_next, u_next, u_cur, tau, pi, v_init)
+        def spy_solve_v(w_next, u_next, s_cur, tau, pi, v_init):
+            calls["solve_v"].append({"w_next": w_next, "u_next": u_next, "s_cur": s_cur, "v_init": v_init})
+            return real_solve_v(w_next, u_next, s_cur, tau, pi, v_init)
 
         def spy_prox_step(v_target, b, tau, pi):
             calls["prox_step"].append({"v_target": v_target, "b": b.copy()})
@@ -256,7 +256,8 @@ class TestBcdIteration:
             assert np.array_equal(call["w0"], w_ref.T)
             assert np.array_equal(call["vw0"], (w_ref @ v_ref).T)
 
-        # state solves, i = h-1 .. 1: fresh downstream blocks, stale own U, warm start
+        # state solves, i = h-1 .. 1: fresh downstream blocks, the pattern
+        # step(U_i) of the stale own U as a boolean mask, warm start
         expected_solve = [
             (new.W[2], new.U[2], old.U[1], old.V[1]),
             (new.W[1], new.U[1], old.U[0], old.V[0]),
@@ -265,7 +266,8 @@ class TestBcdIteration:
         for call, (w_ref, u_next_ref, u_cur_ref, v_init_ref) in zip(calls["solve_v"], expected_solve):
             assert np.shares_memory(call["w_next"], w_ref)
             assert np.shares_memory(call["u_next"], u_next_ref)
-            assert np.array_equal(call["u_cur"], u_cur_ref)
+            assert call["s_cur"].dtype == np.bool_
+            assert np.array_equal(call["s_cur"], u_cur_ref > 0)
             assert np.array_equal(call["v_init"], v_init_ref)
 
         # pre-activation fits: fresh V target, b from stale W_i V_(i-1)
@@ -444,13 +446,15 @@ class TestTrain:
         assert result["blocks"] and result["rows"]
 
     def test_full_batch_sweep_holds_one_state(self):
-        # The sweep replaces each block in place and drops each b target once
-        # its prox has read it.  Keeping the old state alive through a sweep
-        # puts the peak at about 3.6x the state; in place it is about 2.6x.
-        # Here the square layer's start fails its check and CG iterates: the
-        # failed start's product is dropped before the right-hand side is
-        # formed, and CG updates its iterate in place.  Keeping either full-
-        # size temporary puts the peak above 2.8x.
+        # The sweep replaces each block in place, drops each b target once
+        # its prox has read it and releases each old U_i once its step
+        # pattern is taken, before the state solve.  Keeping the old state
+        # alive through a sweep puts the peak at about 3.6x the state; in
+        # place it is about 2.4x.  Here the square layer's start fails its
+        # check and CG iterates: the failed start's product is dropped
+        # before the right-hand side is formed, and CG updates its iterate
+        # in place.  Keeping the old U_i through the solve puts the peak at
+        # 2.6x, and either full-size temporary above 2.8x.
         data = make_cluster_dataset(30, 5, 200, make_rng(31))
         shape = NetworkShape((30, 60, 60, 5))  # V_1 by Woodbury, V_0 by CG
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=2)
@@ -461,15 +465,17 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
-        assert peak <= 2.8 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+        assert peak <= 2.5 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     def test_kept_start_sweep_forms_no_full_size_temporary(self):
         # With the reference constants both state solves keep their start:
         # the Woodbury iterate below the output layer and the certified
         # v_init of the square layer.  The peak comes in the first: the
-        # state, the two products not yet read, the right-hand side and the
-        # iterate, about 1.98x the state.  Squaring the right-hand side
-        # whole for its column norms there adds one 400x1000 block, 0.22x.
+        # state without the old U_i, the byte mask step(U_i), the two
+        # products not yet read, the right-hand side and the iterate, about
+        # 1.78x the state.  Keeping the old U_i through the solve puts it at
+        # 1.98x; squaring the right-hand side whole for its column norms
+        # adds one 400x1000 block, 0.22x.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
         tracemalloc.start()
         try:
@@ -478,12 +484,30 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
-        assert peak <= 2.1 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+        assert peak <= 1.9 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+
+    def test_minibatch_epoch_drops_the_old_u(self):
+        # A mini-batch epoch reads no old U block: each batch starts from
+        # its own forward pass, and dV compares V alone.  So it drops the
+        # old U on entry, and its closing forward pass peaks holding the
+        # old V and the new U and V, about 1.64x the final state.  Keeping
+        # the old U through the epoch puts the peak at 2.09x.
+        data = make_cluster_dataset(30, 5, 1000, make_rng(31))
+        hp = Hyperparams(tau=1.0, pi=0.5, lam=0.0, L=2, K=2)
+        tracemalloc.start()
+        try:
+            state, _ = train(data, NetworkShape((30, 400, 400, 5)), hp, rng=make_rng(32),
+                             derive_beta=True, batch_size=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
+        assert peak <= 1.8 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     def test_sums_of_squares_form_no_full_size_buffer(self):
         # Every sum of squares is taken one row block at a time: the
         # objective, a block motion and a kept square-layer solve each add
-        # at most about two blocks of solvers.V_BLOCK entries to their
+        # at most about two blocks of prox.V_BLOCK entries to their
         # inputs and to the product the solve hands on.  Squaring one
         # 400x1000 difference whole adds 3.2 MB, six blocks.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
@@ -500,12 +524,12 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
 
-        block = solvers.V_BLOCK * 8
+        block = prox.V_BLOCK * 8
         _, peak = added(objective_f, state, data, hp, b)
         assert peak <= 2.1 * block, f"objective_f adds {peak / block:.2f} blocks"
         _, peak = added(trainer_mod._sq_motion, moved, state.V[0])
         assert peak <= 2.1 * block, f"_sq_motion adds {peak / block:.2f} blocks"
-        (v, wv), peak = added(solvers.solve_v, state.W[1], state.U[1], state.U[0], hp.tau, hp.pi, state.V[0])
+        (v, wv), peak = added(solvers.solve_v, state.W[1], state.U[1], state.U[0] > 0, hp.tau, hp.pi, state.V[0])
         assert v is state.V[0]
         assert peak - wv.nbytes <= 2.1 * block, f"solve_v adds {(peak - wv.nbytes) / block:.2f} blocks"
 
