@@ -1,10 +1,10 @@
 """Command-line entry point: train, eval, robustness, inspect.
 
 Every command is deterministic given its flags, seed, and input files.
-Randomized stages (init, subsampling shuffle, noise) draw from independent
-sub-streams of the master seed, so enabling one stage never shifts
-another's draws.  Exit codes: 0 success, 2 usage or data error, 3
-numerical failure.
+Randomized stages (init, subsampling shuffle, training noise, the noise
+levels of a robustness sweep) draw from independent sub-streams of the
+master seed, so enabling one stage never shifts another's draws.  Exit
+codes: 0 success, 2 usage or data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, Hyperparams, NetworkShape, make_rng
+from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, STAGE_TRAIN_NOISE, Hyperparams, NetworkShape, make_rng
 from .dataio import (
     add_gaussian_noise,
     load_checkpoint,
@@ -165,7 +165,7 @@ def cmd_train(args):
     train_data = _load_split(args, "train", shape, required=True)
     test_data = _load_split(args, "test", shape, required=False)
     if args.train_noise_sigma > 0.0:
-        train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_NOISE, 0))
+        train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_TRAIN_NOISE))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,14 +194,12 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    chosen = [split for split in ("train", "test") if args.split in (split, "both")]
-    for split in ("train", "test"):
-        given = [f"--{split}-{kind}" for kind in ("images", "labels", "csv", "n")
-                 if getattr(args, f"{split}_{kind}") is not None]
-        if given and split not in chosen:
-            raise ValueError(f"{', '.join(given)} given, but --split {args.split} does not load the {split} split")
     state, shape, _ = load_checkpoint(args.checkpoint)
-    splits = [(split, _load_split(args, split, shape, required=True)) for split in chosen]
+    loaded = [(split, _load_split(args, split, shape, required=False)) for split in ("train", "test")]
+    splits = [(split, data) for split, data in loaded if data is not None]
+    if not splits:
+        raise ValueError("no data to evaluate: give --train-images/--train-labels, --train-csv, "
+                         "--test-images/--test-labels or --test-csv")
     _report_metrics(state.W, splits, args.out)
     return EXIT_OK
 
@@ -326,10 +324,9 @@ def build_parser(train_defaults=None):
     _add_train_args(p_train)
     p_train.set_defaults(func=cmd_train, **(train_defaults or {}))
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on train/test splits")
+    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on each split given data, train first")
     p_eval.add_argument("--checkpoint", required=True)
     _add_data_args(p_eval, "train", "test")
-    p_eval.add_argument("--split", choices=("train", "test", "both"), default="test")
     p_eval.add_argument("--out", default=None, help="optional metrics CSV path")
     p_eval.set_defaults(func=cmd_eval)
 

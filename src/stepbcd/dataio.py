@@ -209,10 +209,11 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
 
     ``sigma = 0`` returns an exact copy (the draw is still consumed so
     stream alignment does not depend on sigma).  Clamping back to [0, 1]
-    is on by default since pixels are intensities.
+    is on by default since pixels are intensities.  A negative or
+    non-finite ``sigma`` raises ValueError.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not (sigma >= 0.0 and np.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     x = rng.normal(0.0, sigma, size=data.X.shape)
     x += data.X
     if clamp:

@@ -51,17 +51,11 @@ def step(x):
     """Entrywise 0/1 activation: 1 for strictly positive entries, else 0.
 
     Note ``step(0) == 0``; there is no epsilon floor, so any positive
-    denormal maps to 1.
+    denormal maps to 1.  The result is a float64 array of ``x``'s layout,
+    written without a boolean temporary.
     """
-    return _step(np.asarray(x, dtype=np.float64))
-
-
-def _step(u):
-    """``step`` of a float64 array, written straight into a float64 array
-    with ``u``'s layout (no boolean temporary).  Kernels that apply it one
-    block at a time call it: it is not exported, so the benchmark's tracer
-    opens no span per block."""
-    return np.greater(u, 0.0, out=np.empty_like(u))
+    x = np.asarray(x, dtype=np.float64)
+    return np.greater(x, 0.0, out=np.empty_like(x))
 
 
 def _hardmax_gap_miss(b, y_idx):

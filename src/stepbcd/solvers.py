@@ -118,13 +118,14 @@ def spectral_norm(v):
 
 
 def _col_sq(part, shape=None):
-    """``(c * c).sum(axis=0)``, the package's one sum of squares, where ``c``
+    """``(c * c).sum(axis=0)``, taken one row block at a time, where ``c``
     is the array ``part`` or, given ``shape``, the ``shape`` array whose rows
-    ``lo:hi`` the call ``part(lo, hi)`` returns.  Each row block is squared
-    into a C-ordered buffer whose first row is seeded with the running
-    sums, so each column is added row after row, as numpy sums a C-ordered
-    array: the result has the bits of that sum over the whole array,
-    whatever the layout of the blocks."""
+    ``lo:hi`` the call ``part(lo, hi)`` returns.  The objective, the block
+    motions, CG and the start certificate's residual bound sum their
+    squares here.  Each row block is squared into a C-ordered buffer whose
+    first row is seeded with the running sums, so each column is added row
+    after row, as numpy sums a C-ordered array: the result has the bits of
+    that sum over the whole array, whatever the layout of the blocks."""
     if shape is None:
         part, shape = (lambda lo, hi, c=part: c[lo:hi]), part.shape
     out = np.zeros(shape[1])
@@ -233,7 +234,8 @@ def _start_meets_tol(w, u_next, s_cur, x, wx, tau, pi):
     V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the test ``cg_solve``
     applies; a zero ``b_j``, which it measures absolutely, passes only with
     ``R_j = 0``, where ``r_j = 0`` too.  Both differences are squared one
-    row block at a time by ``_col_sq``.
+    row block at a time by ``_col_sq``; ``Q``'s two column sums are taken
+    by ``np.einsum``, which forms no square and is faster here.
     """
     r = np.sqrt(_col_sq(lambda lo, hi: u_next[lo:hi] - wx[lo:hi], wx.shape))
     r *= tau * np.linalg.norm(w)

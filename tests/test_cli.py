@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from stepbcd import cli
 from stepbcd.cli import build_parser, main
 from stepbcd.core import make_rng
 from stepbcd.dataio import load_checkpoint, save_checkpoint
@@ -262,6 +264,24 @@ class TestTrainCommand:
         assert "--test-n 5 names no test data" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_train_noise_draws_apart_from_every_robustness_level(self, corpus, trained, tmp_path, monkeypatch):
+        # Training noise and the noise levels of a robustness sweep at the same
+        # seed come from different streams, so no level replays the training draw.
+        draws, real = [], cli.add_gaussian_noise
+
+        def spy(data, sigma, rng, **kw):
+            draws.append(copy.deepcopy(rng).standard_normal(8))
+            return real(data, sigma, rng, **kw)
+
+        monkeypatch.setattr(cli, "add_gaussian_noise", spy)
+        assert main(train_args(corpus, tmp_path / "noisy", extra=["--k", "0", "--train-noise-sigma", "0.3"])) == 0
+        assert main(["robustness", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--test-images", str(corpus["test_images"]), "--test-labels", str(corpus["test_labels"]),
+                     "--sigmas", "0.3,0.3", "--seed", "7", "--out", str(tmp_path / "rob.csv")]) == 0
+        train_draw, *level_draws = draws
+        assert len(level_draws) == 2
+        assert not any(np.array_equal(train_draw, d) for d in level_draws)
+
     def test_train_noise_flag_changes_run(self, corpus, trained, tmp_path):
         noisy = tmp_path / "noisy"
         assert main(train_args(corpus, noisy, extra=["--train-noise-sigma", "0.3"])) == 0
@@ -277,7 +297,7 @@ class TestEvalCommand:
             "--train-labels", str(corpus["train_labels"]),
             "--test-images", str(corpus["test_images"]),
             "--test-labels", str(corpus["test_labels"]),
-            "--split", "both", "--seed", "7", "--out", str(out_csv),
+            "--seed", "7", "--out", str(out_csv),
         ])
         assert code == 0
         eval_rows = out_csv.read_text().splitlines()[1:]
@@ -329,30 +349,11 @@ class TestEvalCommand:
             "--train-images", images, "--train-labels", labels,
             "--test-images", str(corpus["test_images"]),
             "--test-labels", str(corpus["test_labels"]),
-            "--split", "both", "--out", str(out_csv),
+            "--out", str(out_csv),
         ])
         assert code == 2
         captured = capsys.readouterr()
         assert "empty split: the train data holds no samples" in captured.err and captured.out == ""
-        assert not out_csv.exists()
-
-    @pytest.mark.parametrize("loaded", ["train", "test"])
-    @pytest.mark.parametrize("flags", [["n", "5"], ["images", "x.idx", "labels", "y.idx"], ["csv", "x.csv"]])
-    def test_flag_of_an_unloaded_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys, loaded, flags):
-        # A data or -n flag of the split --split leaves out is an error, not ignored.
-        other = {"train": "test", "test": "train"}[loaded]
-        stray = [f"--{other}-{flag}" if i % 2 == 0 else flag for i, flag in enumerate(flags)]
-        out_csv = tmp_path / "eval.csv"
-        code = main([
-            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
-            f"--{loaded}-images", str(corpus[f"{loaded}_images"]),
-            f"--{loaded}-labels", str(corpus[f"{loaded}_labels"]),
-            "--split", loaded, *stray, "--out", str(out_csv),
-        ])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert f"{', '.join(stray[::2])} given, but --split {loaded} does not load the {other} split" in captured.err
-        assert captured.out == ""
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])
@@ -364,13 +365,57 @@ class TestEvalCommand:
             "--train-labels", str(corpus["train_labels"]),
             "--test-images", str(corpus["test_images"]),
             "--test-labels", str(corpus["test_labels"]),
-            "--split", "both", f"--{split}-n", "200", "--out", str(out_csv),
+            f"--{split}-n", "200", "--out", str(out_csv),
         ])
         assert code == 2
         captured = capsys.readouterr()
         size = {"train": 80, "test": 40}[split]
         assert f"--{split}-n 200 exceeds the {size} samples" in captured.err and captured.out == ""
         assert not out_csv.exists()
+
+    def test_train_data_alone_gives_the_train_row(self, corpus, trained, tmp_path, capsys):
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--train-images", str(corpus["train_images"]),
+            "--train-labels", str(corpus["train_labels"]),
+            "--out", str(out_csv),
+        ])
+        assert code == 0
+        train_rows = (trained / "metrics.csv").read_text().splitlines()
+        assert out_csv.read_text().splitlines() == train_rows[:2]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1 and printed[0].startswith("train error ")
+
+    def test_no_data_exits_2_before_output(self, trained, tmp_path, capsys):
+        out_csv = tmp_path / "eval.csv"
+        assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert "no data to evaluate" in captured.err and captured.out == ""
+        for flag in ("--train-images", "--train-csv", "--test-images", "--test-csv"):
+            assert flag in captured.err
+        assert not out_csv.exists()
+
+    def test_subsample_of_an_absent_split_exits_2_before_output(self, corpus, trained, tmp_path, capsys):
+        out_csv = tmp_path / "eval.csv"
+        code = main([
+            "eval", "--checkpoint", str(trained / "checkpoint.bin"),
+            "--test-images", str(corpus["test_images"]),
+            "--test-labels", str(corpus["test_labels"]),
+            "--train-n", "5", "--out", str(out_csv),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--train-n 5 names no train data" in captured.err and captured.out == ""
+        assert not out_csv.exists()
+
+    def test_split_flag_is_gone(self, corpus, trained, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                  "--test-images", str(corpus["test_images"]), "--test-labels", str(corpus["test_labels"]),
+                  "--split", "test"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --split test" in capsys.readouterr().err
 
 
 class TestRobustnessCommand:

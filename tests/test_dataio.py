@@ -185,6 +185,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_gaussian_noise(tiny_data, -0.1, make_rng(8))
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, tiny_data, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            add_gaussian_noise(tiny_data, sigma, make_rng(8))
+
 
 @pytest.fixture
 def saved_checkpoint(tmp_path, tiny_data):

@@ -547,6 +547,17 @@ class TestTrain:
         with pytest.raises(ValueError, match="at least 1"):
             train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), **kw)
 
+    @pytest.mark.parametrize("kw", [dict(batch_size=2.5), dict(batch_size=2.0),
+                                    dict(warmup_epochs=1, warmup_batch=2.5), dict(warmup_epochs=1.5)])
+    def test_fractional_batch_size_or_epoch_count_rejected(self, tiny_data, kw):
+        with pytest.raises(ValueError, match="must be an integer"):
+            train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), **kw)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_early_stop_tol_rejected(self, tiny_data, tol):
+        with pytest.raises(ValueError, match="early_stop_tol must be finite and nonnegative"):
+            train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), early_stop_tol=tol)
+
     def test_negative_warmup_epochs_rejected(self, tiny_data):
         with pytest.raises(ValueError, match="warmup_epochs must be at least 0"):
             train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), warmup_epochs=-1)
