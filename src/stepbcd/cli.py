@@ -30,7 +30,7 @@ from .dataio import (
 )
 from .metrics import METRICS_FIELDS, evaluate, filter_count, flops_estimate, param_count
 from .solvers import CgError
-from .trainer import DEFAULT_INIT_SCALE, DEFAULT_WARMUP_BATCH, train
+from .trainer import DEFAULT_INIT_SCALE, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,7 +61,7 @@ def _positive_int(text):
 
 
 def _nonnegative_int(text):
-    """Argparse type for an epoch count or a seed: an integer of at least 0."""
+    """Argparse type for a seed: an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
@@ -179,8 +179,6 @@ def cmd_train(args):
         derive_beta=args.derive_beta,
         early_stop_tol=args.early_stop_tol,
         batch_size=args.batch_size,
-        warmup_epochs=args.warmup_epochs,
-        warmup_batch=args.warmup_batch,
         shuffle_rng=make_rng(args.seed, STAGE_SHUFFLE, 2),
     )
 
@@ -252,12 +250,13 @@ def _write_config(path, args):
 
 
 def _read_config(path):
-    """Train-flag defaults from a JSON object such as run_config.json; other keys are ignored.
+    """Train-flag defaults from a JSON object such as run_config.json.
 
     Values reach argparse as text, so each flag's type parses them as it
     parses the command line; null and true/false only where the flag's own
-    default is.  A value its flag or ``Hyperparams`` rejects raises
-    ValueError naming the file.
+    default is.  A key that is not a train flag, or a value its flag or
+    ``Hyperparams`` rejects, raises ValueError naming the file: a key
+    replay cannot honour would otherwise train a different run unannounced.
     """
     try:
         with open(path) as f:
@@ -271,7 +270,7 @@ def _read_config(path):
     defaults = {}
     for key, value in stored.items():
         if key not in flags:
-            continue
+            raise ValueError(f"config {path}: {key} is not a train flag")
         default = flags[key]
         if (value is None and default is not None) or isinstance(value, bool) != isinstance(default, bool):
             raise ValueError(f"config {path}: {key} cannot be {json.dumps(value)}")
@@ -302,8 +301,6 @@ def _add_train_args(p):
     p.add_argument("--early-stop-tol", type=_nonnegative_float, default=None,
                    help="stop once |F(k) - F(k-1)| falls below this")
     p.add_argument("--batch-size", type=_positive_int, default=None, help="mini-batch mode (default full batch)")
-    p.add_argument("--warmup-epochs", type=_nonnegative_int, default=0)
-    p.add_argument("--warmup-batch", type=_positive_int, default=DEFAULT_WARMUP_BATCH)
     p.add_argument("--train-noise-sigma", type=_nonnegative_float, default=0.0,
                    help="corrupt training inputs (noise is test-only by default)")
     p.add_argument("--out-dir", default="run_out")

@@ -45,6 +45,11 @@ def make_rng(seed, *path):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), *map(int, path)])))
 
 
+def _is_integer(n):
+    """Whether ``n`` is an ``int`` or numpy integer and not a ``bool``."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class NetworkShape:
     """Layer widths ``(d_0, ..., d_h)`` of a fully-connected network.
@@ -56,6 +61,8 @@ class NetworkShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(_is_integer(d) for d in self.dims):
+            raise ValueError(f"widths must be integers, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.dims) < 2:
             raise ValueError(f"need at least input and output widths, got {self.dims}")
@@ -96,7 +103,7 @@ class Hyperparams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (self.lam >= 0.0 and np.isfinite(self.lam)):
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
-        if not all(isinstance(n, (int, np.integer)) for n in (self.L, self.K)):
+        if not (_is_integer(self.L) and _is_integer(self.K)):
             raise ValueError(f"L and K must be integers, got L={self.L!r} K={self.K!r}")
         if not (0 <= self.L < 2**32 and 0 <= self.K < 2**32):
             raise ValueError(f"L and K must lie in [0, 2^32), the range of the checkpoint's "

@@ -43,7 +43,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import TrainState, forward_blocks, init_gaussian
+from .core import TrainState, _is_integer, forward_blocks, init_gaussian
 from .dataio import write_csv
 from .prox import _hardmax_gap_miss, norm_l20, prox_hardmax_matrix, prox_step_matrix
 from .solvers import _col_sq, pgm, solve_v, spectral_norm
@@ -58,10 +58,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# ``train``'s init scale and warm-up batch size; the CLI's --scale and
-# --warmup-batch default to them.
+# ``train``'s init scale; the CLI's --scale defaults to it.
 DEFAULT_INIT_SCALE = 0.01
-DEFAULT_WARMUP_BATCH = 256
 
 REPORT_FIELDS = ("k", "F", "loss", "l20", "frob", "upen", "vpen", "dW", "dV", "seconds")
 
@@ -294,8 +292,7 @@ def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
 
 
 def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
-          derive_beta=False, early_stop_tol=None, batch_size=None,
-          warmup_epochs=0, warmup_batch=DEFAULT_WARMUP_BATCH, shuffle_rng=None):
+          derive_beta=False, early_stop_tol=None, batch_size=None, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
 
     Full-batch by default.  With ``batch_size`` set, each outer iteration
@@ -303,10 +300,7 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     carried across batches and the U/V blocks re-derived per batch by a
     forward pass (the report rows are then computed on the re-derived
     full-data state, so the coupling penalties read zero by construction).
-    ``warmup_epochs`` (at least 0) runs that mini-batch scheme with
-    ``warmup_batch`` for the first iterations regardless of mode; default
-    off.  A batch size that is not an integer of at least 1, a
-    ``warmup_epochs`` that is not an integer of at least 0, or an
+    A batch size that is not an integer of at least 1, or an
     ``early_stop_tol`` that is negative or not finite, raises ValueError.
     """
     if data.n == 0:
@@ -315,16 +309,11 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         raise ValueError(f"architecture input width {shape.dims[0]} != data dim {data.X.shape[0]}")
     if shape.dims[-1] != data.Y.shape[0]:
         raise ValueError(f"architecture output width {shape.dims[-1]} != label dim {data.Y.shape[0]}")
-    for name, bs in (("batch_size", batch_size), ("warmup_batch", warmup_batch)):
-        if bs is not None and not (isinstance(bs, (int, np.integer)) and bs >= 1):
-            raise ValueError(f"{name} must be an integer of at least 1, got {bs!r}")
+    if batch_size is not None and not (_is_integer(batch_size) and batch_size >= 1):
+        raise ValueError(f"batch_size must be an integer of at least 1, got {batch_size!r}")
     if early_stop_tol is not None and not (early_stop_tol >= 0.0 and np.isfinite(early_stop_tol)):
         raise ValueError(f"early_stop_tol must be finite and nonnegative, got {early_stop_tol}")
-    if not isinstance(warmup_epochs, (int, np.integer)):
-        raise ValueError(f"warmup_epochs must be an integer, got {warmup_epochs!r}")
-    if warmup_epochs < 0:
-        raise ValueError(f"warmup_epochs must be at least 0, got {warmup_epochs}")
-    if (batch_size is not None or warmup_epochs > 0) and shuffle_rng is None:
+    if batch_size is not None and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 
     state = init_gaussian(shape, init_scale, rng, data.X)
@@ -337,9 +326,8 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
 
     for k in range(1, hp.K + 1):
         t0 = time.perf_counter()
-        bs = warmup_batch if k <= warmup_epochs else batch_size
-        if bs is not None:
-            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, bs, shuffle_rng.permutation(data.n))
+        if batch_size is not None:
+            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, batch_size, shuffle_rng.permutation(data.n))
         else:
             dw, dv, b = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()

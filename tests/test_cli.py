@@ -149,25 +149,31 @@ class TestTrainCommand:
             "train_images", "train_labels", "train_csv", "train_n",
             "test_images", "test_labels", "test_csv", "test_n", "seed",
             "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale",
-            "derive_beta", "early_stop_tol", "batch_size", "warmup_epochs", "warmup_batch",
+            "derive_beta", "early_stop_tol", "batch_size",
             "train_noise_sigma", "out_dir", "checkpoint",
         }
 
-    def test_older_config_keys_are_ignored_on_replay(self, trained, tmp_path):
-        # Keys that are not train flags, such as the global flags and the
-        # eps_tiny, cg_max_iters, classes and cg_tol of older configs, are skipped on replay.
+    @pytest.mark.parametrize("key, value", [
+        ("warmup_epochs", 3), ("warmup_batch", 256), ("cg_tol", 1e-8), ("classes", 10), ("verbose", 0),
+        ("lamda", 5),
+    ])
+    def test_config_key_that_is_no_train_flag_exits_2_before_output(self, trained, tmp_path, capsys, key, value):
+        # Options of older configs, a global flag and a typo: replay cannot
+        # honour them, and skipping one would train a different run.
         stored = json.loads((trained / "run_config.json").read_text())
-        stored.update(eps_tiny=1e-10, cg_max_iters=None, classes=10, cg_tol=1e-8, command="train", verbose=0)
+        stored[key] = value
         old = tmp_path / "old_config.json"
         old.write_text(json.dumps(stored))
         replay = tmp_path / "replay"
-        assert main(["train", "--config", str(old), "--out-dir", str(replay)]) == 0
-        assert (replay / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
+        assert main(["train", "--config", str(old), "--out-dir", str(replay)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err and str(old) in err
+        assert not replay.exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--train-n", "0"), ("--train-n", "-3"), ("--test-n", "0"), ("--batch-size", "0"),
-        ("--batch-size", "-5"), ("--warmup-batch", "-1"), ("--train-noise-sigma", "-1"),
-        ("--warmup-epochs", "-3"), ("--early-stop-tol", "-1"), ("--early-stop-tol", "nan"),
+        ("--batch-size", "-5"), ("--train-noise-sigma", "-1"),
+        ("--early-stop-tol", "-1"), ("--early-stop-tol", "nan"),
         ("--seed", "-1"), ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"), ("--scale", "inf"),
     ])
     def test_non_positive_size_exits_2_before_output(self, corpus, tmp_path, capsys, flag, value):
@@ -539,11 +545,11 @@ class TestInspectCommand:
 
 
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',
-                                     '{"batch_size": 0}', '{"train_noise_sigma": -1}', '{"warmup_epochs": -3}',
+                                     '{"batch_size": 0}', '{"train_noise_sigma": -1}',
                                      '{"early_stop_tol": -1}', '{"early_stop_tol": NaN}', '{"seed": -1}',
                                      '{"scale": 0}', '{"scale": NaN}', '{"l": 4294967296}', '{"k": 4294967296}'],
                          ids=["missing", "list", "null-tau", "numeric-arch", "fractional-k",
-                              "zero-batch-size", "negative-noise", "negative-warmup-epochs",
+                              "zero-batch-size", "negative-noise",
                               "negative-early-stop-tol", "nan-early-stop-tol", "negative-seed",
                               "zero-scale", "nan-scale", "l-above-32-bits", "k-above-32-bits"])
 def test_config_file_unreadable_exits_2(tmp_path, capsys, content):

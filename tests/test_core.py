@@ -68,6 +68,13 @@ class TestNetworkShape:
         with pytest.raises(ValueError):
             NetworkShape((4, 0, 3))
 
+    @pytest.mark.parametrize("dims", [(4, 6.7, 3), (4, 6.0, 3), (4, True, 3), (4, np.bool_(True), 3), ("4", 6, 3)])
+    def test_rejects_non_integer_widths(self, dims):
+        # int() would truncate a float width and read a bool as width 1.
+        with pytest.raises(ValueError, match="widths must be integers"):
+            NetworkShape(dims)
+        assert NetworkShape((np.int64(4), np.uint32(6), 3)).dims == (4, 6, 3)
+
 
 class TestHyperparams:
     def test_defaults_are_reference_values(self):
@@ -91,10 +98,11 @@ class TestHyperparams:
                 with pytest.raises(ValueError, match=name):
                     Hyperparams(**{name: value})
 
-    @pytest.mark.parametrize("kw", [dict(K=1.5), dict(L=2.0), dict(K="3")])
+    @pytest.mark.parametrize("kw", [dict(K=1.5), dict(L=2.0), dict(K="3"), dict(K=1, L=True), dict(K=False)])
     def test_iteration_counts_are_integers(self, kw):
         # train runs range(1, K + 1) and pgm range(L): a float fails there,
-        # after the run has started, unless it is rejected here.
+        # after the run has started, unless it is rejected here.  A bool is
+        # an int to isinstance, so K=False would run as K=0.
         with pytest.raises(ValueError, match="must be integers"):
             Hyperparams(**kw)
         assert Hyperparams(L=np.int64(2), K=np.uint32(3)).K == 3

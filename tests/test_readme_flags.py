@@ -1,5 +1,7 @@
-"""Every command-line flag README names is an option of ``stepbcd``, so
-README cannot advertise a flag the parser has dropped.
+"""Every command-line flag README names is an option of ``stepbcd``, and
+every long option of ``stepbcd`` but ``--help`` is named in README, so
+README can neither advertise a flag the parser has dropped nor leave one
+out.
 
 A flag is ``--`` followed by a lowercase word; ``{split}`` in one stands
 for both ``train`` and ``test``.  Lines that run ``pip`` name pip's own
@@ -42,6 +44,12 @@ def unknown_flags(text, parser):
     return [flag for flag in named_flags(text) if flag not in options]
 
 
+def undocumented_options(text, parser):
+    """The long options of ``parser`` and its subcommands, ``--help`` aside, that ``text`` never names."""
+    named = set(named_flags(text))
+    return sorted(o for o in parser_options(parser) if o.startswith("--") and o != "--help" and o not in named)
+
+
 def test_every_flag_readme_names_is_an_option():
     text = (ROOT / "README.md").read_text()
     assert len(named_flags(text)) >= 20
@@ -62,3 +70,19 @@ def test_guard_flags_an_unknown_flag():
     assert named_flags(text) == ["--train-n", "--test-n", "--split-size", "--verbose", "--split",
                                  "--train-csv", "--test-csv"]
     assert unknown_flags(text, parser) == ["--split", "--train-csv", "--test-csv"]
+
+
+def test_every_option_is_named_in_readme():
+    assert undocumented_options((ROOT / "README.md").read_text(), build_parser()) == []
+
+
+def test_guard_reports_an_undocumented_option():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--verbose", "-v")
+    run = parser.add_subparsers().add_parser("run")
+    run.add_argument("--train-n")
+    run.add_argument("--no-clamp", dest="clamp")
+    run.add_argument("--test-n")
+    text = "`-v`, `--verbose` and `--{split}-n`\npip install --no-clamp"
+    assert undocumented_options(text, parser) == ["--no-clamp"]
+    assert undocumented_options(text + "\n`run --no-clamp`", parser) == []
