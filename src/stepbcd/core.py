@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import step
+from .prox import _row_blocks, step
 
 __all__ = [
     "STAGE_INIT",
@@ -147,9 +147,14 @@ class TrainState:
                 )
 
     def check_finite(self):
+        """Raise ``FloatingPointError`` naming the first block with a
+        non-finite entry.  Each block is tested one row block at a time, so
+        no full-size boolean is formed; an F-ordered one through its
+        C-ordered transpose."""
         for name, blocks in (("W", self.W), ("U", self.U), ("V", self.V)):
             for i, m in enumerate(blocks):
-                if not np.all(np.isfinite(m)):
+                t = m.T if m.flags.f_contiguous else m
+                if not all(np.isfinite(t[lo:hi]).all() for lo, hi in _row_blocks(*t.shape)):
                     raise FloatingPointError(f"{name}[{i}] contains non-finite entries")
 
 

@@ -71,8 +71,20 @@ def _hardmax_gap_miss(b, y_idx):
 
 
 def norm_l20(w):
-    """Number of nonzero columns of ``w`` (the group-sparsity count)."""
-    return int(np.any(np.asarray(w) != 0.0, axis=0).sum())
+    """Number of nonzero columns of ``w`` (the group-sparsity count).
+
+    Taken one row block at a time, so no full-size boolean is formed; an
+    F-ordered ``w``, as a weight block is after its proximal step, through
+    its C-ordered transpose, whose nonzero rows are counted.
+    """
+    w = np.asarray(w)
+    if w.flags.f_contiguous:
+        t = w.T
+        return sum(int(np.count_nonzero(np.any(t[lo:hi] != 0.0, axis=1))) for lo, hi in _row_blocks(*t.shape))
+    nonzero = np.zeros(w.shape[1], dtype=bool)
+    for lo, hi in _row_blocks(*w.shape):
+        nonzero |= np.any(w[lo:hi] != 0.0, axis=0)
+    return int(np.count_nonzero(nonzero))
 
 
 def prox_hardmax_matrix(b, y, tau):

@@ -26,6 +26,16 @@ __all__ = [
 # ``10 * d`` iterations on a ``d x d`` system.
 V_TOL = 1e-8
 
+# Columns in one chunk of the state solve.  Under OpenBLAS 0.3.31 on a
+# 2-core x86-64 host, a column slice of ``w x`` or ``w^T u`` does not always
+# have the bits of the same slice of the whole product: with ``w`` 10 x 2000,
+# N = 2000 and 2 threads, chunks of 32, 64, 166 and 262 columns changed
+# them, while 100, 256 and 512 kept them; and where N is not a multiple of
+# 8, the last N mod 8 columns can differ.  At this width the solves of the
+# benchmark's shapes keep every bit, and a mini-batch of 100 columns is one
+# chunk.
+V_CHUNK = 256
+
 class CgError(RuntimeError):
     """The state solve left a column above the requested relative residual.
 
@@ -154,12 +164,16 @@ def cg_solve(w, tau, pi, b, x0, tol, max_iters, callback=None):
 
     Each column runs its own CG (scalar steps are computed per column and
     converged columns freeze), so the result is independent of how columns
-    are batched.  Stops once every column has relative residual
-    ``||b_j - A x_j|| / ||b_j||`` at most ``tol`` (a zero column is measured
-    absolutely); a float64 start that already meets it is returned as it
-    is, the same array, after 0 iterations.  ``x0`` is never written: a
-    start that misses is copied once, before the first iteration.  Raises
-    ``CgError`` if ``max_iters`` iterations do not.
+    are batched, up to the bits of the products and the sign of zeros: a
+    frozen column takes ``x += 0 p`` while another column of the call
+    iterates, which turns a ``-0.0`` into ``+0.0``.  ``solve_v`` calls it
+    once per chunk of columns.  Stops once every column has relative
+    residual ``||b_j - A x_j|| / ||b_j||`` at most ``tol`` (a zero column
+    is measured absolutely); a float64 start that already meets it is
+    returned as it is, the same array, after 0 iterations.  ``x0``, which
+    may be a view of the caller's state, is never written: a start that
+    misses is copied once, before the first iteration.  Raises ``CgError``
+    if ``max_iters`` iterations do not.
 
     The start's residual is formed from the one ``m x N`` product
     ``tau w x0`` and squared by ``_col_sq`` one row block at a time, like
@@ -244,6 +258,17 @@ def _start_meets_tol(w, u_next, s_cur, x, wx, tau, pi):
     return bool(np.all((1.0 + V_TOL) * r <= V_TOL * q))
 
 
+def _col_chunks(n):
+    """``(lo, hi)`` bounds of the ``V_CHUNK``-column chunks of ``n`` columns.
+    A one-column tail joins the chunk before it: numpy sums a one-column
+    array pairwise, not row after row, so its motion would take other bits."""
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= V_CHUNK + 1 else lo + V_CHUNK
+        yield lo, hi
+        lo = hi
+
+
 def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     """Solve the hidden-state block: the SPD system
 
@@ -255,30 +280,41 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     call.  A non-boolean ``s_cur``, such as ``U_i`` itself, raises
     ``ValueError``.
 
-    Pick a start, then run ``cg_solve`` until every column meets
-    ``V_TOL``.  When ``m < d`` (the layer below a narrower one) the start
-    is the Woodbury solution through the ``m x m`` system, or ``v_init`` if
-    that system is numerically singular; otherwise it is ``v_init``.
-    ``cg_solve`` takes the system as ``w``, ``tau`` and ``pi`` and never
-    forms ``w^T w``.  A start that meets ``V_TOL`` is returned as it is,
-    the same array.  CG stops after ``10 * d`` iterations and raises
-    ``CgError`` if a column still misses.  ``pi > 0`` guarantees positive
-    definiteness.  The right-hand side's ``pi s_cur`` is added one row
-    block at a time.
+    The solve is written into ``v_init``'s own buffer when it is float64,
+    else into a float64 copy; either way that array is returned as ``v``.
+    Its columns are independent, so it works through chunks of
+    ``V_CHUNK`` columns.  Per chunk it forms the right-hand side, with
+    ``pi s_cur`` added one row block at a time, and picks a start: when
+    ``m < d`` (the layer below a narrower one) the Woodbury solution
+    through the ``m x m`` system, or the chunk of ``v_init`` if that system
+    is numerically singular; otherwise the chunk of ``v_init``.
+    ``cg_solve`` then runs from it until every column meets ``V_TOL``; a
+    start that meets it is kept as it is.  The chunk's squared motion
+    ``||v_new - v_init||^2``, per column, is summed by ``_col_sq``, and the
+    new columns are written over the old.  A chunk whose every column is
+    kept is left as it was, ``-0.0`` entries included; CG over all columns
+    would turn those into ``+0.0`` whenever another column iterates.  CG
+    stops after ``10 * d`` iterations and raises ``CgError`` if a column
+    still misses; the chunks before the failing one are then already
+    written, so ``v_init`` holds a partly updated state.  ``pi > 0``
+    guarantees positive definiteness.
 
     On a square or tall layer (``m >= d``) ``v_init`` is first checked by
-    ``_start_meets_tol`` from the one product ``w v_init``, before the
+    ``_start_meets_tol`` from the one product ``w v_init``, before any
     right-hand side is formed.  A start it certifies is returned with that
     product, so a kept solve forms one ``d x d x N`` product, the one handed
-    on; a start it does not certify drops the product.  The bound certifies
-    a start that fits both terms of the system on its own (``w v_init``
-    near ``u_next``, ``v_init`` near ``s_cur``); any other goes to
-    ``cg_solve``.  Narrow layers skip the bound: their Woodbury start
-    solves the system without fitting each term.
+    on; a start it does not certify drops the product and goes to the
+    chunks.  The bound certifies a start that fits both terms of the system
+    on its own (``w v_init`` near ``u_next``, ``v_init`` near ``s_cur``).
+    Narrow layers skip the bound: their Woodbury start solves the system
+    without fitting each term.
 
-    Returns ``(v, wv)``, with ``wv`` the product ``w_next @ v`` on every
-    path: the check's product for a certified start, else formed once
-    after CG.  Either way it has the bits of that product computed afresh.
+    Returns ``(v, wv, dv)``: ``wv`` is the product ``w_next @ v`` on every
+    path, the check's product for a certified start, else formed once from
+    the whole new ``v`` after the last chunk; either way it has the bits of
+    that product computed afresh.  ``dv`` is ``v``'s squared motion, with
+    the bits of ``_col_sq(v - v_init).sum()``; a certified start has not
+    moved.
     """
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
@@ -293,21 +329,29 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
         raise ValueError(f"warm start {v_init.shape} does not match {s_cur.shape}")
 
     m, d = w_next.shape
+    v = np.asarray(v_init, dtype=np.float64)
     if m >= d:
-        v_init = np.asarray(v_init, dtype=np.float64)
-        wx = w_next @ v_init
-        if _start_meets_tol(w_next, u_next, s_cur, v_init, wx, tau, pi):
-            return v_init, wx
+        wx = w_next @ v
+        if _start_meets_tol(w_next, u_next, s_cur, v, wx, tau, pi):
+            return v, wx, 0.0
         del wx
-    rhs = w_next.T @ u_next
-    rhs *= tau
-    for lo, hi in _row_blocks(*rhs.shape):
-        rhs[lo:hi] += pi * s_cur[lo:hi]
-
-    if m < d:
-        try:
-            v_init = _woodbury(w_next, rhs, tau, pi)
-        except np.linalg.LinAlgError:
-            pass
-    v, _ = cg_solve(w_next, tau, pi, rhs, v_init, V_TOL, 10 * d)
-    return v, w_next @ v
+    dv = np.empty(v.shape[1])
+    for lo, hi in _col_chunks(v.shape[1]):
+        rhs = w_next.T @ u_next[:, lo:hi]
+        rhs *= tau
+        s = s_cur[:, lo:hi]
+        for a, b in _row_blocks(*rhs.shape):
+            rhs[a:b] += pi * s[a:b]
+        old = v[:, lo:hi]
+        start = old
+        if m < d:
+            try:
+                start = _woodbury(w_next, rhs, tau, pi)
+            except np.linalg.LinAlgError:
+                pass
+        new, _ = cg_solve(w_next, tau, pi, rhs, start, V_TOL, 10 * d)
+        del rhs, start
+        dv[lo:hi] = _col_sq(lambda a, b: new[a:b] - old[a:b], new.shape)
+        old[...] = new
+        del new  # else it is live while the next chunk is formed
+    return v, w_next @ v, float(dv.sum())

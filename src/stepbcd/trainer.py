@@ -21,7 +21,8 @@ the ``W_i`` step then takes its first residual as zero, forms none, and
 leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
 ``W_(i+1) V_i`` of the new iterate; where it keeps a square layer's start,
 that is the product its check was made from, the one ``d x d x N``
-product the solve forms.  ``bcd_iteration`` forms only ``W_0 X``.  After
+product the solve forms, and otherwise one product of the whole new
+``V_i``.  ``bcd_iteration`` forms only ``W_0 X``.  After
 a forward pass (the init, a mini-batch, the state re-derived after a
 mini-batch epoch) the products are the ``U`` blocks themselves.
 
@@ -32,7 +33,10 @@ its prox has read it, so a sweep holds one state, not an old and a new
 one.  Each old block goes once nothing reads it: the state solve reads
 the old ``U_i`` only as its boolean pattern ``U_i > 0``, so ``U_i`` is
 released before the solve, and a mini-batch epoch, which reads no old
-``U``, drops those blocks on entry.
+``U``, drops those blocks on entry.  The state solve works through
+chunks of columns and writes the new ``V_i`` into the old one's buffer,
+summing its motion ``dV`` as it goes, so it forms no ``d x N`` block
+but the product it hands on.
 """
 
 from __future__ import annotations
@@ -202,8 +206,11 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     ``V_(i-1)``) is read before it is replaced.  The state solve reads the
     old ``U_i`` only through the boolean pattern ``U_i > 0``; once that is
     taken, the slot ``state.U[i]`` is set to None for the solve, unless
-    ``b[i]`` is that same array, and then filled with the new ``U_i``.  A
-    sweep that raises (``CgError``) may so leave a ``U`` slot empty.
+    ``b[i]`` is that same array, and then filled with the new ``U_i``.  The
+    solve writes the new ``V_i`` into the old one's buffer, one chunk of
+    columns at a time, and returns its motion.  A sweep that raises
+    (``CgError``) may so leave a ``U`` slot empty and a ``V_i`` whose
+    first chunks are new and the rest old.
 
     ``b`` lists the targets, input layer first: the products this call
     returned for the previous iterate, or ``state.U`` itself when the state
@@ -214,7 +221,8 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     whose first gradient overwrites it with its residual.  A step prox that
     keeps every entry returns ``b[i]`` itself as the new ``U_i``; the step
     then knows its first residual is zero and writes nothing.  The motions
-    are summed in layer order, as ``_sq_diff`` sums them.
+    are summed in layer order, as ``_sq_diff`` sums them; each ``dV`` term
+    has the bits of ``_sq_motion`` of the new ``V_i`` against the old.
 
     The returned products have the bits of ``W_i V_(i-1)`` formed afresh:
     each state solve supplies its ``W_(i+1) V_i``, and ``W_0 X`` is formed
@@ -233,7 +241,9 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
     slot 0 empty: each state solve hands on its ``W_(i+1) V_i``, and no
     solve forms ``W_0 X``.  ``dw`` and ``dv``, when given, are lists with
     one slot per weight and per state block that receive each block's
-    squared motion; a mini-batch epoch reads none and passes neither."""
+    squared motion; a mini-batch epoch reads none and passes neither.
+    Each ``V_i`` is solved into its own buffer, and its motion comes from
+    the solve; a ``CgError`` leaves ``V_i`` partly written."""
     h = len(state.W)
     products = [None] * h
     for i in range(h - 1, -1, -1):
@@ -245,12 +255,13 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
             s = state.U[i] > 0.0
             if b[i] is not state.U[i]:
                 state.U[i] = None
-            v, products[i + 1] = solve_v(state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
+            # The solve writes the new V_i into the old one's buffer.
+            state.V[i], products[i + 1], motion = solve_v(
+                state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
             del s
             if dv is not None:
-                dv[i] = _sq_motion(v, state.V[i])
-            state.V[i] = v
-            u = prox_step_matrix(v, b[i], hp.tau, hp.pi)
+                dv[i] = motion
+            u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
         wv, b[i] = b[i], None
         state.U[i] = u
         w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta, wv)

@@ -1,13 +1,16 @@
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stepbcd import prox
 from stepbcd.core import (
     Hyperparams,
     NetworkShape,
+    TrainState,
     forward_blocks,
     init_gaussian,
     make_rng,
@@ -158,6 +161,29 @@ class TestInitGaussian:
                 init_gaussian(shape, scale, make_rng(0), tiny_data.X)
         with pytest.raises(ValueError):
             init_gaussian(shape, 0.01, make_rng(0), np.zeros((5, 3)))
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["W", "U", "V"])
+    def test_names_the_block_and_forms_no_full_size_mask(self, bad, where):
+        # An F-ordered W (as after a proximal step) and C-ordered U and V;
+        # one non-finite entry in the last row.  Each block is tested one
+        # row block at a time: a whole 784x2000 mask is 1.5 MB, three blocks.
+        rng = make_rng(3)
+        state = TrainState([np.asfortranarray(rng.standard_normal((784, 2000)))],
+                           [rng.standard_normal((784, 2000))], [rng.standard_normal((784, 2000))])
+        block = prox.V_BLOCK * 8
+        tracemalloc.start()
+        try:
+            state.check_finite()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * block, f"check_finite adds {peak / block:.2f} blocks"
+        getattr(state, where)[0][-1, -1] = bad
+        with pytest.raises(FloatingPointError, match=rf"{where}\[0\] contains non-finite"):
+            state.check_finite()
 
 
 class TestRng:

@@ -429,3 +429,25 @@ def test_norm_l20_counts_nonzero_columns():
     w = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
     assert norm_l20(w) == 2
     assert norm_l20(np.zeros((3, 3))) == 0
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (300, 500), (2, 70000), (784, 2000)])
+def test_norm_l20_counts_one_row_block_at_a_time(order, shape):
+    # The count over row blocks (of the C-ordered transpose, for an
+    # F-ordered block) equals the whole-array count.  A nonzero entry sits
+    # alone in the last row of some columns.  On 784x2000 the call adds
+    # under a block-sized boolean: the whole mask is 1.5 MB, three blocks.
+    rng = make_rng(shape[0] * 7 + shape[1])
+    w = rng.standard_normal(shape) * (rng.uniform(size=shape[1]) < 0.5)
+    w[-1, rng.uniform(size=shape[1]) < 0.1] = 1e-300
+    w = np.asarray(w, order=order)
+    block = prox.V_BLOCK * 8
+    tracemalloc.start()
+    try:
+        count = norm_l20(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == int(np.any(w != 0.0, axis=0).sum())
+    assert shape != (784, 2000) or peak <= 0.2 * block, f"norm_l20 adds {peak / block:.2f} blocks"

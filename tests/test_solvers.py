@@ -347,7 +347,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _ = solve_v(w, u_next, u_cur > 0, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _ = solve_v(w, u_next, u_cur > 0, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -357,7 +357,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _ = solve_v(w, u_next, u_cur > 0, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _ = solve_v(w, u_next, u_cur > 0, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -365,15 +365,15 @@ class TestSolveV:
         v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        out, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
         v_tol(tol)
-        cold, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
-        warm, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
+        cold, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
 
     def test_float_pattern_is_rejected(self):
@@ -398,7 +398,7 @@ class TestSolveV:
             w = rng.standard_normal((m, d)) / np.sqrt(d)
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             tau, pi = 1.0, 0.5
-        v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+        v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         start = solvers._woodbury(w, rhs, tau, pi) if m < d else np.zeros_like(u_cur)
         ref, iters = cg_solve(w, tau, pi, rhs, start, solvers.V_TOL, 10 * d)
@@ -442,7 +442,7 @@ class TestSolveV:
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
         tau, pi = 1.0, 0.5
-        out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros((d, n)))
+        out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros((d, n)))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         assert from_v_init == (m >= d)
         if not from_v_init:
@@ -452,7 +452,7 @@ class TestSolveV:
             assert len(cg_calls) == 1 and cg_calls[0] > 0
             exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
             cg_calls.clear()
-            again, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
+            again, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
             assert cg_calls == [0]
             assert np.array_equal(again, exact)
 
@@ -467,7 +467,7 @@ class TestSolveV:
         tau, pi = 1.0, 0.5
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
-        v, wv = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
+        v, wv, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
         assert cg_calls == [0]
         assert v is exact or m < d
         assert wv.tobytes() == (w @ v).tobytes()
@@ -477,7 +477,7 @@ class TestSolveV:
         # The check certifies the start from w @ x alone: no right-hand side,
         # no CG call, and the product comes back with the bits of w @ v.
         w, u_next, u_cur, x = kept_start_system(28, m, d)
-        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
+        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
         assert cg_calls == []
         assert v is x
         assert wv.tobytes() == (w @ v).tobytes()
@@ -488,7 +488,7 @@ class TestSolveV:
         w, _, u_cur, x = kept_start_system(29, m, d)
         x[3, 2] = 1.0 - x[3, 2]
         u_next = w @ x
-        v, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
+        v, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
 
@@ -502,7 +502,7 @@ class TestSolveV:
         u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
         rhs = w.T @ u_next + 0.5 * step(u_cur)
         exact = np.linalg.solve(w.T @ w + 0.5 * np.eye(d), rhs)
-        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=exact)
+        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=exact)
         assert cg_calls == [0]
         assert v is exact
         assert wv.tobytes() == (w @ exact).tobytes()
@@ -550,7 +550,7 @@ class TestSolveV:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "cg_solve", spy)
-            v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=x)
+            v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=x)
         if not calls:
             assert v is x
             assert column_residuals(w, u_next, u_cur, v, tau, pi).max() <= solvers.V_TOL
@@ -561,8 +561,8 @@ class TestSolveV:
     def test_moved_start_hands_on_its_product(self, cg_calls, m, d):
         # Narrow: an ill-conditioned Woodbury iterate misses V_TOL, so CG
         # refines it.  Square or tall: CG iterates from a zero v_init.  The
-        # solve hands on w v of the moved iterate, with the bits of that
-        # product formed afresh.
+        # moved iterate is written into v_init's buffer, and the solve hands
+        # on w v of it, with the bits of that product formed afresh.
         if m < d:
             w, u_next, u_cur = narrow_system(41)
             pi = 1e-4
@@ -572,9 +572,9 @@ class TestSolveV:
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             pi = 0.5
         v_init = np.zeros_like(u_cur)
-        v, wv = solve_v(w, u_next, u_cur > 0, 1.0, pi, v_init=v_init)
+        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, pi, v_init=v_init)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
-        assert v is not v_init and not v_init.any()
+        assert v is v_init and v_init.any()
         assert wv.tobytes() == (w @ v).tobytes()
 
     @pytest.mark.parametrize("seed", range(3))
@@ -587,7 +587,7 @@ class TestSolveV:
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+        out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
@@ -609,27 +609,31 @@ class TestSolveV:
         v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+            out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
-    def test_refined_woodbury_start_holds_six_state_blocks(self, cg_calls):
+    def test_refined_woodbury_start_holds_six_chunks(self, cg_calls):
         # Below a narrower layer whose Woodbury start misses, CG iterates
-        # (7 times here).  The solve holds six d x N blocks at its peak: the
-        # right-hand side, the start, the iterate, r, p and A p, one of them
-        # the v it returns.  Each iteration's sums and its pi p term take a
-        # row block at a time; a full-size temporary per iteration, such as
-        # p * A p, puts the peak at seven.
+        # (7 times in each of the four chunks here).  The solve holds six
+        # d x V_CHUNK blocks at its peak: the chunk's right-hand side, its
+        # start, the iterate, r, p and A p, beside one row block of pi p and
+        # the product it hands on; about 6.14 chunks, 1.57 blocks of the
+        # whole d x N state.  The new columns go into v_init's own buffer.
+        # A full-size temporary per iteration, such as p * A p, puts the peak
+        # at seven chunks, and CG over all N columns at six state blocks.
         w, u_next, u_cur = narrow_system(50, d=2000, n=1000, scale=30.0)
         v_init, s_cur = np.zeros_like(u_cur), u_cur > 0
         tracemalloc.start()
         try:
-            solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
+            v, _, _ = solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cg_calls) == 1 and cg_calls[0] > 0
-        assert peak <= 6.1 * v_init.nbytes, f"peak {peak / v_init.nbytes:.2f} blocks"
+        assert v is v_init
+        assert len(cg_calls) == 4 and min(cg_calls) > 0
+        chunk = w.shape[1] * solvers.V_CHUNK * 8
+        assert peak <= 6.2 * chunk, f"peak {peak / chunk:.2f} chunks"
 
     def test_unreachable_tolerance_raises(self, monkeypatch, v_tol):
         w, u_next, u_cur = narrow_system(50, scale=30.0)
@@ -660,11 +664,97 @@ class TestSolveV:
         s = step(u_cur)
         for scale in (0.3, 1.0, 3.0):
             w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
-            v, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+            v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
             b = tau * (w.T @ u_next) + pi * s
             bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
                      + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)
             assert np.all(np.linalg.norm(v - s, axis=0) <= bound), scale
+
+
+def streamed(monkeypatch, chunk, w, u_next, u_cur, tau, pi, v0):
+    """``solve_v`` in chunks of ``chunk`` columns from a copy of ``v0``, which
+    it returns as ``v``; the motion is also summed from the whole arrays."""
+    monkeypatch.setattr(solvers, "V_CHUNK", chunk)
+    v_init = v0.copy()
+    v, wv, dv = solve_v(w, u_next, u_cur > 0, tau, pi, v_init)
+    assert v is v_init
+    assert dv == float(solvers._col_sq(v - v0).sum())
+    return v, wv, dv
+
+
+class TestStreamedSolve:
+    @pytest.mark.parametrize("d", [200, 2000])
+    @pytest.mark.parametrize("scale, pi", [(3.0, 0.5), (30.0, 1e-8)])
+    def test_chunks_give_the_one_chunk_bits(self, monkeypatch, cg_calls, d, scale, pi):
+        # Below a narrower layer at N = 2000, the benchmark's sample count:
+        # the Woodbury start kept, or refined by CG in every chunk.  V, the
+        # handed-on product and dV have the bits of one chunk of all N
+        # columns, and dV the bits of the motion summed over the whole
+        # arrays.  Where N is not a multiple of 8, OpenBLAS may give the
+        # last N mod 8 columns of a chunk's products other bits than the
+        # whole product's, and V moves there in its last bits.
+        w, u_next, u_cur = narrow_system(7, d=d, n=2000, scale=scale)
+        v0 = make_rng(8).standard_normal((d, 2000))
+        chunked = streamed(monkeypatch, 256, w, u_next, u_cur, 1.0, pi, v0)
+        assert len(cg_calls) == 8 and (min(cg_calls) > 0) == (pi < 1e-4)
+        whole = streamed(monkeypatch, 2000, w, u_next, u_cur, 1.0, pi, v0)
+        assert len(cg_calls) == 9
+        assert [a.tobytes() for a in chunked[:2]] == [a.tobytes() for a in whole[:2]]
+        assert chunked[2] == whole[2]
+
+    def test_one_column_tail_joins_the_chunk_before_it(self, monkeypatch, cg_calls):
+        # numpy sums a one-column array pairwise, so a one-column chunk
+        # would give its column's motion other bits than the whole sum.
+        monkeypatch.setattr(solvers, "V_CHUNK", 256)
+        assert list(solvers._col_chunks(513)) == [(0, 256), (256, 513)]
+        assert list(solvers._col_chunks(512)) == [(0, 256), (256, 512)]
+        assert list(solvers._col_chunks(1)) == [(0, 1)]
+        w, u_next, u_cur = narrow_system(9, n=513)
+        v, _, _ = streamed(monkeypatch, 256, w, u_next, u_cur, 1.0, 0.5, np.zeros((200, 513)))
+        # From that solution only the last column moves, by entries over
+        # eight decades, so dV is that column's sum, and a pairwise sum shows.
+        rng = make_rng(10)
+        v0 = v.copy()
+        v0[:, -1] += rng.standard_normal(200) * 10.0 ** rng.uniform(-4, 4, 200)
+        streamed(monkeypatch, 256, w, u_next, u_cur, 1.0, 0.5, v0)
+        assert cg_calls == [0, 0] * 2
+
+    def test_a_chunk_that_keeps_every_column_keeps_its_signed_zeros(self, monkeypatch, cg_calls):
+        # A square layer (w = 0, so A = pi I) whose start fails its check:
+        # columns 0-3 solve the system exactly, with -0.0 where U_i <= 0;
+        # columns 4-7 do not.  In chunks of 4 the first chunk keeps its
+        # start, -0.0 included.  CG over all 8 columns adds 0 * p to the
+        # kept columns, which turns -0.0 into +0.0.  The values are equal.
+        u_cur = make_rng(11).standard_normal((6, 8))
+        v0 = np.where(u_cur > 0, 1.0, -0.0)
+        v0[:, 4:] = 0.5
+        w, u_next = np.zeros((6, 6)), make_rng(12).standard_normal((6, 8))
+        chunked = streamed(monkeypatch, 4, w, u_next, u_cur, 1.0, 0.5, v0)
+        assert cg_calls[0] == 0 and cg_calls[1] > 0
+        whole = streamed(monkeypatch, 8, w, u_next, u_cur, 1.0, 0.5, v0)
+        assert np.array_equal(chunked[0], whole[0]) and chunked[2] == whole[2]
+        negative_zero = np.signbit(v0[:, :4]) & (v0[:, :4] == 0.0)
+        assert negative_zero.any()
+        assert np.array_equal(np.signbit(chunked[0][:, :4]), negative_zero)
+        assert not np.signbit(whole[0][:, :4]).any()
+
+    def test_narrow_solve_adds_no_state_sized_block(self):
+        # The Woodbury start kept in every chunk, at d = N = 2000.  Beyond
+        # the 10 x N product it hands on, the solve adds about 2.23 chunks:
+        # a chunk's right-hand side and its start, and a row block's
+        # difference and square for its motion.  One 2000 x 2000 block is
+        # 7.8 chunks.
+        w, u_next, u_cur = narrow_system(7, d=2000, n=2000)
+        v_init, s_cur = make_rng(8).standard_normal((2000, 2000)), u_cur > 0
+        tracemalloc.start()
+        try:
+            v, wv, _ = solve_v(w, u_next, s_cur, 1.0, 0.5, v_init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v is v_init
+        chunk = 2000 * solvers.V_CHUNK * 8
+        assert peak - wv.nbytes <= 2.3 * chunk, f"solve_v adds {(peak - wv.nbytes) / chunk:.2f} chunks"
 
 
 class TestCgProperties:
