@@ -32,11 +32,13 @@ soon as its update is made, and each target is dropped from ``b`` once
 its prox has read it, so a sweep holds one state, not an old and a new
 one.  Each old block goes once nothing reads it: the state solve reads
 the old ``U_i`` only as its boolean pattern ``U_i > 0``, so ``U_i`` is
-released before the solve, and a mini-batch epoch, which reads no old
-``U``, drops those blocks on entry.  The state solve works through
-chunks of columns and writes the new ``V_i`` into the old one's buffer,
-summing its motion ``dV`` as it goes, so it forms no ``d x N`` block
-but the product it hands on.
+released before the solve.  A mini-batch epoch reads no old ``U`` or
+``V``: it drops both on entry, keeps the old ``V`` only as packed bits,
+one per activation, and counts the changed ones for ``dV``; it also
+releases the old weights before its closing forward pass.  The state
+solve works through chunks of columns and writes the new ``V_i`` into
+the old one's buffer, summing its motion ``dV`` as it goes, so it forms
+no ``d x N`` block but the product it hands on.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .core import TrainState, _is_integer, forward_blocks, init_gaussian
 from .dataio import write_csv
-from .prox import _hardmax_gap_miss, norm_l20, prox_hardmax_matrix, prox_step_matrix
+from .prox import _hardmax_gap_miss, _row_blocks, norm_l20, prox_hardmax_matrix, prox_step_matrix
 from .solvers import _col_sq, pgm, solve_v, spectral_norm
 
 __all__ = [
@@ -73,7 +75,9 @@ class BcdRecord:
     """One outer-iteration snapshot: objective breakdown and block motion.
 
     ``dw``/``dv`` are the summed squared Frobenius changes of the weight
-    and state blocks relative to the previous iterate.
+    and state blocks relative to the previous iterate.  In a mini-batch
+    run every state entry is 0 or 1, so ``dv`` is the number of hidden
+    activations that changed.
     """
 
     k: int
@@ -277,6 +281,25 @@ def _record(k, state, data, hp, dw, dv, seconds, b):
     return BcdRecord(k, f, **terms, dw=dw, dv=dv, seconds=seconds)
 
 
+def _packed_rows(v, lo, hi):
+    return np.packbits(v[lo:hi] != 0.0, axis=1)
+
+
+def _bit_pattern(v):
+    """The 0/1 pattern of ``v``, one bit per entry, each row padded with
+    zero bits to whole bytes.  It is packed one row block at a time, so no
+    full-size boolean is formed."""
+    return np.concatenate([_packed_rows(v, lo, hi) for lo, hi in _row_blocks(*v.shape)])
+
+
+def _changed_bits(v, bits):
+    """The number of entries of the 0/1 block ``v`` whose pattern differs
+    from ``bits``, taken by ``_bit_pattern``; a row's padding bits are zero
+    on both sides."""
+    return sum(np.count_nonzero(np.unpackbits(_packed_rows(v, lo, hi) ^ bits[lo:hi]))
+               for lo, hi in _row_blocks(*v.shape))
+
+
 def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
     """One mini-batch epoch in place; returns ``(dW, dV, b)`` as
     ``bcd_iteration`` does.  The weights carry across batches, and each
@@ -285,20 +308,30 @@ def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
     ``U`` list.  No batch's block motions are summed: ``dW`` and ``dV``
     measure the whole epoch's motion.
 
-    No batch and no motion reads the old ``U`` blocks, so their slots are
-    emptied on entry, in ``state.U`` itself (the caller's ``b`` may be that
-    list), and the closing pass fills them: it then holds the old ``V``,
-    read by ``dV``, and the new ``U`` and ``V``."""
+    The epoch keeps one hidden state.  No batch reads the old ``U`` or
+    ``V`` blocks, so their slots are emptied on entry, in ``state.U`` and
+    ``state.V`` themselves (the caller's ``b`` may be ``state.U``), and the
+    closing pass fills them.  Of the old ``V`` only its pattern is kept,
+    packed to one bit per entry.  The entry state is a forward pass (the
+    init, or the last epoch's closing pass), so every ``V`` entry, old and
+    new, is exactly 0 or 1.  Each squared difference is then 0.0 or 1.0,
+    every partial sum of ``_sq_diff`` is an integer below 2**53, and
+    ``dV``, the number of hidden activations that changed, has the bits
+    of that float sum.  ``dW`` is taken and the old weights released
+    before the closing pass, so that pass holds the new state alone."""
     w = list(state.W)
-    state.U[:] = [None] * len(state.U)  # read by no batch, replaced by the closing pass
+    old_v = [_bit_pattern(v) for v in state.V]
+    # Read by no batch; replaced by the closing pass.
+    state.U[:], state.V[:] = [None] * len(state.U), [None] * len(state.V)
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
         _sweep(TrainState(w, u, v), batch, hp, derive_beta, u)
     del batch  # else its X stays live through the closing pass and the sums
-    u, v = forward_blocks(w, data.X)
-    dw, dv = _sq_diff(w, state.W), _sq_diff(v, state.V)
-    state.W[:], state.U[:], state.V[:] = w, u, v
+    dw = _sq_diff(w, state.W)
+    state.W[:] = w
+    state.U[:], state.V[:] = forward_blocks(state.W, data.X)
+    dv = float(sum(_changed_bits(v, bits) for v, bits in zip(state.V, old_v)))
     return dw, dv, state.U
 
 
