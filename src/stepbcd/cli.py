@@ -153,6 +153,14 @@ def _report_metrics(w_list, splits, out):
         print(f"{name} error {error:.6f}  fil_num {fil}  par_num {par}  flops {flops:.0f}")
 
 
+def _check_output(flag, path, made=None):
+    """Raise ValueError naming ``flag`` and ``path`` unless ``path`` is no directory and
+    its directory exists or is ``made``, which the command creates with its parents, or above it."""
+    parent = Path(path).resolve().parent
+    if Path(path).is_dir() or not (parent.is_dir() or made and Path(made).resolve().is_relative_to(parent)):
+        raise ValueError(f"{flag} {path}: not a file in an existing directory")
+
+
 def _hyperparams(args):
     """The train flags' hyperparameters; ``Hyperparams`` rejects a value out of range."""
     return Hyperparams(tau=args.tau, pi=args.pi, gamma=args.gamma, lam=args.lam,
@@ -162,12 +170,14 @@ def _hyperparams(args):
 def cmd_train(args):
     shape = _parse_arch(args.arch)
     hp = _hyperparams(args)
+    out_dir = Path(args.out_dir)
+    ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / "checkpoint.bin"
+    _check_output("--checkpoint", ckpt, made=out_dir)
     train_data = _load_split(args, "train", shape, required=True)
     test_data = _load_split(args, "test", shape, required=False)
     if args.train_noise_sigma > 0.0:
         train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_TRAIN_NOISE))
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_config(out_dir / "run_config.json", args)
 
@@ -182,8 +192,8 @@ def cmd_train(args):
         shuffle_rng=make_rng(args.seed, STAGE_SHUFFLE, 2),
     )
 
-    ckpt = Path(args.checkpoint) if args.checkpoint else out_dir / "checkpoint.bin"
     save_checkpoint(state, shape, hp, ckpt)
+    state.U, state.V = [], []  # the scoring below reads the weights alone
     report.to_csv(out_dir / "report.csv")
     splits = [("train", train_data)] + ([("test", test_data)] if test_data is not None else [])
     _report_metrics(state.W, splits, out_dir / "metrics.csv")
@@ -192,6 +202,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if args.out is not None:
+        _check_output("--out", args.out)
     state, shape, _ = load_checkpoint(args.checkpoint)
     loaded = [(split, _load_split(args, split, shape, required=False)) for split in ("train", "test")]
     splits = [(split, data) for split, data in loaded if data is not None]
@@ -203,6 +215,7 @@ def cmd_eval(args):
 
 
 def cmd_robustness(args):
+    _check_output("--out", args.out)
     state, shape, _ = load_checkpoint(args.checkpoint)
     data = _load_split(args, "test", shape, required=True)
 

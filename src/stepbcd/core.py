@@ -127,24 +127,23 @@ class TrainState:
     def copy(self):
         return TrainState([w.copy() for w in self.W], [u.copy() for u in self.U], [v.copy() for v in self.V])
 
+    @staticmethod
+    def layout(shape, n_samples):
+        """Name and ``(rows, cols)`` of each block of a ``shape`` state over
+        ``n_samples`` samples, in the order W, U, V that checkpoints keep."""
+        w = [(f"W[{i}]", shape.weight_shape(i)) for i in range(shape.h)]
+        u = [(f"U[{i}]", (d, n_samples)) for i, d in enumerate(shape.dims[1:])]
+        v = [(f"V[{i}]", (d, n_samples)) for i, d in enumerate(shape.dims[1:-1])]
+        return w + u + v
+
     def check_consistent(self, shape, n_samples):
+        """Raise ValueError naming the first block whose shape is not its ``layout`` one."""
         h = shape.h
         if len(self.W) != h or len(self.U) != h or len(self.V) != h - 1:
-            raise ValueError(
-                f"block counts {len(self.W)}/{len(self.U)}/{len(self.V)} inconsistent with h={h}"
-            )
-        for i in range(h):
-            if self.W[i].shape != shape.weight_shape(i):
-                raise ValueError(f"W[{i}] has shape {self.W[i].shape}, expected {shape.weight_shape(i)}")
-            if self.U[i].shape != (shape.dims[i + 1], n_samples):
-                raise ValueError(
-                    f"U[{i}] has shape {self.U[i].shape}, expected {(shape.dims[i + 1], n_samples)}"
-                )
-        for i in range(h - 1):
-            if self.V[i].shape != (shape.dims[i + 1], n_samples):
-                raise ValueError(
-                    f"V[{i}] has shape {self.V[i].shape}, expected {(shape.dims[i + 1], n_samples)}"
-                )
+            raise ValueError(f"block counts {len(self.W)}/{len(self.U)}/{len(self.V)} inconsistent with h={h}")
+        for (name, rows_cols), m in zip(self.layout(shape, n_samples), (*self.W, *self.U, *self.V)):
+            if m.shape != rows_cols:
+                raise ValueError(f"{name} has shape {m.shape}, expected {rows_cols}")
 
     def check_finite(self):
         """Raise ``FloatingPointError`` naming the first block with a

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, NetworkShape, TrainState
-from .prox import EPS_TINY, check_one_hot
+from .prox import EPS_TINY, _row_blocks, check_one_hot
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -221,74 +221,57 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
     return Dataset(x, data.Y.copy())
 
 
-def _pack_matrix(m):
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    return struct.pack("<II", m.shape[0], m.shape[1]) + m.astype("<f8", copy=False).tobytes()
+def _header_format(h):
+    """The version-1 header of an ``h``-layer net: u32 version, h, the h+1
+    widths and N; f64 tau, pi, gamma, lam, beta; u32 L, K; the reserved f64,
+    which holds ``prox.EPS_TINY`` and is never read back."""
+    return struct.Struct(f"<{h + 4}I5d2Id")
+
+
+def _payload(header, layout, state):
+    """The payload in file order: the header, then each ``layout`` block's u32
+    rows and cols and its row-major little-endian f64 entries, one row block
+    at a time, copied only from a block that is not C-ordered."""
+    yield header
+    for (_, rows_cols), m in zip(layout, (*state.W, *state.U, *state.V)):
+        yield struct.pack("<II", *rows_cols)
+        for lo, hi in _row_blocks(*m.shape):
+            yield np.ascontiguousarray(m[lo:hi], dtype="<f8")
 
 
 def save_checkpoint(state, shape, hp, path):
     """Serialize (state, shape, hyperparams) with a trailing CRC-32.
 
-    Layout: magic, u64 payload length, payload, u32 CRC-32 of the payload.
-    Payload: u32 version, u32 h, u32 widths, u32 N, f64 tau/pi/gamma/lam/
-    beta, u32 L, u32 K, one reserved f64, then every W, U, V block as
-    (u32 rows, u32 cols, row-major little-endian f64).  The reserved slot
-    keeps the version-1 layout; it holds ``prox.EPS_TINY`` and is never
-    read back.
-    """
+    Layout: magic, u64 payload length, payload (``_payload``), u32 CRC-32
+    of the payload, each part written straight to the file."""
     n = state.U[0].shape[1] if state.U else 0
     state.check_consistent(shape, n)
     state.check_finite()
-    payload = bytearray()
-    payload += struct.pack("<II", CHECKPOINT_VERSION, shape.h)
-    payload += struct.pack(f"<{len(shape.dims)}I", *shape.dims)
-    payload += struct.pack("<I", n)
-    payload += struct.pack("<5d", hp.tau, hp.pi, hp.gamma, hp.lam, hp.beta)
-    payload += struct.pack("<II", hp.L, hp.K)
-    payload += struct.pack("<d", EPS_TINY)
-    for m in (*state.W, *state.U, *state.V):
-        payload += _pack_matrix(m)
+    header = _header_format(shape.h).pack(CHECKPOINT_VERSION, shape.h, *shape.dims, n, hp.tau, hp.pi,
+                                          hp.gamma, hp.lam, hp.beta, hp.L, hp.K, EPS_TINY)
+    layout = TrainState.layout(shape, n)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(payload)))
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
-
-
-class _Cursor:
-    def __init__(self, buf, path):
-        self.buf = buf
-        self.off = 0
-        self.path = path
-
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.buf):
-            raise TruncatedCheckpointError(f"{self.path}: payload ends inside a field")
-        out = struct.unpack_from(fmt, self.buf, self.off)
-        self.off += size
-        return out
-
-    def take_matrix(self):
-        rows, cols = self.take("<II")
-        nbytes = rows * cols * 8
-        if self.off + nbytes > len(self.buf):
-            raise TruncatedCheckpointError(f"{self.path}: payload ends inside a matrix")
-        m = np.frombuffer(self.buf, dtype="<f8", count=rows * cols, offset=self.off).reshape(rows, cols)
-        self.off += nbytes
-        return m.copy()  # frombuffer views are read-only
+        f.write(struct.pack("<Q", len(header) + sum(8 + 8 * r * c for _, (r, c) in layout)))
+        crc = 0
+        for part in _payload(header, layout, state):
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+            del part  # else it is live while the next row block is copied
+        f.write(struct.pack("<I", crc))
 
 
 def load_checkpoint(path):
     """Inverse of ``save_checkpoint``; returns ``(state, shape, hp)``.
 
     Bad magic, truncation, checksum failure, and version mismatch raise
-    distinct errors.  The reserved f64 slot is read past, not checked.
-    """
+    distinct errors.  The CRC is checked before the header is read, the
+    header's block sizes before any block is allocated, and each block's
+    stored ``(rows, cols)`` against the header's before it is read."""
     with open(path, "rb") as f:
         data = f.read()
     head = len(CHECKPOINT_MAGIC) + 8
-    if len(data) < head + 4:
+    if len(data) < head + 8 + 4:  # the version and h, and the CRC
         raise TruncatedCheckpointError(f"{path}: file too short for a checkpoint")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -304,23 +287,28 @@ def load_checkpoint(path):
     if zlib.crc32(payload) != stored_crc:
         raise ChecksumError(f"{path}: checksum mismatch, file is corrupt")
 
-    cur = _Cursor(payload, path)
-    (version, h) = cur.take("<II")
+    version, h = struct.unpack_from("<II", payload)
     if version != CHECKPOINT_VERSION:
         raise VersionError(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
-    dims = cur.take(f"<{h + 1}I")
-    (n,) = cur.take("<I")
-    tau, pi, gamma, lam, beta = cur.take("<5d")
-    big_l, big_k = cur.take("<II")
-    cur.take("<d")  # reserved slot
+    header = _header_format(h)
+    if header.size > len(payload):
+        raise TruncatedCheckpointError(f"{path}: payload ends inside the header")
+    _, _, *dims, n, tau, pi, gamma, lam, beta, big_l, big_k, _ = header.unpack_from(payload)
     shape = NetworkShape(dims)
     hp = Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k)
-    w = [cur.take_matrix() for _ in range(h)]
-    u = [cur.take_matrix() for _ in range(h)]
-    v = [cur.take_matrix() for _ in range(h - 1)]
-    if cur.off != len(payload):
-        raise CheckpointError(f"{path}: {len(payload) - cur.off} unexpected payload bytes")
-    state = TrainState(w, u, v)
-    state.check_consistent(shape, n)
+    layout = TrainState.layout(shape, n)
+    claimed = header.size + sum(8 + 8 * r * c for _, (r, c) in layout)
+    if claimed != len(payload):
+        error = TruncatedCheckpointError if claimed > len(payload) else CheckpointError
+        raise error(f"{path}: the header's blocks end at byte {claimed} of a {len(payload)}-byte payload")
+    blocks, off = [], header.size
+    for name, (rows, cols) in layout:
+        stored = struct.unpack_from("<II", payload, off)
+        if stored != (rows, cols):
+            raise CheckpointError(f"{path}: {name} is stored as {stored}, the header gives {(rows, cols)}")
+        # frombuffer views are read-only, so each block is copied out.
+        blocks.append(np.frombuffer(payload, "<f8", rows * cols, off + 8).reshape(rows, cols).copy())
+        off += 8 + 8 * rows * cols
+    state = TrainState(blocks[:h], blocks[h : 2 * h], blocks[2 * h :])
     state.check_finite()
     return state, shape, hp

@@ -151,7 +151,8 @@ def _col_sq(part, shape=None):
 def _add_pi_x(y, pi, x, b=None):
     """``y + pi x``, or ``b - (y + pi x)`` given ``b``, in ``y``'s buffer, with
     ``pi x`` formed one row block at a time.  With ``y = w^T (tau w x)`` this
-    applies the state system ``A = tau w^T w + pi I`` to ``x``."""
+    applies the state system ``A = tau w^T w + pi I`` to ``x``; with ``y =
+    tau w^T u_next`` and ``x = U_i > 0`` it is ``solve_v``'s right-hand side."""
     for lo, hi in _row_blocks(*y.shape):
         y[lo:hi] += pi * x[lo:hi]
     return y if b is None else np.subtract(b, y, out=y)
@@ -339,9 +340,7 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     for lo, hi in _col_chunks(v.shape[1]):
         rhs = w_next.T @ u_next[:, lo:hi]
         rhs *= tau
-        s = s_cur[:, lo:hi]
-        for a, b in _row_blocks(*rhs.shape):
-            rhs[a:b] += pi * s[a:b]
+        _add_pi_x(rhs, pi, s_cur[:, lo:hi])
         old = v[:, lo:hi]
         start = old
         if m < d:

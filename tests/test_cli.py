@@ -58,6 +58,22 @@ def write_empty_split(root):
     return str(images), str(labels)
 
 
+def refuse_to_load(monkeypatch):
+    """Make every data and checkpoint loader of the CLI fail the test if called."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was loaded before the output paths were checked")
+    for name in ("load_idx_images", "load_idx_labels", "load_csv_dataset", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def bad_out_path(tmp_path, kind):
+    """An output path whose directory is missing, or one that is a directory."""
+    if kind == "missing-dir":
+        return tmp_path / "missing" / "dir" / "out.bin"
+    (tmp_path / "taken").mkdir()
+    return tmp_path / "taken"
+
+
 @pytest.fixture(scope="session")
 def trained(tmp_path_factory, corpus):
     out = tmp_path_factory.mktemp("run")
@@ -88,6 +104,22 @@ class TestTrainCommand:
         assert "error:" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_bad_checkpoint_path_exits_2_before_loading(self, corpus, tmp_path, capsys, monkeypatch, kind):
+        ckpt = bad_out_path(tmp_path, kind)
+        refuse_to_load(monkeypatch)
+        out = tmp_path / "out"
+        assert main(train_args(corpus, out, extra=["--checkpoint", str(ckpt)])) == 2
+        captured = capsys.readouterr()
+        assert "--checkpoint" in captured.err and str(ckpt) in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_checkpoint_in_the_directories_train_makes(self, corpus, tmp_path):
+        # --out-dir new/run makes new as well, so new/c.bin can be written.
+        ckpt = tmp_path / "new" / "c.bin"
+        assert main(train_args(corpus, tmp_path / "new" / "run", extra=["--checkpoint", str(ckpt)])) == 0
+        assert load_checkpoint(ckpt)[1].dims == (64, 12, 10)
 
     def test_incomplete_data_flags_exit_2(self, corpus, tmp_path, capsys):
         code = main(["train", "--train-images", str(corpus["train_images"]),
@@ -415,6 +447,17 @@ class TestEvalCommand:
         assert "--train-n 5 names no train data" in captured.err and captured.out == ""
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_bad_out_path_exits_2_before_loading(self, corpus, trained, tmp_path, capsys, monkeypatch, kind):
+        out = bad_out_path(tmp_path, kind)
+        refuse_to_load(monkeypatch)
+        code = main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
+                     "--test-images", str(corpus["test_images"]), "--test-labels", str(corpus["test_labels"]),
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and str(out) in captured.err and captured.out == ""
+
     def test_split_flag_is_gone(self, corpus, trained, capsys):
         with pytest.raises(SystemExit) as exited:
             main(["eval", "--checkpoint", str(trained / "checkpoint.bin"),
@@ -469,6 +512,14 @@ class TestRobustnessCommand:
         captured = capsys.readouterr()
         assert "--test-n 41 exceeds the 40 samples" in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_bad_out_path_exits_2_before_loading(self, corpus, trained, tmp_path, capsys, monkeypatch, kind):
+        out = bad_out_path(tmp_path, kind)
+        refuse_to_load(monkeypatch)
+        assert main(self.rob_args(corpus, trained, out)) == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and str(out) in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("sigmas", ["nan", "inf", "0,-0.1", "0,,0.1", "abc", "0.1,nan"])
     def test_bad_sigma_exits_2_before_output(self, corpus, trained, tmp_path, capsys, sigmas):

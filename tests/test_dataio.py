@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import zlib
@@ -5,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
+from stepbcd.core import Hyperparams, NetworkShape, TrainState, init_gaussian, make_rng
 from stepbcd.dataio import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -22,6 +23,7 @@ from stepbcd.dataio import (
     save_checkpoint,
     to_dataset,
 )
+from stepbcd.prox import V_BLOCK
 
 from datagen import make_cluster_dataset, make_synthetic_images, write_idx_images, write_idx_labels
 
@@ -235,11 +237,9 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, saved_checkpoint):
         path, *_ = saved_checkpoint
-        raw = path.read_bytes()
-        head = len(CHECKPOINT_MAGIC) + 8
-        payload = bytearray(raw[head:-4])
+        payload = bytearray(path.read_bytes()[len(CHECKPOINT_MAGIC) + 8 : -4])
         struct.pack_into("<I", payload, 0, 99)
-        path.write_bytes(raw[:head] + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload))))
+        _rewrite_payload(path, payload)
         with pytest.raises(VersionError, match="99"):
             load_checkpoint(path)
 
@@ -261,6 +261,67 @@ class TestCheckpoint:
             assert _same_bits(a, b)
         size = path.stat().st_size
         assert peak <= 2.1 * size, f"peak {peak / size:.2f}x the file"
+
+    def test_save_copies_one_row_block_at_a_time(self, tmp_path):
+        # Weights are F-ordered after their proximal step, and the file is
+        # row-major: each row block is copied and written before the next.
+        # Staging the payload held about 1.2x the file, a whole-block copy 1x
+        # the largest block.
+        shape = NetworkShape((400, 400, 400, 10))
+        state = init_gaussian(shape, 0.3, make_rng(18), make_rng(19).random((400, 100)))
+        state.W = [np.asfortranarray(w) for w in state.W]
+        path = tmp_path / "ckpt.bin"
+        _, peak = _traced(save_checkpoint, state, shape, Hyperparams(), path)
+        largest = max(m.nbytes for m in state.W + state.U + state.V)
+        assert peak <= 1.1 * largest, f"peak {peak / largest:.2f}x the largest block"
+        assert peak <= 8 * V_BLOCK + 65536, f"peak {peak} B"
+        loaded, _, _ = load_checkpoint(path)
+        assert all(_same_bits(a, b) for a, b in zip(loaded.W, state.W))
+
+    @pytest.mark.parametrize("block", ["W[0]", "U[1]", "V[0]"])
+    def test_block_stored_with_other_rows_and_cols_names_it(self, saved_checkpoint, block):
+        path, state, shape, _ = saved_checkpoint
+        layout = TrainState.layout(shape, state.U[0].shape[1])
+        names = [name for name, _ in layout]
+        rows, cols = dict(layout)[block]
+        # The block's u32 rows and cols, counted back from the payload's end;
+        # swapped, they keep its size, and the CRC is made to match.
+        payload = bytearray(path.read_bytes()[len(CHECKPOINT_MAGIC) + 8 : -4])
+        at = len(payload) - sum(8 + 8 * r * c for _, (r, c) in layout[names.index(block):])
+        assert struct.unpack_from("<II", payload, at) == (rows, cols)
+        struct.pack_into("<II", payload, at, cols, rows)
+        _rewrite_payload(path, payload)
+        with pytest.raises(CheckpointError, match=re.escape(f"{block} is stored as ({cols}, {rows})")) as e:
+            load_checkpoint(path)
+        assert type(e.value) is CheckpointError
+
+    @pytest.mark.parametrize("field, offset", [("N", 24), ("h", 4)])
+    def test_header_claiming_more_than_the_payload_allocates_nothing(self, tmp_path, field, offset):
+        shape = NetworkShape((60, 120, 120, 10))
+        state = init_gaussian(shape, 0.3, make_rng(20), make_rng(21).random((60, 300)))
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(state, shape, Hyperparams(), path)
+        payload = bytearray(path.read_bytes()[len(CHECKPOINT_MAGIC) + 8 : -4])
+        # u32 version, h, the four widths, then N.
+        assert struct.unpack_from("<I", payload, offset)[0] == {"N": 300, "h": 3}[field]
+        struct.pack_into("<I", payload, offset, 1 << 31)
+        _rewrite_payload(path, payload)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(TruncatedCheckpointError):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The file's bytes alone; its weight blocks would add 182 KB.
+        assert peak <= path.stat().st_size + 65536
+
+
+def _rewrite_payload(path, payload):
+    """Write ``payload`` over the checkpoint at ``path``, with its length and CRC."""
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + bytes(payload)
+                     + struct.pack("<I", zlib.crc32(payload)))
 
 
 class TestSynthetic:
