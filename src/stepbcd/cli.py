@@ -193,7 +193,6 @@ def cmd_train(args):
     )
 
     save_checkpoint(state, shape, hp, ckpt)
-    state.U, state.V = [], []  # the scoring below reads the weights alone
     report.to_csv(out_dir / "report.csv")
     splits = [("train", train_data)] + ([("test", test_data)] if test_data is not None else [])
     _report_metrics(state.W, splits, out_dir / "metrics.csv")
@@ -231,8 +230,7 @@ def cmd_robustness(args):
 
 def cmd_inspect(args):
     state, shape, hp = load_checkpoint(args.checkpoint)
-    n = state.U[0].shape[1]
-    print(f"architecture {shape.dims}  (h={shape.h}, N={n})")
+    print(f"architecture {shape.dims}  (h={shape.h}, N={state.n_samples})")
     print(f"hyperparams tau={hp.tau:g} pi={hp.pi:g} gamma={hp.gamma:g} lam={hp.lam:g} "
           f"beta={hp.beta:g} L={hp.L} K={hp.K}")
     for i, w in enumerate(state.W):

@@ -112,34 +112,43 @@ class Hyperparams:
 
 @dataclass
 class TrainState:
-    """The three matrix blocks the outer loop updates.
+    """The three matrix blocks the outer loop updates, over ``n_samples`` samples.
 
     ``W[i]`` is ``dims[i+1] x dims[i]``; ``U[i]`` is ``dims[i+1] x N``;
     ``V[i]`` is the post-activation state of hidden layer i+1
     (``dims[i+1] x N``, one fewer entry than U since the input matrix is
-    held by the dataset).
+    held by the dataset).  A trained or loaded state holds the weights
+    alone: ``U`` and ``V`` are empty and ``n_samples`` keeps the N it was
+    trained on.  Left unset, ``n_samples`` is read from ``U[0]``.
     """
 
     W: list[np.ndarray]
     U: list[np.ndarray]
     V: list[np.ndarray]
+    n_samples: int | None = None
+
+    def __post_init__(self):
+        if self.n_samples is None and self.U:
+            self.n_samples = self.U[0].shape[1]
 
     def copy(self):
-        return TrainState([w.copy() for w in self.W], [u.copy() for u in self.U], [v.copy() for v in self.V])
+        return TrainState([w.copy() for w in self.W], [u.copy() for u in self.U], [v.copy() for v in self.V],
+                          self.n_samples)
 
     @staticmethod
     def layout(shape, n_samples):
         """Name and ``(rows, cols)`` of each block of a ``shape`` state over
-        ``n_samples`` samples, in the order W, U, V that checkpoints keep."""
+        ``n_samples`` samples, in the order W, U, V."""
         w = [(f"W[{i}]", shape.weight_shape(i)) for i in range(shape.h)]
         u = [(f"U[{i}]", (d, n_samples)) for i, d in enumerate(shape.dims[1:])]
         v = [(f"V[{i}]", (d, n_samples)) for i, d in enumerate(shape.dims[1:-1])]
         return w + u + v
 
     def check_consistent(self, shape, n_samples):
-        """Raise ValueError naming the first block whose shape is not its ``layout`` one."""
+        """Raise ValueError naming the first block whose shape is not its
+        ``layout`` one.  The state holds every block, or the weights alone."""
         h = shape.h
-        if len(self.W) != h or len(self.U) != h or len(self.V) != h - 1:
+        if len(self.W) != h or (len(self.U), len(self.V)) not in ((h, h - 1), (0, 0)):
             raise ValueError(f"block counts {len(self.W)}/{len(self.U)}/{len(self.V)} inconsistent with h={h}")
         for (name, rows_cols), m in zip(self.layout(shape, n_samples), (*self.W, *self.U, *self.V)):
             if m.shape != rows_cols:
@@ -157,6 +166,27 @@ class TrainState:
                     raise FloatingPointError(f"{name}[{i}] contains non-finite entries")
 
 
+def _layers(w_list, x):
+    """Each layer's ``(U_i, V_i)`` of the 0/1 forward pass from ``x``, with
+    ``U_i = W_i V_(i-1)``, ``V_i = step(U_i)`` and no ``V`` at the output.
+
+    On resuming, the generator drops ``U_i`` before it forms ``U_(i+1)``,
+    and ``V_i`` once ``U_(i+1)`` is formed, so a caller that drops each
+    pair before asking for the next holds two hidden blocks at most.  A
+    weight block that does not accept its layer's input raises
+    ``ValueError`` naming the layer.
+    """
+    v = x
+    for i, w in enumerate(w_list):
+        if w.shape[1] != v.shape[0]:
+            raise ValueError(f"layer {i}: weight {w.shape} does not accept input {v.shape}")
+        u = w @ v
+        del v
+        v = step(u) if i < len(w_list) - 1 else None
+        yield u, v
+        del u
+
+
 def forward_blocks(w_list, x):
     """Pre- and post-activation blocks of a 0/1 forward pass from ``x``.
 
@@ -165,14 +195,9 @@ def forward_blocks(w_list, x):
     does not accept its layer's input raises ``ValueError`` naming the layer.
     """
     u_list, v_list = [], []
-    v = x
-    for i, w in enumerate(w_list):
-        if w.shape[1] != v.shape[0]:
-            raise ValueError(f"layer {i}: weight {w.shape} does not accept input {v.shape}")
-        u = w @ v
+    for u, v in _layers(w_list, x):
         u_list.append(u)
-        if i < len(w_list) - 1:
-            v = step(u)
+        if v is not None:
             v_list.append(v)
     return u_list, v_list
 

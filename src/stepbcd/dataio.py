@@ -2,9 +2,9 @@
 
 IDX and CSV datasets share one label encoder, and ``write_csv`` writes all
 CSV outputs (``report.csv``, ``metrics.csv``, ``robustness.csv``).  IDX
-headers are big-endian regardless of host byte order.  Checkpoints use a
-fixed little-endian layout with a trailing CRC-32 so round trips are
-bit-exact and corruption is detected.
+headers are big-endian regardless of host byte order.  Checkpoints hold
+the weights alone, in a fixed little-endian layout with a trailing CRC-32
+so round trips are bit-exact and corruption is detected.
 
 Layout contract: every ``Dataset`` this module returns holds ``X`` as a
 C-contiguous float64 matrix of features x samples (one column per sample)
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperparams, NetworkShape, TrainState
-from .prox import EPS_TINY, _row_blocks, check_one_hot
+from .prox import _row_blocks, check_one_hot
 
 __all__ = [
     "IMAGE_MAGIC",
@@ -51,7 +51,7 @@ IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 
 CHECKPOINT_MAGIC = b"01BCDCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Refuse IDX headers whose element count cannot be a real dataset; guards
 # against reading garbage headers as multi-terabyte allocations.
@@ -222,10 +222,14 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
 
 
 def _header_format(h):
-    """The version-1 header of an ``h``-layer net: u32 version, h, the h+1
-    widths and N; f64 tau, pi, gamma, lam, beta; u32 L, K; the reserved f64,
-    which holds ``prox.EPS_TINY`` and is never read back."""
-    return struct.Struct(f"<{h + 4}I5d2Id")
+    """The version-2 header of an ``h``-layer net: u32 version, h, the h+1
+    widths and N; f64 tau, pi, gamma, lam, beta; u32 L, K."""
+    return struct.Struct(f"<{h + 4}I5d2I")
+
+
+def _weight_layout(shape):
+    """Name and ``(rows, cols)`` of each block the file stores: the weights."""
+    return TrainState.layout(shape, 0)[: shape.h]
 
 
 def _payload(header, layout, state):
@@ -233,23 +237,28 @@ def _payload(header, layout, state):
     rows and cols and its row-major little-endian f64 entries, one row block
     at a time, copied only from a block that is not C-ordered."""
     yield header
-    for (_, rows_cols), m in zip(layout, (*state.W, *state.U, *state.V)):
+    for (_, rows_cols), m in zip(layout, state.W):
         yield struct.pack("<II", *rows_cols)
         for lo, hi in _row_blocks(*m.shape):
             yield np.ascontiguousarray(m[lo:hi], dtype="<f8")
 
 
 def save_checkpoint(state, shape, hp, path):
-    """Serialize (state, shape, hyperparams) with a trailing CRC-32.
+    """Serialize the weights of ``state``, ``shape`` and the hyperparameters
+    with a trailing CRC-32.  Only the weights are stored: a state that still
+    holds its U/V blocks writes the bytes of its weights alone.  The header
+    keeps N, the state's ``n_samples``.
 
     Layout: magic, u64 payload length, payload (``_payload``), u32 CRC-32
     of the payload, each part written straight to the file."""
-    n = state.U[0].shape[1] if state.U else 0
+    n = state.n_samples
+    if n is None:
+        raise ValueError("the state names no sample count N for the checkpoint header")
     state.check_consistent(shape, n)
     state.check_finite()
     header = _header_format(shape.h).pack(CHECKPOINT_VERSION, shape.h, *shape.dims, n, hp.tau, hp.pi,
-                                          hp.gamma, hp.lam, hp.beta, hp.L, hp.K, EPS_TINY)
-    layout = TrainState.layout(shape, n)
+                                          hp.gamma, hp.lam, hp.beta, hp.L, hp.K)
+    layout = _weight_layout(shape)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<Q", len(header) + sum(8 + 8 * r * c for _, (r, c) in layout)))
@@ -262,7 +271,8 @@ def save_checkpoint(state, shape, hp, path):
 
 
 def load_checkpoint(path):
-    """Inverse of ``save_checkpoint``; returns ``(state, shape, hp)``.
+    """Inverse of ``save_checkpoint``; returns ``(state, shape, hp)``, where
+    ``state`` holds the weights and the header's N as ``n_samples``.
 
     Bad magic, truncation, checksum failure, and version mismatch raise
     distinct errors.  The CRC is checked before the header is read, the
@@ -293,10 +303,10 @@ def load_checkpoint(path):
     header = _header_format(h)
     if header.size > len(payload):
         raise TruncatedCheckpointError(f"{path}: payload ends inside the header")
-    _, _, *dims, n, tau, pi, gamma, lam, beta, big_l, big_k, _ = header.unpack_from(payload)
+    _, _, *dims, n, tau, pi, gamma, lam, beta, big_l, big_k = header.unpack_from(payload)
     shape = NetworkShape(dims)
     hp = Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k)
-    layout = TrainState.layout(shape, n)
+    layout = _weight_layout(shape)
     claimed = header.size + sum(8 + 8 * r * c for _, (r, c) in layout)
     if claimed != len(payload):
         error = TruncatedCheckpointError if claimed > len(payload) else CheckpointError
@@ -309,6 +319,9 @@ def load_checkpoint(path):
         # frombuffer views are read-only, so each block is copied out.
         blocks.append(np.frombuffer(payload, "<f8", rows * cols, off + 8).reshape(rows, cols).copy())
         off += 8 + 8 * rows * cols
-    state = TrainState(blocks[:h], blocks[h : 2 * h], blocks[2 * h :])
+    # The file's bytes go before the finiteness check, whose boolean row
+    # block would otherwise be held on top of them and the blocks.
+    del payload, data
+    state = TrainState(blocks, [], [], n)
     state.check_finite()
     return state, shape, hp

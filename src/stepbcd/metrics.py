@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import forward_blocks
+from .core import _layers
 from .prox import norm_l20
 
 __all__ = [
@@ -36,8 +36,14 @@ class EvalResult:
 
 
 def forward_scores(w_list, x):
-    """Output-layer pre-activations of the 0/1 forward pass, columnwise."""
-    return forward_blocks(w_list, x)[0][-1]
+    """Output-layer pre-activations of the 0/1 forward pass, columnwise.
+
+    Each hidden layer's blocks are dropped before the next layer's are
+    formed, so the pass holds two hidden blocks at most."""
+    for u, v in _layers(w_list, x):
+        if v is None:
+            return u
+        del u, v
 
 
 def predict_classes(w_list, x):

@@ -339,6 +339,10 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
           derive_beta=False, early_stop_tol=None, batch_size=None, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
 
+    The returned state holds the trained weights alone: its ``U`` and ``V``
+    lists are empty in both modes, and its ``n_samples`` is ``data.n``.
+    Prediction, evaluation and checkpoints read nothing else.
+
     Full-batch by default.  With ``batch_size`` set, each outer iteration
     is one epoch over seeded-shuffled batches with the weight blocks
     carried across batches and the U/V blocks re-derived per batch by a
@@ -385,5 +389,5 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     tied = int((_hardmax_gap_miss(b[-1], data.labels())[2] > 1).sum())
     if tied:
         logger.warning("%d output columns have tied maxima at the final iterate", tied)
-    return state, BcdReport(records)
+    return TrainState(state.W, [], [], data.n), BcdReport(records)
 

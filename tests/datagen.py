@@ -1,14 +1,15 @@
-"""Synthetic corpora and IDX writers for the tests.
+"""Synthetic corpora, IDX writers and a retired checkpoint writer for the tests.
 
 The package only reads IDX files and ingests real data; the tests build
 their inputs with these helpers.
 """
 
 import struct
+import zlib
 
 import numpy as np
 
-from stepbcd.dataio import IMAGE_MAGIC, LABEL_MAGIC, Dataset
+from stepbcd.dataio import CHECKPOINT_MAGIC, IMAGE_MAGIC, LABEL_MAGIC, Dataset
 
 
 def write_idx_images(path, images):
@@ -29,6 +30,23 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
+
+
+def write_v1_checkpoint(path, state, shape, hp):
+    """Write a full ``state`` in the retired version-1 checkpoint layout,
+    which the package no longer reads: magic, u64 payload length, payload,
+    u32 CRC-32.  The payload's header is u32 version 1, h, the h+1 widths
+    and N; f64 tau, pi, gamma, lam, beta; u32 L, K; a reserved f64.  Every
+    W, U and V block follows, each as u32 rows and cols and its row-major
+    little-endian f64 entries."""
+    n = state.U[0].shape[1]
+    payload = struct.pack(f"<{shape.h + 4}I5d2Id", 1, shape.h, *shape.dims, n, hp.tau, hp.pi, hp.gamma,
+                          hp.lam, hp.beta, hp.L, hp.K, 1e-10)
+    for m in (*state.W, *state.U, *state.V):
+        payload += struct.pack("<II", *m.shape) + np.ascontiguousarray(m, dtype="<f8").tobytes()
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload
+                + struct.pack("<I", zlib.crc32(payload)))
 
 
 def make_synthetic_images(n, num_classes, rng, rows=28, cols=28, block=4):

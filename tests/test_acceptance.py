@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from stepbcd.cli import main
-from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
+from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import (
     CheckpointError,
     IdxFormatError,
@@ -453,7 +453,9 @@ def test_witness_run_takes_the_learning_path(monkeypatch):
     monkeypatch.setattr(trainer, "prox_step_matrix", spy_prox)
     runs = [train(train_set, shape, hp, rng=make_rng(17), batch_size=100, derive_beta=True)[0] for _ in range(2)]
     init = init_gaussian(shape, 0.01, make_rng(17), train_set.X)
-    flips = sum(int((step(u) != step(u0)).sum()) for u, u0 in zip(runs[0].U[:-1], init.U[:-1]))
+    # A mini-batch run's final U is the forward pass of its trained weights.
+    final_u, _ = forward_blocks(runs[0].W, train_set.X)
+    flips = sum(int((step(u) != step(u0)).sum()) for u, u0 in zip(final_u[:-1], init.U[:-1]))
     iterating = sum(i > 0 for i in cg_iters) // 2
     changing = sum(c > 0 for c in changed) // 2
     print(f"\n[acceptance] learning path: {iterating} of {len(cg_iters) // 2} state solves iterate, "
@@ -462,7 +464,8 @@ def test_witness_run_takes_the_learning_path(monkeypatch):
     assert iterating > 0
     assert changing > 0
     assert flips > 0
-    for a, b in zip(runs[0].W + runs[0].U + runs[0].V, runs[1].W + runs[1].U + runs[1].V):
+    assert all(run.U == run.V == [] for run in runs)
+    for a, b in zip(runs[0].W, runs[1].W, strict=True):
         assert a.tobytes() == b.tobytes()
 
 
@@ -485,7 +488,8 @@ def test_hidden_layers_learn():
     state, _ = train(train_set, shape, hp, rng=make_rng(seed), batch_size=batch_size, derive_beta=True)
     init = init_gaussian(shape, 0.01, make_rng(seed), train_set.X)
 
-    flips = sum(int((step(u) != step(u0)).sum()) for u, u0 in zip(state.U[:-1], init.U[:-1]))
+    final_u, _ = forward_blocks(state.W, train_set.X)
+    flips = sum(int((step(u) != step(u0)).sum()) for u, u0 in zip(final_u[:-1], init.U[:-1]))
     moved = np.linalg.norm(state.W[0] - init.W[0]) / np.linalg.norm(init.W[0])
     steps = hp.K * (train_set.n // batch_size) * hp.L
     min_sq_norm = float((train_set.X * train_set.X).sum(axis=0).min())
@@ -525,8 +529,9 @@ def test_criterion_9_format_suite(tmp_path, capsys):
         ckpt = tmp_path / "ckpt.bin"
         save_checkpoint(state, shape, hp, ckpt)
         loaded, lshape, lhp = load_checkpoint(ckpt)
-        assert lshape == shape and lhp == hp
-        for a, b in zip(loaded.W + loaded.U + loaded.V, state.W + state.U + state.V):
+        assert lshape == shape and lhp == hp and loaded.n_samples == 7
+        assert loaded.U == loaded.V == []  # the file holds the weights alone
+        for a, b in zip(loaded.W, state.W, strict=True):
             assert np.array_equal(a, b)
 
         # corrupted inputs surface the documented exit codes through the CLI

@@ -9,10 +9,10 @@ import pytest
 
 from stepbcd import cli
 from stepbcd.cli import build_parser, main
-from stepbcd.core import make_rng
+from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
 from stepbcd.dataio import load_checkpoint, save_checkpoint
 
-from datagen import make_synthetic_images, write_idx_images, write_idx_labels
+from datagen import make_synthetic_images, write_idx_images, write_idx_labels, write_v1_checkpoint
 
 
 @pytest.fixture(scope="session")
@@ -276,9 +276,8 @@ class TestTrainCommand:
     def test_subsampling(self, corpus, tmp_path):
         out = tmp_path / "sub"
         assert main(train_args(corpus, out, extra=["--train-n", "30"])) == 0
-        _, shape, _ = load_checkpoint(out / "checkpoint.bin")
         state, _, _ = load_checkpoint(out / "checkpoint.bin")
-        assert state.U[0].shape[1] == 30
+        assert state.n_samples == 30  # the header's N
 
     def test_subsample_of_the_whole_split_runs(self, corpus, trained, tmp_path):
         out = tmp_path / "all"
@@ -576,6 +575,7 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "0 pruned columns" in out
         assert "filter_count" in out and "flops_estimate" in out
+        assert "architecture (64, 12, 10)  (h=2, N=80)" in out  # the header's N: the 80 train samples
 
     def test_hand_zeroed_column_is_reported(self, trained, tmp_path, capsys):
         state, shape, hp = load_checkpoint(trained / "checkpoint.bin")
@@ -593,6 +593,16 @@ class TestInspectCommand:
         bad.write_bytes(bytes(raw))
         assert main(["inspect", "--checkpoint", str(bad)]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    def test_version_1_checkpoint_exits_2(self, corpus, tmp_path, capsys, command):
+        shape = NetworkShape((64, 12, 10))
+        state = init_gaussian(shape, 0.01, make_rng(5), make_rng(6).random((64, 20)))
+        old = tmp_path / "v1.bin"
+        write_v1_checkpoint(old, state, shape, Hyperparams())
+        data = ["--train-images", str(corpus["train_images"]), "--train-labels", str(corpus["train_labels"])]
+        assert main([command, "--checkpoint", str(old), *(data if command == "eval" else [])]) == 2
+        assert "format version 1, expected 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',

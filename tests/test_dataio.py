@@ -25,7 +25,13 @@ from stepbcd.dataio import (
 )
 from stepbcd.prox import V_BLOCK
 
-from datagen import make_cluster_dataset, make_synthetic_images, write_idx_images, write_idx_labels
+from datagen import (
+    make_cluster_dataset,
+    make_synthetic_images,
+    write_idx_images,
+    write_idx_labels,
+    write_v1_checkpoint,
+)
 
 
 @pytest.fixture
@@ -195,7 +201,7 @@ class TestNoise:
 
 @pytest.fixture
 def saved_checkpoint(tmp_path, tiny_data):
-    shape = NetworkShape((4, 8, 3))
+    shape = NetworkShape((4, 8, 5, 3))
     state = init_gaussian(shape, 0.3, make_rng(9), tiny_data.X)
     hp = Hyperparams(tau=0.5, pi=0.25, gamma=0.125, lam=0.3, beta=0.01, L=2, K=7)
     path = tmp_path / "ckpt.bin"
@@ -208,9 +214,11 @@ class TestCheckpoint:
         path, state, shape, hp = saved_checkpoint
         loaded, lshape, lhp = load_checkpoint(path)
         assert lshape == shape and lhp == hp
-        for a, b in zip(loaded.W + loaded.U + loaded.V, state.W + state.U + state.V):
-            assert np.array_equal(a, b)
-            assert a.dtype == np.float64
+        # The file holds the weights and the header's N, not the U/V blocks.
+        assert loaded.U == loaded.V == [] and loaded.n_samples == state.n_samples == 32
+        for a, b in zip(loaded.W, state.W, strict=True):
+            assert _same_bits(a, b)
+            assert a.dtype == np.float64 and a.flags.c_contiguous
 
     def test_corrupt_payload_byte_fails_checksum(self, saved_checkpoint):
         path, *_ = saved_checkpoint
@@ -243,6 +251,43 @@ class TestCheckpoint:
         with pytest.raises(VersionError, match="99"):
             load_checkpoint(path)
 
+    def test_version_1_file_is_refused(self, saved_checkpoint, tmp_path):
+        _, state, shape, hp = saved_checkpoint
+        path = tmp_path / "v1.bin"
+        write_v1_checkpoint(path, state, shape, hp)
+        with pytest.raises(VersionError, match="format version 1, expected 2"):
+            load_checkpoint(path)
+
+    def test_file_holds_the_header_and_weights_alone(self, saved_checkpoint, tmp_path):
+        # A state that still holds U/V writes the bytes of its weights alone.
+        path, state, shape, hp = saved_checkpoint
+        weights = tmp_path / "weights.bin"
+        save_checkpoint(TrainState(state.W, [], [], state.n_samples), shape, hp, weights)
+        assert weights.read_bytes() == path.read_bytes()
+        # Magic, u64 length, the header (4 + h u32s, five f64s, two u32s),
+        # each weight block with its u32 rows and cols, the CRC.
+        header = 4 * (shape.h + 4) + 5 * 8 + 2 * 4
+        blocks = sum(8 + w.nbytes for w in state.W)
+        assert path.stat().st_size == len(CHECKPOINT_MAGIC) + 8 + header + blocks + 4
+
+    def test_f_ordered_weights_round_trip_bit_exact(self, saved_checkpoint, tmp_path):
+        # Weights are F-ordered after their proximal step; the file is
+        # row-major either way.  A negative zero keeps its sign bit.
+        path, state, shape, hp = saved_checkpoint
+        state.W[1][2, 3] = -0.0
+        fortran = TrainState([np.asfortranarray(w) for w in state.W], [], [], state.n_samples)
+        save_checkpoint(fortran, shape, hp, path)
+        loaded, _, _ = load_checkpoint(path)
+        for a, b in zip(loaded.W, state.W, strict=True):
+            assert _same_bits(a, b) and a.flags.c_contiguous
+        assert np.signbit(loaded.W[1][2, 3])
+
+    def test_state_without_a_sample_count_is_refused(self, saved_checkpoint, tmp_path):
+        _, state, shape, hp = saved_checkpoint
+        with pytest.raises(ValueError, match="sample count"):
+            save_checkpoint(TrainState(state.W, [], []), shape, hp, tmp_path / "none.bin")
+        assert not (tmp_path / "none.bin").exists()
+
     def test_trailing_data_rejected(self, saved_checkpoint):
         path, *_ = saved_checkpoint
         path.write_bytes(path.read_bytes() + b"x")
@@ -250,14 +295,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_load_holds_the_file_once(self, tmp_path):
-        # The file's bytes and the loaded blocks, about 2x the file; a copy
-        # of the payload would make it 3x.
+        # The file's bytes and the loaded blocks, about 2.01x the file; a
+        # copy of the payload would make it 3x.  The file's bytes are
+        # released before the finiteness check: its boolean row block, here
+        # the whole 120x120 W[1], held on top of them read 2.10x.
         shape = NetworkShape((60, 120, 120, 10))
         state = init_gaussian(shape, 0.3, make_rng(16), make_rng(17).random((60, 300)))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, shape, Hyperparams(), path)
         (loaded, _, _), peak = _traced(load_checkpoint, path)
-        for a, b in zip(loaded.W + loaded.U + loaded.V, state.W + state.U + state.V):
+        for a, b in zip(loaded.W, state.W, strict=True):
             assert _same_bits(a, b)
         size = path.stat().st_size
         assert peak <= 2.1 * size, f"peak {peak / size:.2f}x the file"
@@ -272,16 +319,16 @@ class TestCheckpoint:
         state.W = [np.asfortranarray(w) for w in state.W]
         path = tmp_path / "ckpt.bin"
         _, peak = _traced(save_checkpoint, state, shape, Hyperparams(), path)
-        largest = max(m.nbytes for m in state.W + state.U + state.V)
+        largest = max(w.nbytes for w in state.W)
         assert peak <= 1.1 * largest, f"peak {peak / largest:.2f}x the largest block"
         assert peak <= 8 * V_BLOCK + 65536, f"peak {peak} B"
         loaded, _, _ = load_checkpoint(path)
         assert all(_same_bits(a, b) for a, b in zip(loaded.W, state.W))
 
-    @pytest.mark.parametrize("block", ["W[0]", "U[1]", "V[0]"])
+    @pytest.mark.parametrize("block", ["W[0]", "W[1]", "W[2]"])
     def test_block_stored_with_other_rows_and_cols_names_it(self, saved_checkpoint, block):
         path, state, shape, _ = saved_checkpoint
-        layout = TrainState.layout(shape, state.U[0].shape[1])
+        layout = TrainState.layout(shape, state.n_samples)[: shape.h]  # the stored blocks
         names = [name for name, _ in layout]
         rows, cols = dict(layout)[block]
         # The block's u32 rows and cols, counted back from the payload's end;
@@ -295,15 +342,15 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert type(e.value) is CheckpointError
 
-    @pytest.mark.parametrize("field, offset", [("N", 24), ("h", 4)])
+    @pytest.mark.parametrize("field, offset", [("d1", 12), ("h", 4)])
     def test_header_claiming_more_than_the_payload_allocates_nothing(self, tmp_path, field, offset):
         shape = NetworkShape((60, 120, 120, 10))
         state = init_gaussian(shape, 0.3, make_rng(20), make_rng(21).random((60, 300)))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(state, shape, Hyperparams(), path)
         payload = bytearray(path.read_bytes()[len(CHECKPOINT_MAGIC) + 8 : -4])
-        # u32 version, h, the four widths, then N.
-        assert struct.unpack_from("<I", payload, offset)[0] == {"N": 300, "h": 3}[field]
+        # u32 version, h, the four widths d0..d3, then N.
+        assert struct.unpack_from("<I", payload, offset)[0] == {"d1": 120, "h": 3}[field]
         struct.pack_into("<I", payload, offset, 1 << 31)
         _rewrite_payload(path, payload)
         tracemalloc.start()
@@ -314,7 +361,8 @@ class TestCheckpoint:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # The file's bytes alone; its weight blocks would add 182 KB.
+        # The file's bytes alone; its weight blocks would add 182 KB, and a
+        # 2^31-wide layer would claim terabytes.
         assert peak <= path.stat().st_size + 65536
 
 

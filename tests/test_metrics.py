@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stepbcd.core import make_rng
+from stepbcd.core import forward_blocks, make_rng
 from stepbcd.dataio import Dataset, write_csv
 from stepbcd.metrics import (
     METRICS_FIELDS,
@@ -9,6 +11,7 @@ from stepbcd.metrics import (
     evaluate,
     filter_count,
     flops_estimate,
+    forward_scores,
     param_count,
     predict_classes,
 )
@@ -93,6 +96,28 @@ class TestEvaluate:
         perm = rng.permutation(tiny_data.n)
         shuffled = evaluate(w, tiny_data.subset(perm))
         assert base == shuffled
+
+    def test_holds_two_hidden_blocks(self):
+        # Scoring keeps only the output block, so each hidden layer's U and
+        # V go as soon as the next layer has read them: the peak is two
+        # 400x1000 blocks (3.2 MB each) and the output.  Keeping every
+        # hidden block, as collecting the whole forward pass does, holds
+        # four.  The scores have the bits of that forward pass's output.
+        data = make_cluster_dataset(30, 5, 1000, make_rng(6))
+        rng = make_rng(7)
+        w = [rng.standard_normal((400, 30)), rng.standard_normal((400, 400)), rng.standard_normal((5, 400))]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = evaluate(w, data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        hidden, output = 400 * data.n * 8, 5 * data.n * 8
+        assert peak <= 2 * hidden + output + 65536, f"peak {peak / hidden:.2f} hidden blocks"
+        scores = forward_scores(w, data.X)
+        assert scores.tobytes() == forward_blocks(w, data.X)[0][-1].tobytes()
+        assert result.correct == int((np.argmax(scores, axis=0) == data.labels()).sum())
 
     def test_empty_split_rejected(self):
         data = make_cluster_dataset(3, 2, 4, make_rng(4))

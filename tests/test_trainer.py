@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import stepbcd.trainer as trainer_mod
 from stepbcd import prox, solvers
-from stepbcd.core import Hyperparams, NetworkShape, forward_blocks, init_gaussian, make_rng
+from stepbcd.core import Hyperparams, NetworkShape, TrainState, forward_blocks, init_gaussian, make_rng
 from stepbcd.dataio import Dataset, to_dataset
 from stepbcd.prox import EPS_TINY, step
 from stepbcd.trainer import BcdReport, bcd_iteration, objective_f, train
@@ -286,8 +286,13 @@ class TestBcdIteration:
         monkeypatch.setattr(solvers, "V_TOL", 1e-12)
         shape = NetworkShape((4, 8, 3))
         hp = theory_hp(K=60)
-        state, report = train(tiny_data, shape, hp, rng=make_rng(9))
+        trained, report = train(tiny_data, shape, hp, rng=make_rng(9))
         assert report.records[-1].dw < 1e-20 and report.records[-1].dv < 1e-20
+        # train returns the weights alone; its full-batch sweeps are these.
+        state = init_gaussian(shape, 0.01, make_rng(9), tiny_data.X)
+        for _ in range(hp.K):
+            bcd_iteration(state, tiny_data, hp)
+        assert all(np.array_equal(a, b) for a, b in zip(trained.W, state.W, strict=True))
         again = state.copy()
         bcd_iteration(again, tiny_data, hp)
         for a, b in zip(state.W + state.U + state.V, again.W + again.U + again.V):
@@ -381,7 +386,7 @@ def recomputed_product(w_next, *args, **kwargs):
 def run():
     data = make_cluster_dataset(64, 10, 400, make_rng(5))
     state, report = trainer.train(data, NetworkShape((64, 96, 96, 10)), Hyperparams(K=3), rng=make_rng(6))
-    blocks = [m.tobytes() for m in state.W + state.U + state.V]
+    blocks = [w.tobytes() for w in state.W]
     return blocks, [rec.row()[:-1] for rec in report.records]
 
 trainer.solve_v = counted
@@ -433,7 +438,8 @@ class TestTrain:
         for rec, (k, f, terms, dw, dv) in zip(report.records, rows):
             assert (rec.k, rec.f, rec.loss, rec.l20, rec.frob, rec.upen, rec.vpen, rec.dw, rec.dv) == (
                 k, f, terms["loss"], terms["l20"], terms["frob"], terms["upen"], terms["vpen"], dw, dv)
-        for a, b in zip(state.W + state.U + state.V, ref_state.W + ref_state.U + ref_state.V):
+        assert state.U == state.V == [] and state.n_samples == data.n  # the weights alone
+        for a, b in zip(state.W, ref_state.W, strict=True):
             assert np.array_equal(a, b)
         # A mini-batch epoch ends on a forward pass, whose coupling residuals are zero.
         assert report.records[-1].dw > 0.0 and (report.records[-1].upen == 0.0) == minibatch
@@ -471,7 +477,7 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
+        state_bytes = sum(8 * r * c for _, (r, c) in TrainState.layout(shape, data.n))
         assert peak <= 2.45 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     def test_kept_start_sweep_forms_no_full_size_temporary(self):
@@ -484,13 +490,14 @@ class TestTrain:
         # solve over all 1000 columns at once at 1.78x, where the
         # right-hand side and the iterate are 400x1000 blocks, 0.22x each.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
+        shape = NetworkShape((30, 400, 400, 5))
         tracemalloc.start()
         try:
-            state, _ = train(data, NetworkShape((30, 400, 400, 5)), Hyperparams(K=2), rng=make_rng(32))
+            state, _ = train(data, shape, Hyperparams(K=2), rng=make_rng(32))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
+        state_bytes = sum(8 * r * c for _, (r, c) in TrainState.layout(shape, data.n))
         assert peak <= 1.6 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     def test_minibatch_epoch_holds_one_state(self):
@@ -503,14 +510,15 @@ class TestTrain:
         # weights at 1.27x, and both at 1.64x.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
         hp = Hyperparams(tau=1.0, pi=0.5, lam=0.0, L=2, K=2)
+        shape = NetworkShape((30, 400, 400, 5))
         tracemalloc.start()
         try:
-            state, _ = train(data, NetworkShape((30, 400, 400, 5)), hp, rng=make_rng(32),
+            state, _ = train(data, shape, hp, rng=make_rng(32),
                              derive_beta=True, batch_size=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        state_bytes = sum(m.nbytes for m in state.W + state.U + state.V)
+        state_bytes = sum(8 * r * c for _, (r, c) in TrainState.layout(shape, data.n))
         assert peak <= 1.15 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     @pytest.mark.parametrize("regime", ["witness", "padded"])
@@ -606,7 +614,8 @@ class TestTrain:
         state, report = train(tiny_data, shape, hp, rng=make_rng(10))
         ref = init_gaussian(shape, 0.01, make_rng(10), tiny_data.X)
         assert len(report.records) == 1
-        for a, b in zip(state.W + state.U + state.V, ref.W + ref.U + ref.V):
+        assert state.U == state.V == []
+        for a, b in zip(state.W, ref.W, strict=True):
             assert np.array_equal(a, b)
 
     def test_bit_identical_across_runs(self, tiny_data):
@@ -614,7 +623,7 @@ class TestTrain:
         hp = theory_hp(K=5)
         s1, r1 = train(tiny_data, shape, hp, rng=make_rng(12))
         s2, r2 = train(tiny_data, shape, hp, rng=make_rng(12))
-        for a, b in zip(s1.W + s1.U + s1.V, s2.W + s2.U + s2.V):
+        for a, b in zip(s1.W, s2.W, strict=True):
             assert np.array_equal(a, b)
         for x, y in zip(r1.records, r2.records):
             assert x.row()[:-1] == y.row()[:-1]  # wall time may differ
