@@ -202,18 +202,24 @@ def forward_blocks(w_list, x):
     return u_list, v_list
 
 
+def _gaussian_weights(shape, scale, rng):
+    """I.i.d. ``Normal(0, scale^2)`` weight blocks of ``shape``, drawn from
+    ``rng`` in layer order."""
+    if not (scale > 0.0 and np.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    return [rng.normal(0.0, scale, size=shape.weight_shape(i)) for i in range(shape.h)]
+
+
 def init_gaussian(shape, scale, rng, x):
     """Gaussian weight init plus a 0/1 forward pass for the U/V blocks.
 
     Weights are i.i.d. ``Normal(0, scale^2)``.  The forward-pass start
     makes both coupling penalties exactly zero initially.
     """
-    if not (scale > 0.0 and np.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != shape.dims[0]:
         raise ValueError(f"input matrix {x.shape} does not match d0={shape.dims[0]}")
 
-    w_list = [rng.normal(0.0, scale, size=shape.weight_shape(i)) for i in range(shape.h)]
+    w_list = _gaussian_weights(shape, scale, rng)
     u_list, v_list = forward_blocks(w_list, x)
     return TrainState(w_list, u_list, v_list)

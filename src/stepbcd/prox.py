@@ -58,6 +58,25 @@ def step(x):
     return np.greater(x, 0.0, out=np.empty_like(x))
 
 
+def _packed_step(u):
+    """The pattern of ``step(u)``, ``u > 0``, packed along each row by
+    ``np.packbits``: one bit per entry, each row padded with zero bits to
+    whole bytes.  It is packed one row block at a time, so no full-size
+    boolean is formed."""
+    bits = np.empty((u.shape[0], (u.shape[1] + 7) // 8), dtype=np.uint8)
+    for lo, hi in _row_blocks(*u.shape):
+        bits[lo:hi] = np.packbits(u[lo:hi] > 0.0, axis=1)
+    return bits
+
+
+def _unpacked(bits, lo, hi):
+    """Columns ``lo:hi`` of the boolean pattern that ``_packed_step`` packed
+    into ``bits``, unpacked from the bytes that hold them alone."""
+    first = lo - lo % 8
+    cols = np.unpackbits(bits[:, first // 8:(hi + 7) // 8], axis=1, count=hi - first)
+    return cols[:, lo - first:].view(np.bool_)
+
+
 def _hardmax_gap_miss(b, y_idx):
     """Per column s of ``b`` with label ``y_idx[s]``: the gap
     ``max(b_s) - b_s[y_s]``, the miss ``||e_(y_s) - hardmax(b_s)||^2`` and

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .prox import _row_blocks, prox_l20_rows
+from .prox import _row_blocks, _unpacked, prox_l20_rows
 
 __all__ = [
     "CgError",
@@ -152,7 +152,8 @@ def _add_pi_x(y, pi, x, b=None):
     """``y + pi x``, or ``b - (y + pi x)`` given ``b``, in ``y``'s buffer, with
     ``pi x`` formed one row block at a time.  With ``y = w^T (tau w x)`` this
     applies the state system ``A = tau w^T w + pi I`` to ``x``; with ``y =
-    tau w^T u_next`` and ``x = U_i > 0`` it is ``solve_v``'s right-hand side."""
+    tau w^T u_next`` and ``x`` the boolean ``U_i > 0`` it is ``solve_v``'s
+    right-hand side."""
     for lo, hi in _row_blocks(*y.shape):
         y[lo:hi] += pi * x[lo:hi]
     return y if b is None else np.subtract(b, y, out=y)
@@ -241,20 +242,22 @@ def _start_meets_tol(w, u_next, s_cur, x, wx, tau, pi):
     """Whether every column of the start ``x`` provably meets ``V_TOL``,
     judged from the product ``wx = w @ x`` alone.
 
-    With ``e = u_next - wx`` and the boolean ``s_cur``, read as the 0/1
-    ``step(U_i)``, the residual is ``r = tau w^T e + pi (s_cur - x)``, so
-    ``||r_j|| <= R_j = tau ||w||_F ||e_j|| + pi ||s_j - x_j||``.  Expanding
+    With ``e = u_next - wx`` and ``s_cur`` the packed pattern of
+    ``step(U_i)``, read as 0/1, the residual is
+    ``r = tau w^T e + pi (s_cur - x)``, so ``||r_j|| <= R_j = tau ||w||_F ||e_j|| + pi ||s_j - x_j||``.  Expanding
     ``A x_j`` gives ``||A x_j||^2 >= Q_j^2 = 2 tau pi ||wx_j||^2 + pi^2
     ||x_j||^2``, and ``||b_j|| >= Q_j - R_j``.  So ``(1 + V_TOL) R_j <=
     V_TOL Q_j`` gives ``||r_j|| <= V_TOL ||b_j||``, the test ``cg_solve``
     applies; a zero ``b_j``, which it measures absolutely, passes only with
     ``R_j = 0``, where ``r_j = 0`` too.  Both differences are squared one
-    row block at a time by ``_col_sq``; ``Q``'s two column sums are taken
-    by ``np.einsum``, which forms no square and is faster here.
+    row block at a time by ``_col_sq``, the pattern unpacked per row block;
+    ``Q``'s two column sums are taken by ``np.einsum``, which forms no
+    square and is faster here.
     """
+    n = x.shape[1]
     r = np.sqrt(_col_sq(lambda lo, hi: u_next[lo:hi] - wx[lo:hi], wx.shape))
     r *= tau * np.linalg.norm(w)
-    r += pi * np.sqrt(_col_sq(lambda lo, hi: s_cur[lo:hi] - x[lo:hi], x.shape))
+    r += pi * np.sqrt(_col_sq(lambda lo, hi: _unpacked(s_cur[lo:hi], 0, n) - x[lo:hi], x.shape))
     q = np.sqrt(2.0 * tau * pi * np.einsum("ij,ij->j", wx, wx) + pi * pi * np.einsum("ij,ij->j", x, x))
     return bool(np.all((1.0 + V_TOL) * r <= V_TOL * q))
 
@@ -275,20 +278,22 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
 
         (tau w^T w + pi I) v = tau w^T u_next + pi step(U_i)
 
-    with ``w = w_next`` of shape ``m x d`` and ``s_cur`` the boolean
-    pattern ``U_i > 0``, which is ``step(U_i)``: the solve reads ``U_i``
+    with ``w = w_next`` of shape ``m x d`` and ``s_cur`` the pattern
+    ``U_i > 0``, which is ``step(U_i)``, packed along each row by
+    ``prox._packed_step`` (``d x ceil(N/8)`` bytes): the solve reads ``U_i``
     through nothing else, so the caller may release ``U_i`` before the
-    call.  A non-boolean ``s_cur``, such as ``U_i`` itself, raises
-    ``ValueError``.
+    call.  An ``s_cur`` that is not such a ``uint8`` array, such as ``U_i``
+    itself or its boolean mask, raises ``ValueError``.
 
     The solve is written into ``v_init``'s own buffer when it is float64,
     else into a float64 copy; either way that array is returned as ``v``.
     Its columns are independent, so it works through chunks of
-    ``V_CHUNK`` columns.  Per chunk it forms the right-hand side, with
-    ``pi s_cur`` added one row block at a time, and picks a start: when
-    ``m < d`` (the layer below a narrower one) the Woodbury solution
-    through the ``m x m`` system, or the chunk of ``v_init`` if that system
-    is numerically singular; otherwise the chunk of ``v_init``.
+    ``V_CHUNK`` columns.  Per chunk it unpacks the chunk's pattern, forms
+    the right-hand side, with ``pi s_cur`` added one row block at a time,
+    and picks a start: when ``m < d`` (the layer below a narrower one) the
+    Woodbury solution through the ``m x m`` system, or the chunk of
+    ``v_init`` if that system is numerically singular; otherwise the chunk
+    of ``v_init``.
     ``cg_solve`` then runs from it until every column meets ``V_TOL``; a
     start that meets it is kept as it is.  The chunk's squared motion
     ``||v_new - v_init||^2``, per column, is summed by ``_col_sq``, and the
@@ -320,14 +325,14 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     if pi <= 0.0:
         raise ValueError(f"pi must be positive for an SPD system, got {pi}")
     s_cur = np.asarray(s_cur)
-    if s_cur.dtype != np.bool_:
-        raise ValueError(f"solve_v takes the boolean pattern U_i > 0, got a {s_cur.dtype} array")
-    if w_next.shape[0] != u_next.shape[0] or w_next.shape[1] != s_cur.shape[0]:
+    if s_cur.dtype != np.uint8:
+        raise ValueError(f"solve_v takes the packed pattern of U_i > 0, got a {s_cur.dtype} array")
+    if w_next.shape[0] != u_next.shape[0] or w_next.shape[1] != v_init.shape[0]:
         raise ValueError(
-            f"solve_v shape mismatch: w {w_next.shape}, u_next {u_next.shape}, s_cur {s_cur.shape}"
+            f"solve_v shape mismatch: w {w_next.shape}, u_next {u_next.shape}, v_init {v_init.shape}"
         )
-    if v_init.shape != s_cur.shape:
-        raise ValueError(f"warm start {v_init.shape} does not match {s_cur.shape}")
+    if s_cur.shape != (v_init.shape[0], (v_init.shape[1] + 7) // 8):
+        raise ValueError(f"packed pattern {s_cur.shape} does not match the warm start {v_init.shape}")
 
     m, d = w_next.shape
     v = np.asarray(v_init, dtype=np.float64)
@@ -340,7 +345,7 @@ def solve_v(w_next, u_next, s_cur, tau, pi, v_init):
     for lo, hi in _col_chunks(v.shape[1]):
         rhs = w_next.T @ u_next[:, lo:hi]
         rhs *= tau
-        _add_pi_x(rhs, pi, s_cur[:, lo:hi])
+        _add_pi_x(rhs, pi, _unpacked(s_cur, lo, hi))
         old = v[:, lo:hi]
         start = old
         if m < d:

@@ -23,22 +23,27 @@ leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
 that is the product its check was made from, the one ``d x d x N``
 product the solve forms, and otherwise one product of the whole new
 ``V_i``.  ``bcd_iteration`` forms only ``W_0 X``.  After
-a forward pass (the init, a mini-batch, the state re-derived after a
-mini-batch epoch) the products are the ``U`` blocks themselves.
+a forward pass (the init, a mini-batch, the closing pass of a mini-batch
+epoch) the products are the ``U`` blocks themselves.
 
 Every sweep, full-batch or per mini-batch, runs the one private sweep.  A
 sweep runs in place: each block is replaced in the state's own lists as
 soon as its update is made, and each target is dropped from ``b`` once
 its prox has read it, so a sweep holds one state, not an old and a new
 one.  Each old block goes once nothing reads it: the state solve reads
-the old ``U_i`` only as its boolean pattern ``U_i > 0``, so ``U_i`` is
-released before the solve.  A mini-batch epoch reads no old ``U`` or
-``V``: it drops both on entry, keeps the old ``V`` only as packed bits,
-one per activation, and counts the changed ones for ``dV``; it also
-releases the old weights before its closing forward pass.  The state
-solve works through chunks of columns and writes the new ``V_i`` into
-the old one's buffer, summing its motion ``dV`` as it goes, so it forms
-no ``d x N`` block but the product it hands on.
+the old ``U_i`` only as its pattern ``U_i > 0``, packed one bit per
+entry, so ``U_i`` is released before the solve.  The state solve works
+through chunks of columns and writes the new ``V_i`` into the old one's
+buffer, summing its motion ``dV`` as it goes, so it forms no ``d x N``
+block but the product it hands on.
+
+A mini-batch run holds no hidden block over all N samples.  Between
+epochs it keeps the weights, the output block ``U_h`` of their forward
+pass over the data, the one product the report and the tie count read,
+and that pass's hidden ``V`` blocks as packed bits, one per activation.
+The init and each epoch's closing forward pass are taken one chunk of
+columns at a time straight into those, and ``dV`` counts the bits that
+changed.  An epoch releases the old weights before its closing pass.
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import TrainState, _is_integer, forward_blocks, init_gaussian
+from .core import TrainState, _gaussian_weights, _is_integer, _layers, forward_blocks, init_gaussian
 from .dataio import write_csv
-from .prox import _hardmax_gap_miss, _row_blocks, norm_l20, prox_hardmax_matrix, prox_step_matrix
-from .solvers import _col_sq, pgm, solve_v, spectral_norm
+from .prox import _hardmax_gap_miss, _packed_step, _row_blocks, norm_l20, prox_hardmax_matrix, prox_step_matrix
+from .solvers import _col_chunks, _col_sq, pgm, solve_v, spectral_norm
 
 __all__ = [
     "BcdRecord",
@@ -132,26 +137,40 @@ def objective_f(state, data, hp, b=None):
     (read-only); they are computed here when absent.  Each sum of squares
     is taken one row block at a time (see ``_sq_motion``), ``step(U_i)``
     included.
+
+    A state that holds the weights alone stands for the forward pass of
+    its weights from ``data.X``, and ``b[-1]`` must then be that pass's
+    output block ``U_h``, the one block read.  On a forward pass
+    ``U_i = W_i V_(i-1)`` and ``V_i = step(U_i)`` hold exactly, so upen
+    and vpen are exactly 0.0 and are not summed; a mini-batch run's report
+    is taken so.
     """
     n = data.X.shape[1]
-    if state.U[-1].shape != data.Y.shape:
-        raise ValueError(f"output block {state.U[-1].shape} does not match labels {data.Y.shape}")
+    forward = not state.U
+    if forward and b is None:
+        raise ValueError("a state of weights alone needs its output block U_h as b[-1]")
+    u_out = b[-1] if forward else state.U[-1]
+    if u_out.shape != data.Y.shape:
+        raise ValueError(f"output block {u_out.shape} does not match labels {data.Y.shape}")
 
-    loss = 0.5 / n * float(_hardmax_gap_miss(state.U[-1], data.labels())[1].sum())
+    loss = 0.5 / n * float(_hardmax_gap_miss(u_out, data.labels())[1].sum())
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
     frob = 0.5 * hp.gamma * sum(_sq_motion(w) for w in state.W)
-    if b is None:
-        b = _coupling_products(state, data)
-    # A U block that is its product, a kept target, has no residual.
-    upen = 0.5 * hp.tau * sum(_sq_motion(u, wv) for u, wv in zip(state.U, b))
-    # step(U_i) is formed as a float block, as ``step`` forms it.  Subtracting
-    # the boolean U_i > 0 gives the same bits, but made desk-full's objective
-    # about twice as slow on a 2-core Xeon.
-    vpen = 0.5 * hp.pi * sum(
-        float(_col_sq(lambda lo, hi: v[lo:hi] - np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi])),
-                      v.shape).sum())
-        for u, v in zip(state.U, state.V)
-    )
+    if forward:
+        upen = vpen = 0.0
+    else:
+        if b is None:
+            b = _coupling_products(state, data)
+        # A U block that is its product, a kept target, has no residual.
+        upen = 0.5 * hp.tau * sum(_sq_motion(u, wv) for u, wv in zip(state.U, b))
+        # step(U_i) is formed as a float block, as ``step`` forms it.  Subtracting
+        # the boolean U_i > 0 gives the same bits, but made desk-full's objective
+        # about twice as slow on a 2-core Xeon.
+        vpen = 0.5 * hp.pi * sum(
+            float(_col_sq(lambda lo, hi: v[lo:hi] - np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi])),
+                          v.shape).sum())
+            for u, v in zip(state.U, state.V)
+        )
 
     terms = {"loss": loss, "l20": l20, "frob": frob, "upen": upen, "vpen": vpen}
     return loss + l20 + frob + upen + vpen, terms
@@ -208,9 +227,10 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     the previous iterate takes ``state.copy()`` first.  The sweep runs top
     down, so every block the scheme reads stale (``U_i``, ``V_i``, ``W_i``,
     ``V_(i-1)``) is read before it is replaced.  The state solve reads the
-    old ``U_i`` only through the boolean pattern ``U_i > 0``; once that is
-    taken, the slot ``state.U[i]`` is set to None for the solve, unless
-    ``b[i]`` is that same array, and then filled with the new ``U_i``.  The
+    old ``U_i`` only through its pattern ``U_i > 0``, packed one bit per
+    entry and one row block at a time; once that is taken, the slot
+    ``state.U[i]`` is set to None for the solve, unless ``b[i]`` is that
+    same array, and then filled with the new ``U_i``.  The
     solve writes the new ``V_i`` into the old one's buffer, one chunk of
     columns at a time, and returns its motion.  A sweep that raises
     (``CgError``) may so leave a ``U`` slot empty and a ``V_i`` whose
@@ -254,9 +274,10 @@ def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            # The solve reads the old U_i only as step(U_i), so its slot is
-            # released before the solve unless it is also the target b[i].
-            s = state.U[i] > 0.0
+            # The solve reads the old U_i only as step(U_i), packed one bit
+            # per entry, so its slot is released before the solve unless it
+            # is also the target b[i].
+            s = _packed_step(state.U[i])
             if b[i] is not state.U[i]:
                 state.U[i] = None
             # The solve writes the new V_i into the old one's buffer.
@@ -281,58 +302,65 @@ def _record(k, state, data, hp, dw, dv, seconds, b):
     return BcdRecord(k, f, **terms, dw=dw, dv=dv, seconds=seconds)
 
 
-def _packed_rows(v, lo, hi):
-    return np.packbits(v[lo:hi] != 0.0, axis=1)
+def _forward_pass(w_list, x):
+    """The output block ``U_h`` and the packed pattern of each hidden
+    ``V_i`` (``prox._packed_step``) of the forward pass of ``w_list`` from
+    ``x``, formed one chunk of columns at a time.
+
+    The chunks are the state solve's (``solvers._col_chunks``), and each
+    goes through ``core._layers``.  ``V_CHUNK`` is a multiple of 8, so each
+    chunk's pattern starts on a byte of the whole one.  So the pass holds
+    a chunk of two layers at most beside ``U_h`` and the bits, and no
+    hidden ``d x N`` block.  Each chunk's ``U`` blocks are checked as
+    ``TrainState.check_finite`` checks whole ones: a non-finite entry
+    raises ``FloatingPointError`` naming the block.
+    """
+    n = x.shape[1]
+    u_out = np.empty((w_list[-1].shape[0], n))
+    bits = [np.empty((w.shape[0], (n + 7) // 8), dtype=np.uint8) for w in w_list[:-1]]
+    for lo, hi in _col_chunks(n):
+        for i, (u, v) in enumerate(_layers(w_list, x[:, lo:hi])):
+            if not np.isfinite(u).all():
+                raise FloatingPointError(f"U[{i}] contains non-finite entries")
+            if v is None:
+                u_out[:, lo:hi] = u
+            else:
+                bits[i][:, lo // 8:(hi + 7) // 8] = _packed_step(v)
+            del u, v  # else live while the next layer's chunk is formed
+    return u_out, bits
 
 
-def _bit_pattern(v):
-    """The 0/1 pattern of ``v``, one bit per entry, each row padded with
-    zero bits to whole bytes.  It is packed one row block at a time, so no
-    full-size boolean is formed."""
-    return np.concatenate([_packed_rows(v, lo, hi) for lo, hi in _row_blocks(*v.shape)])
-
-
-def _changed_bits(v, bits):
-    """The number of entries of the 0/1 block ``v`` whose pattern differs
-    from ``bits``, taken by ``_bit_pattern``; a row's padding bits are zero
-    on both sides."""
-    return sum(np.count_nonzero(np.unpackbits(_packed_rows(v, lo, hi) ^ bits[lo:hi]))
-               for lo, hi in _row_blocks(*v.shape))
-
-
-def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm):
+def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm, bits):
     """One mini-batch epoch in place; returns ``(dW, dV, b)`` as
-    ``bcd_iteration`` does.  The weights carry across batches, and each
-    batch's U/V start from a forward pass.  The new state is the forward
-    pass of the trained weights over all of ``data``, so ``b`` is its
-    ``U`` list.  No batch's block motions are summed: ``dW`` and ``dV``
+    ``bcd_iteration`` does, ``b`` holding the closing pass's ``U_h`` alone.
+
+    ``state`` holds the weights alone, and ``bits`` the packed hidden
+    patterns of their forward pass over ``data`` (``_forward_pass``).  The
+    weights carry across batches, and each batch's U/V start from a
+    forward pass.  The epoch closes with ``_forward_pass`` of the trained
+    weights over all of ``data``, whose patterns replace ``bits`` in the
+    list itself.  No batch's block motions are summed: ``dW`` and ``dV``
     measure the whole epoch's motion.
 
-    The epoch keeps one hidden state.  No batch reads the old ``U`` or
-    ``V`` blocks, so their slots are emptied on entry, in ``state.U`` and
-    ``state.V`` themselves (the caller's ``b`` may be ``state.U``), and the
-    closing pass fills them.  Of the old ``V`` only its pattern is kept,
-    packed to one bit per entry.  The entry state is a forward pass (the
-    init, or the last epoch's closing pass), so every ``V`` entry, old and
-    new, is exactly 0 or 1.  Each squared difference is then 0.0 or 1.0,
-    every partial sum of ``_sq_diff`` is an integer below 2**53, and
-    ``dV``, the number of hidden activations that changed, has the bits
-    of that float sum.  ``dW`` is taken and the old weights released
-    before the closing pass, so that pass holds the new state alone."""
+    Every ``V`` entry of a forward pass, old and new, is exactly 0 or 1, so
+    each squared difference is 0.0 or 1.0, and ``dV``, the squared motion
+    of the hidden states, is the number of bits in which the old and new
+    patterns differ; a row's padding bits are zero on both sides.  It is
+    counted one row block at a time.  ``dW`` is taken and the old weights
+    released before the closing pass."""
     w = list(state.W)
-    old_v = [_bit_pattern(v) for v in state.V]
-    # Read by no batch; replaced by the closing pass.
-    state.U[:], state.V[:] = [None] * len(state.U), [None] * len(state.V)
     for start in range(0, data.n, batch_size):
         batch = data.subset(perm[start:start + batch_size])
         u, v = forward_blocks(w, batch.X)
         _sweep(TrainState(w, u, v), batch, hp, derive_beta, u)
-    del batch  # else its X stays live through the closing pass and the sums
+    del batch, u, v  # else live through the closing pass
     dw = _sq_diff(w, state.W)
     state.W[:] = w
-    state.U[:], state.V[:] = forward_blocks(state.W, data.X)
-    dv = float(sum(_changed_bits(v, bits) for v, bits in zip(state.V, old_v)))
-    return dw, dv, state.U
+    u_out, new = _forward_pass(state.W, data.X)
+    dv = float(sum(np.count_nonzero(np.unpackbits(old[lo:hi] ^ cur[lo:hi]))
+                   for old, cur in zip(bits, new) for lo, hi in _row_blocks(*old.shape)))
+    bits[:] = new
+    return dw, dv, [u_out]
 
 
 def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
@@ -346,9 +374,11 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     Full-batch by default.  With ``batch_size`` set, each outer iteration
     is one epoch over seeded-shuffled batches with the weight blocks
     carried across batches and the U/V blocks re-derived per batch by a
-    forward pass (the report rows are then computed on the re-derived
-    full-data state, so the coupling penalties read zero by construction).
-    A batch size that is not an integer of at least 1, or an
+    forward pass.  Between epochs such a run keeps the weights, the output
+    block ``U_h`` of their forward pass over all of ``data`` and the packed
+    patterns of its hidden ``V`` blocks, and it forms no hidden block over
+    all samples (``_forward_pass``).  Its report rows are taken on that
+    forward pass, so the coupling penalties read exactly zero.  A batch size that is not an integer of at least 1, or an
     ``early_stop_tol`` that is negative or not finite, raises ValueError.
     """
     if data.n == 0:
@@ -364,18 +394,27 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     if batch_size is not None and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 
-    state = init_gaussian(shape, init_scale, rng, data.X)
-    state.check_consistent(shape, data.X.shape[1])
-    # The coupling products of the current iterate: the objective's upen,
-    # the next sweep's b targets and the final tie count all read them.
-    # A forward-pass state's products are its U blocks.
-    b = state.U
+    if batch_size is None:
+        state = init_gaussian(shape, init_scale, rng, data.X)
+        state.check_consistent(shape, data.X.shape[1])
+        # The coupling products of the current iterate: the objective's upen,
+        # the next sweep's b targets and the final tie count all read them.
+        # A forward-pass state's products are its U blocks.
+        b = state.U
+    else:
+        # A mini-batch run keeps the weights, and of their forward pass the
+        # packed hidden patterns and the one product read, U_h.
+        state = TrainState(_gaussian_weights(shape, init_scale, rng), [], [], data.n)
+        u_out, bits = _forward_pass(state.W, data.X)
+        b = [u_out]
+        del u_out
     records = [_record(0, state, data, hp, 0.0, 0.0, 0.0, b)]
 
     for k in range(1, hp.K + 1):
         t0 = time.perf_counter()
         if batch_size is not None:
-            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, batch_size, shuffle_rng.permutation(data.n))
+            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, batch_size,
+                                            shuffle_rng.permutation(data.n), bits)
         else:
             dw, dv, b = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()

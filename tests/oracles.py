@@ -4,13 +4,19 @@ The package ships the matrix solvers a run calls; the tests check them
 against these straight-line references: the single-column and scalar
 prox minimizers, their objectives and brute-force minima, the step
 prox's entrywise path, the composite weight-block objective, its
-proximal stationarity residual, and the descent inequality of the outer
-loop.
+proximal stationarity residual, the descent inequality of the outer
+loop, and the packed step pattern the state solve takes.
 """
 
 import numpy as np
 
 from stepbcd.prox import EPS_TINY
+
+
+def packed_pattern(u):
+    """The pattern ``u > 0`` packed along each row, one bit per entry, as
+    ``solvers.solve_v`` takes ``step(U_i)``."""
+    return np.packbits(u > 0, axis=1)
 
 
 def prox_hardmax_column(y_index, b, mu):

@@ -19,6 +19,7 @@ from stepbcd.prox import (
 
 from oracles import (
     hardmax_miss,
+    packed_pattern,
     hardmax_objective,
     hardmax_oracle_min,
     prox_hardmax_column,
@@ -451,3 +452,22 @@ def test_norm_l20_counts_one_row_block_at_a_time(order, shape):
         tracemalloc.stop()
     assert count == int(np.any(w != 0.0, axis=0).sum())
     assert shape != (784, 2000) or peak <= 0.2 * block, f"norm_l20 adds {peak / block:.2f} blocks"
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (5, 8), (9, 255), (4, 257), (300, 513), (2, 70000)])
+def test_packed_step_packs_row_blocks_as_packbits_packs_the_whole(monkeypatch, shape):
+    # Packed one row block at a time (two rows a block here), the pattern
+    # has the bytes of np.packbits over the whole mask, zero padding bits
+    # included; -0.0, 0.0 and NaN are off, a positive denormal is on.
+    # Any column range unpacks to the mask's columns, on a byte boundary
+    # or not.
+    monkeypatch.setattr(prox, "V_BLOCK", 2 * shape[1])
+    rng = make_rng(shape[0] * 11 + shape[1])
+    u = rng.standard_normal(shape)
+    u.flat[rng.integers(0, u.size, 4)] = [-0.0, 0.0, np.nan, 1e-320]
+    bits = prox._packed_step(u)
+    assert bits.dtype == np.uint8 and bits.tobytes() == packed_pattern(u).tobytes()
+    n = shape[1]
+    for lo, hi in {(0, n), (0, n // 2), (n // 2, n), (n // 3, 2 * n // 3 + 1), (min(8, n), n)}:
+        cols = prox._unpacked(bits, lo, hi)
+        assert cols.dtype == np.bool_ and np.array_equal(cols, u[:, lo:hi] > 0)

@@ -10,7 +10,7 @@ from stepbcd.core import make_rng
 from stepbcd.prox import step
 from stepbcd.solvers import CgError, cg_solve, grad_psi, pgm, solve_v, spectral_norm
 
-from oracles import composite_objective, p_stationarity_residual
+from oracles import composite_objective, p_stationarity_residual, packed_pattern
 
 
 def ridge_solution(u, v, tau, gamma):
@@ -347,7 +347,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _, _ = solve_v(w, u_next, u_cur > 0, tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -357,7 +357,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _, _ = solve_v(w, u_next, u_cur > 0, tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -365,28 +365,32 @@ class TestSolveV:
         v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
         v_tol(tol)
-        cold, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=np.zeros_like(u_cur))
-        warm, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
+        cold, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
 
     def test_float_pattern_is_rejected(self):
-        # The solve takes U_i's boolean pattern; U_i itself, or its 0/1
-        # step as floats, raises rather than being read as that pattern.
+        # The solve takes U_i's pattern packed one bit per entry; U_i
+        # itself, its 0/1 step as floats, or its unpacked boolean mask
+        # raises rather than being read as that pattern, and so does a
+        # packed pattern of other columns.
         w, u_next, u_cur, _, _ = spd_system(60, d=6, n=3)
-        for wrong in (u_cur, step(u_cur)):
-            with pytest.raises(ValueError, match="boolean pattern"):
+        for wrong in (u_cur, step(u_cur), u_cur > 0):
+            with pytest.raises(ValueError, match="packed pattern"):
                 solve_v(w, u_next, wrong, 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        with pytest.raises(ValueError, match="packed pattern"):
+            solve_v(w, u_next, packed_pattern(np.ones((6, 9))), 1.0, 0.5, v_init=np.zeros_like(u_cur))
 
     @pytest.mark.parametrize("m, d", [(10, 200), (8, 8)])
     def test_pattern_gives_the_float_step_bits(self, cg_calls, m, d):
-        # The boolean pattern enters the right-hand side as pi * step(U_i)
+        # The packed pattern enters the right-hand side as pi * step(U_i)
         # did, bit for bit: CG from the same start (the Woodbury iterate on
         # a narrow layer, v_init on a square one, whose check fails) takes
         # the same iterations to the same bits.
@@ -398,7 +402,7 @@ class TestSolveV:
             w = rng.standard_normal((m, d)) / np.sqrt(d)
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             tau, pi = 1.0, 0.5
-        v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+        v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         start = solvers._woodbury(w, rhs, tau, pi) if m < d else np.zeros_like(u_cur)
         ref, iters = cg_solve(w, tau, pi, rhs, start, solvers.V_TOL, 10 * d)
@@ -442,7 +446,7 @@ class TestSolveV:
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
         tau, pi = 1.0, 0.5
-        out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros((d, n)))
+        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros((d, n)))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         assert from_v_init == (m >= d)
         if not from_v_init:
@@ -452,7 +456,7 @@ class TestSolveV:
             assert len(cg_calls) == 1 and cg_calls[0] > 0
             exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
             cg_calls.clear()
-            again, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
+            again, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
             assert cg_calls == [0]
             assert np.array_equal(again, exact)
 
@@ -467,7 +471,7 @@ class TestSolveV:
         tau, pi = 1.0, 0.5
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
-        v, wv, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=exact)
+        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
         assert cg_calls == [0]
         assert v is exact or m < d
         assert wv.tobytes() == (w @ v).tobytes()
@@ -477,7 +481,7 @@ class TestSolveV:
         # The check certifies the start from w @ x alone: no right-hand side,
         # no CG call, and the product comes back with the bits of w @ v.
         w, u_next, u_cur, x = kept_start_system(28, m, d)
-        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
+        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
         assert cg_calls == []
         assert v is x
         assert wv.tobytes() == (w @ v).tobytes()
@@ -488,7 +492,7 @@ class TestSolveV:
         w, _, u_cur, x = kept_start_system(29, m, d)
         x[3, 2] = 1.0 - x[3, 2]
         u_next = w @ x
-        v, _, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=x)
+        v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
 
@@ -502,7 +506,7 @@ class TestSolveV:
         u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
         rhs = w.T @ u_next + 0.5 * step(u_cur)
         exact = np.linalg.solve(w.T @ w + 0.5 * np.eye(d), rhs)
-        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, 0.5, v_init=exact)
+        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=exact)
         assert cg_calls == [0]
         assert v is exact
         assert wv.tobytes() == (w @ exact).tobytes()
@@ -550,7 +554,7 @@ class TestSolveV:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "cg_solve", spy)
-            v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=x)
+            v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=x)
         if not calls:
             assert v is x
             assert column_residuals(w, u_next, u_cur, v, tau, pi).max() <= solvers.V_TOL
@@ -572,7 +576,7 @@ class TestSolveV:
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             pi = 0.5
         v_init = np.zeros_like(u_cur)
-        v, wv, _ = solve_v(w, u_next, u_cur > 0, 1.0, pi, v_init=v_init)
+        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, pi, v_init=v_init)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert v is v_init and v_init.any()
         assert wv.tobytes() == (w @ v).tobytes()
@@ -587,7 +591,7 @@ class TestSolveV:
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
@@ -609,7 +613,7 @@ class TestSolveV:
         v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+            out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
@@ -623,7 +627,7 @@ class TestSolveV:
         # A full-size temporary per iteration, such as p * A p, puts the peak
         # at seven chunks, and CG over all N columns at six state blocks.
         w, u_next, u_cur = narrow_system(50, d=2000, n=1000, scale=30.0)
-        v_init, s_cur = np.zeros_like(u_cur), u_cur > 0
+        v_init, s_cur = np.zeros_like(u_cur), packed_pattern(u_cur)
         tracemalloc.start()
         try:
             v, _, _ = solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
@@ -646,7 +650,7 @@ class TestSolveV:
 
         monkeypatch.setattr(solvers, "cg_solve", one_cg_iteration)
         with pytest.raises(CgError, match="relative residual") as exc:
-            solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+            solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
         assert exc.value.residual > tol
         assert exc.value.iters == 1 and len(iterates) == 1
         worst = column_residuals(w, u_next, u_cur, iterates[-1], tau, pi).max()
@@ -664,7 +668,7 @@ class TestSolveV:
         s = step(u_cur)
         for scale in (0.3, 1.0, 3.0):
             w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
-            v, _, _ = solve_v(w, u_next, u_cur > 0, tau, pi, v_init=np.zeros_like(u_cur))
+            v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
             b = tau * (w.T @ u_next) + pi * s
             bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
                      + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)
@@ -676,7 +680,7 @@ def streamed(monkeypatch, chunk, w, u_next, u_cur, tau, pi, v0):
     it returns as ``v``; the motion is also summed from the whole arrays."""
     monkeypatch.setattr(solvers, "V_CHUNK", chunk)
     v_init = v0.copy()
-    v, wv, dv = solve_v(w, u_next, u_cur > 0, tau, pi, v_init)
+    v, wv, dv = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init)
     assert v is v_init
     assert dv == float(solvers._col_sq(v - v0).sum())
     return v, wv, dv
@@ -745,7 +749,7 @@ class TestStreamedSolve:
         # difference and square for its motion.  One 2000 x 2000 block is
         # 7.8 chunks.
         w, u_next, u_cur = narrow_system(7, d=2000, n=2000)
-        v_init, s_cur = make_rng(8).standard_normal((2000, 2000)), u_cur > 0
+        v_init, s_cur = make_rng(8).standard_normal((2000, 2000)), packed_pattern(u_cur)
         tracemalloc.start()
         try:
             v, wv, _ = solve_v(w, u_next, s_cur, 1.0, 0.5, v_init)
