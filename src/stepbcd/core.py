@@ -119,7 +119,15 @@ class TrainState:
     (``dims[i+1] x N``, one fewer entry than U since the input matrix is
     held by the dataset).  A trained or loaded state holds the weights
     alone: ``U`` and ``V`` are empty and ``n_samples`` keeps the N it was
-    trained on.  Left unset, ``n_samples`` is read from ``U[0]``.
+    trained on.  Left unset, ``n_samples`` is read from ``U[-1]``.
+
+    Between full-batch sweeps a hidden ``U[i]`` (``i < h-1``) is held as
+    its step pattern ``U[i] > 0``, packed along each row by
+    ``prox._packed_step``: a ``uint8`` block of ``dims[i+1] x ceil(N/8)``
+    bytes.  The next sweep's state solve reads it as it is, and nothing
+    else reads the old ``U[i]``.  ``U[h-1]`` stays float.
+    ``check_consistent`` and ``check_finite`` accept such a state;
+    ``trainer.objective_f`` scores float ones.
     """
 
     W: list[np.ndarray]
@@ -129,7 +137,7 @@ class TrainState:
 
     def __post_init__(self):
         if self.n_samples is None and self.U:
-            self.n_samples = self.U[0].shape[1]
+            self.n_samples = self.U[-1].shape[1]
 
     def copy(self):
         return TrainState([w.copy() for w in self.W], [u.copy() for u in self.U], [v.copy() for v in self.V],
@@ -146,24 +154,36 @@ class TrainState:
 
     def check_consistent(self, shape, n_samples):
         """Raise ValueError naming the first block whose shape is not its
-        ``layout`` one.  The state holds every block, or the weights alone."""
+        ``layout`` one.  The state holds every block, or the weights alone.
+        A hidden ``U[i]`` may be its packed step pattern, a ``uint8`` block
+        of ``ceil(N/8)`` columns."""
         h = shape.h
         if len(self.W) != h or (len(self.U), len(self.V)) not in ((h, h - 1), (0, 0)):
             raise ValueError(f"block counts {len(self.W)}/{len(self.U)}/{len(self.V)} inconsistent with h={h}")
-        for (name, rows_cols), m in zip(self.layout(shape, n_samples), (*self.W, *self.U, *self.V)):
-            if m.shape != rows_cols:
-                raise ValueError(f"{name} has shape {m.shape}, expected {rows_cols}")
+        packable = {f"U[{i}]" for i in range(h - 1)}
+        for (name, (rows, cols)), m in zip(self.layout(shape, n_samples), (*self.W, *self.U, *self.V)):
+            if name in packable and m.dtype == np.uint8:
+                cols = (cols + 7) // 8
+            if m.shape != (rows, cols):
+                raise ValueError(f"{name} has shape {m.shape}, expected {(rows, cols)}")
 
     def check_finite(self):
         """Raise ``FloatingPointError`` naming the first block with a
-        non-finite entry.  Each block is tested one row block at a time, so
-        no full-size boolean is formed; an F-ordered one through its
-        C-ordered transpose."""
+        non-finite entry (``_check_finite``).  A packed ``U`` block holds
+        bits, which are finite."""
         for name, blocks in (("W", self.W), ("U", self.U), ("V", self.V)):
             for i, m in enumerate(blocks):
-                t = m.T if m.flags.f_contiguous else m
-                if not all(np.isfinite(t[lo:hi]).all() for lo, hi in _row_blocks(*t.shape)):
-                    raise FloatingPointError(f"{name}[{i}] contains non-finite entries")
+                _check_finite(f"{name}[{i}]", m)
+
+
+def _check_finite(name, m):
+    """Raise ``FloatingPointError`` naming ``name`` when the block ``m`` has
+    a non-finite entry.  It is tested one row block at a time, so no
+    full-size boolean is formed; an F-ordered block through its C-ordered
+    transpose."""
+    t = m.T if m.flags.f_contiguous else m
+    if not all(np.isfinite(t[lo:hi]).all() for lo, hi in _row_blocks(*t.shape)):
+        raise FloatingPointError(f"{name} contains non-finite entries")
 
 
 def _layers(w_list, x):

@@ -161,17 +161,19 @@ def prox_step_matrix(v_target, b, tau, pi):
     ``b <= 0`` with ``a <= 1/2`` gives ``t <= 0 <= rho b^2`` (for
     nonnegative ``tau`` and ``pi``).  That case returns ``b`` itself, the
     same array when it is float64, without forming the branch tests, so
-    the caller must not write the result.  Any other input takes the
-    entrywise path and gets a new array.
+    the caller must not write the result.  The sides are compared one row
+    block at a time, so that test forms no full-size boolean.  Any other
+    input takes the entrywise path and gets a new array.
     """
     v_target = np.asarray(v_target, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if v_target.shape != b.shape:
         raise ValueError(f"target/prediction shape mismatch: {v_target.shape} vs {b.shape}")
 
-    positive = b > 0.0
-    if tau >= 0.0 and pi >= 0.0 and np.array_equal(positive, v_target > 0.5):
+    if tau >= 0.0 and pi >= 0.0 and all(np.array_equal(b[lo:hi] > 0.0, v_target[lo:hi] > 0.5)
+                                        for lo, hi in _row_blocks(*b.shape)):
         return b
+    positive = b > 0.0
     # lhs = pi * t and quad = tau * b^2, each built in place in one buffer:
     # this function's temporaries are among the largest of a sweep, so
     # ``out`` is allocated only after they are released.

@@ -12,13 +12,12 @@ the previous sweep.
 Each iterate's products ``W_i V_(i-1)`` are computed once.  Every outer
 iteration, a full-batch sweep (``bcd_iteration``) or a mini-batch epoch,
 updates the state in place and returns ``(dW, dV, b)``: the summed block
-motions and the new iterate's products.  ``train`` reads ``b`` for the
-objective's coupling penalty and hands it to the next sweep as its
-targets, where the ``U_i`` prox reads each one and the ``W_i`` step's
-first gradient reuses its buffer as the residual.  A step prox that
-provably keeps every entry returns the target itself as the new ``U_i``;
-the ``W_i`` step then takes its first residual as zero, forms none, and
-leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
+motions and the new iterate's products.  ``train`` hands ``b`` to the
+next sweep as its targets, where the ``U_i`` prox reads each one and the
+``W_i`` step's first gradient reuses its buffer as the residual.  A step
+prox that provably keeps every entry returns the target itself as the
+new ``U_i``; the ``W_i`` step then takes its first residual as zero,
+forms none, and leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
 ``W_(i+1) V_i`` of the new iterate; where it keeps a square layer's start,
 that is the product its check was made from, the one ``d x d x N``
 product the solve forms, and otherwise one product of the whole new
@@ -32,10 +31,20 @@ soon as its update is made, and each target is dropped from ``b`` once
 its prox has read it, so a sweep holds one state, not an old and a new
 one.  Each old block goes once nothing reads it: the state solve reads
 the old ``U_i`` only as its pattern ``U_i > 0``, packed one bit per
-entry, so ``U_i`` is released before the solve.  The state solve works
-through chunks of columns and writes the new ``V_i`` into the old one's
-buffer, summing its motion ``dV`` as it goes, so it forms no ``d x N``
-block but the product it hands on.
+entry, which is how a full-batch state keeps it (below).  The state
+solve works through chunks of columns and writes the new ``V_i`` into
+the old one's buffer, summing its motion ``dV`` as it goes, so it forms
+no ``d x N`` block but the product it hands on.
+
+A full-batch sweep also finishes each ``U_i`` as soon as it is final.
+Once the solve for ``V_(i-1)`` hands on ``W_i V_(i-1)`` (for ``U_0``,
+once ``W_0 X`` is formed), it sums the coupling residual
+``||U_i - W_i V_(i-1)||^2``, checks ``U_i`` finite and, below the output
+layer, keeps ``U_i`` only as its packed pattern, the one form the next
+sweep's solve reads; ``||V_i - step(U_i)||^2`` is summed once the ``U_i``
+prox returns.  ``bcd_iteration`` returns those per-layer sums beside
+``(dW, dV, b)``, and the report's upen and vpen are made from them, so
+the report reads the weights and ``U_h`` alone, in either mode.
 
 A mini-batch run holds no hidden block over all N samples.  Between
 epochs it keeps the weights, the output block ``U_h`` of their forward
@@ -54,7 +63,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import TrainState, _gaussian_weights, _is_integer, _layers, forward_blocks, init_gaussian
+from .core import TrainState, _check_finite, _gaussian_weights, _is_integer, _layers, forward_blocks, init_gaussian
 from .dataio import write_csv
 from .prox import _hardmax_gap_miss, _packed_step, _row_blocks, norm_l20, prox_hardmax_matrix, prox_step_matrix
 from .solvers import _col_chunks, _col_sq, pgm, solve_v, spectral_norm
@@ -132,11 +141,14 @@ def objective_f(state, data, hp, b=None):
         + (tau/2) sum_i ||U_i - W_i V_(i-1)||^2
         + (pi/2) sum_(i<h) ||V_i - step(U_i)||^2
 
-    Returns ``(F, terms)`` with terms keyed loss/l20/frob/upen/vpen.
-    ``b`` holds the products ``W_i V_(i-1)`` when the caller has them
-    (read-only); they are computed here when absent.  Each sum of squares
-    is taken one row block at a time (see ``_sq_motion``), ``step(U_i)``
-    included.
+    Returns ``(F, terms)`` with terms keyed loss/l20/frob/upen/vpen; F is
+    their sum in that order.  ``b`` holds the products ``W_i V_(i-1)``
+    when the caller has them (read-only); they are computed here when
+    absent.  Each sum of squares is taken one row block at a time (see
+    ``_sq_motion`` and ``_sq_step_gap``), ``step(U_i)`` included, and
+    ``_penalties`` scales the per-layer ones.  Every ``U`` block must be
+    float: a full-batch sweep packs the hidden ones and sums their terms
+    itself (``bcd_iteration``).
 
     A state that holds the weights alone stands for the forward pass of
     its weights from ``data.X``, and ``b[-1]`` must then be that pass's
@@ -156,24 +168,33 @@ def objective_f(state, data, hp, b=None):
     loss = 0.5 / n * float(_hardmax_gap_miss(u_out, data.labels())[1].sum())
     l20 = hp.lam * sum(norm_l20(w) for w in state.W)
     frob = 0.5 * hp.gamma * sum(_sq_motion(w) for w in state.W)
-    if forward:
-        upen = vpen = 0.0
-    else:
+    upen_sq = vpen_sq = ()
+    if not forward:
         if b is None:
             b = _coupling_products(state, data)
         # A U block that is its product, a kept target, has no residual.
-        upen = 0.5 * hp.tau * sum(_sq_motion(u, wv) for u, wv in zip(state.U, b))
-        # step(U_i) is formed as a float block, as ``step`` forms it.  Subtracting
-        # the boolean U_i > 0 gives the same bits, but made desk-full's objective
-        # about twice as slow on a 2-core Xeon.
-        vpen = 0.5 * hp.pi * sum(
-            float(_col_sq(lambda lo, hi: v[lo:hi] - np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi])),
-                          v.shape).sum())
-            for u, v in zip(state.U, state.V)
-        )
+        upen_sq = [_sq_motion(u, wv) for u, wv in zip(state.U, b)]
+        vpen_sq = [_sq_step_gap(v, u) for u, v in zip(state.U, state.V)]
+    upen, vpen = _penalties(hp, upen_sq, vpen_sq)
 
     terms = {"loss": loss, "l20": l20, "frob": frob, "upen": upen, "vpen": vpen}
-    return loss + l20 + frob + upen + vpen, terms
+    return sum(terms.values()), terms
+
+
+def _penalties(hp, upen_sq, vpen_sq):
+    """The objective's ``upen`` and ``vpen`` from the per-layer squared
+    coupling residuals, each list summed in layer order."""
+    return 0.5 * hp.tau * sum(upen_sq), 0.5 * hp.pi * sum(vpen_sq)
+
+
+def _sq_step_gap(v, u):
+    """``||V_i - step(U_i)||^2``, summed by ``solvers._col_sq`` one row
+    block at a time.  ``step(U_i)`` is formed per block as a float block,
+    as ``step`` forms it.  Subtracting the boolean ``U_i > 0`` gives the
+    same bits, but made desk-full's objective about twice as slow on a
+    2-core Xeon."""
+    return float(_col_sq(lambda lo, hi: v[lo:hi] - np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi])),
+                         v.shape).sum())
 
 
 def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
@@ -213,8 +234,10 @@ def _sq_diff(new, old):
 
 
 def bcd_iteration(state, data, hp, derive_beta=False, b=None):
-    """One outer sweep in place; returns ``(dW, dV, b)``: the squared block
-    motions and the new iterate's products ``W_i V_(i-1)``, input layer first.
+    """One outer sweep in place; returns ``(dW, dV, b, coupling)``: the
+    squared block motions, the new iterate's products ``W_i V_(i-1)``,
+    input layer first, and the new iterate's per-layer squared coupling
+    residuals.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
     triple V_i, U_i, W_i.  Staleness discipline: each ``b = W_i V_(i-1)``
@@ -228,13 +251,23 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     down, so every block the scheme reads stale (``U_i``, ``V_i``, ``W_i``,
     ``V_(i-1)``) is read before it is replaced.  The state solve reads the
     old ``U_i`` only through its pattern ``U_i > 0``, packed one bit per
-    entry and one row block at a time; once that is taken, the slot
-    ``state.U[i]`` is set to None for the solve, unless ``b[i]`` is that
-    same array, and then filled with the new ``U_i``.  The
-    solve writes the new ``V_i`` into the old one's buffer, one chunk of
-    columns at a time, and returns its motion.  A sweep that raises
-    (``CgError``) may so leave a ``U`` slot empty and a ``V_i`` whose
-    first chunks are new and the rest old.
+    entry (``prox._packed_step``), so a hidden ``U`` slot may hold that
+    pattern, as this call leaves it (see ``TrainState``); a float ``U_i``
+    is packed one row block at a time.  The solve writes the new ``V_i``
+    into the old one's buffer, one chunk of columns at a time, and returns
+    its motion.  A sweep that raises (``CgError``) may so leave a ``V_i``
+    whose first chunks are new and the rest old.
+
+    Each ``U_i`` is settled as soon as it is final and its new product
+    ``W_i V_(i-1)`` is formed: the state solve for ``V_(i-1)`` hands that
+    product on, and ``W_0 X`` is formed after the sweep.  Settling sums
+    ``||U_i - W_i V_(i-1)||^2``, checks ``U_i`` finite one row block at a
+    time (``FloatingPointError`` naming it) and, below the output layer,
+    replaces it by its packed pattern.  ``||V_i - step(U_i)||^2`` is
+    summed once the ``U_i`` prox returns.  ``coupling`` is the pair of
+    those lists, ``h`` and ``h-1`` sums in layer order, each with the bits
+    of ``objective_f``'s term for that layer; ``_penalties`` turns them
+    into the report's upen and vpen.
 
     ``b`` lists the targets, input layer first: the products this call
     returned for the previous iterate, or ``state.U`` itself when the state
@@ -254,51 +287,81 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     """
     if b is None:
         b = _coupling_products(state, data)
-    dw, dv = [0.0] * len(state.W), [0.0] * len(state.V)
-    b = _sweep(state, data, hp, derive_beta, b, dw, dv)
+    h = len(state.W)
+    dw, dv, upen, vpen = [0.0] * h, [0.0] * (h - 1), [0.0] * h, [0.0] * (h - 1)
+    b = _sweep(state, data, hp, derive_beta, b, (dw, dv, upen, vpen))
     b[0] = state.W[0] @ data.X
-    return sum(dw), sum(dv), b
+    _settle_u(state, 0, b[0], upen)
+    return sum(dw), sum(dv), b, (upen, vpen)
 
 
-def _sweep(state, data, hp, derive_beta, b, dw=None, dv=None):
+def _settle_u(state, i, wv, upen):
+    """Settle the final ``U_i`` of a full-batch sweep against its new
+    product ``wv``: sum ``||U_i - wv||^2`` into ``upen[i]``, check ``U_i``
+    finite and, below the output layer, replace it by its packed step
+    pattern, the one form of it the next sweep reads."""
+    u = state.U[i]
+    _check_finite(f"U[{i}]", u)
+    upen[i] = _sq_motion(u, wv)
+    if i < len(state.W) - 1:
+        state.U[i] = _packed_step(u)
+
+
+def _sweep(state, data, hp, derive_beta, b, sums=None):
     """``bcd_iteration``'s sweep; returns the new iterate's products with
     slot 0 empty: each state solve hands on its ``W_(i+1) V_i``, and no
-    solve forms ``W_0 X``.  ``dw`` and ``dv``, when given, are lists with
-    one slot per weight and per state block that receive each block's
-    squared motion; a mini-batch epoch reads none and passes neither.
-    Each ``V_i`` is solved into its own buffer, and its motion comes from
-    the solve; a ``CgError`` leaves ``V_i`` partly written."""
+    solve forms ``W_0 X``.
+
+    ``sums``, from a full-batch sweep, is four lists ``(dw, dv, upen,
+    vpen)`` with one slot per layer (per hidden layer for ``dv`` and
+    ``vpen``).  They receive each block's squared motion and squared
+    coupling residual, and each ``U_(i+1)`` is settled (``_settle_u``)
+    once the ``V_i`` solve hands on its product.  A mini-batch epoch
+    passes none: its ``U`` blocks stay float and go with the batch.  Each
+    ``V_i`` is solved into its own buffer, and its motion comes from the
+    solve; a ``CgError`` leaves ``V_i`` partly written."""
     h = len(state.W)
     products = [None] * h
+    full = sums is not None
+    if full:
+        dw, dv, upen, vpen = sums
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
             # The solve reads the old U_i only as step(U_i), packed one bit
-            # per entry, so its slot is released before the solve unless it
-            # is also the target b[i].
-            s = _packed_step(state.U[i])
-            if b[i] is not state.U[i]:
-                state.U[i] = None
-            # The solve writes the new V_i into the old one's buffer.
+            # per entry, and writes the new V_i into the old one's buffer.
+            s = state.U[i] if state.U[i].dtype == np.uint8 else _packed_step(state.U[i])
             state.V[i], products[i + 1], motion = solve_v(
                 state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
             del s
-            if dv is not None:
+            if full:
                 dv[i] = motion
+                _settle_u(state, i + 1, products[i + 1], upen)
             u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
+            if full:
+                vpen[i] = _sq_step_gap(state.V[i], u)
         wv, b[i] = b[i], None
         state.U[i] = u
         w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta, wv)
-        del wv
-        if dw is not None:
+        del u, wv  # else the float U_i outlives its packing
+        if full:
             dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
     return products
 
 
-def _record(k, state, data, hp, dw, dv, seconds, b):
-    f, terms = objective_f(state, data, hp, b)
+def _record(k, state, data, hp, dw, dv, seconds, b, coupling=None):
+    """Report row ``k``.  loss, l20 and frob are ``objective_f``'s of the
+    weights with the output block ``U_h``: the state's own in a full-batch
+    run, else that of the forward pass whose products ``b`` are.  upen and
+    vpen come from a full-batch sweep's ``coupling`` sums
+    (``bcd_iteration``), or are 0.0 without them, on a forward pass."""
+    u_out = state.U[-1] if state.U else b[-1]
+    f, terms = objective_f(TrainState(state.W, [], []), data, hp, [u_out])
+    if coupling is not None:
+        terms["upen"], terms["vpen"] = _penalties(hp, *coupling)
+        f = sum(terms.values())
     return BcdRecord(k, f, **terms, dw=dw, dv=dv, seconds=seconds)
 
 
@@ -311,17 +374,16 @@ def _forward_pass(w_list, x):
     goes through ``core._layers``.  ``V_CHUNK`` is a multiple of 8, so each
     chunk's pattern starts on a byte of the whole one.  So the pass holds
     a chunk of two layers at most beside ``U_h`` and the bits, and no
-    hidden ``d x N`` block.  Each chunk's ``U`` blocks are checked as
-    ``TrainState.check_finite`` checks whole ones: a non-finite entry
-    raises ``FloatingPointError`` naming the block.
+    hidden ``d x N`` block.  Each chunk's ``U`` blocks are checked by
+    ``core._check_finite``: a non-finite entry raises
+    ``FloatingPointError`` naming the block.
     """
     n = x.shape[1]
     u_out = np.empty((w_list[-1].shape[0], n))
     bits = [np.empty((w.shape[0], (n + 7) // 8), dtype=np.uint8) for w in w_list[:-1]]
     for lo, hi in _col_chunks(n):
         for i, (u, v) in enumerate(_layers(w_list, x[:, lo:hi])):
-            if not np.isfinite(u).all():
-                raise FloatingPointError(f"U[{i}] contains non-finite entries")
+            _check_finite(f"U[{i}]", u)
             if v is None:
                 u_out[:, lo:hi] = u
             else:
@@ -332,7 +394,8 @@ def _forward_pass(w_list, x):
 
 def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm, bits):
     """One mini-batch epoch in place; returns ``(dW, dV, b)`` as
-    ``bcd_iteration`` does, ``b`` holding the closing pass's ``U_h`` alone.
+    ``bcd_iteration`` does, ``b`` holding the closing pass's ``U_h`` alone,
+    and no coupling sums: that pass's residuals are zero.
 
     ``state`` holds the weights alone, and ``bits`` the packed hidden
     patterns of their forward pass over ``data`` (``_forward_pass``).  The
@@ -371,15 +434,24 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     lists are empty in both modes, and its ``n_samples`` is ``data.n``.
     Prediction, evaluation and checkpoints read nothing else.
 
-    Full-batch by default.  With ``batch_size`` set, each outer iteration
+    Full-batch by default: each outer iteration is one ``bcd_iteration``,
+    which leaves the hidden ``U`` blocks as packed step patterns and
+    returns its per-layer coupling sums.  Each report row takes loss, l20
+    and frob from the weights and ``U_h``, and upen and vpen from those
+    sums; row 0 is the forward-pass init, whose coupling penalties are
+    exactly zero.  With ``batch_size`` set, each outer iteration
     is one epoch over seeded-shuffled batches with the weight blocks
     carried across batches and the U/V blocks re-derived per batch by a
     forward pass.  Between epochs such a run keeps the weights, the output
     block ``U_h`` of their forward pass over all of ``data`` and the packed
     patterns of its hidden ``V`` blocks, and it forms no hidden block over
     all samples (``_forward_pass``).  Its report rows are taken on that
-    forward pass, so the coupling penalties read exactly zero.  A batch size that is not an integer of at least 1, or an
-    ``early_stop_tol`` that is negative or not finite, raises ValueError.
+    forward pass, so the coupling penalties read exactly zero.
+
+    In either mode an init whose forward pass overflows raises
+    ``FloatingPointError`` naming the ``U`` block before row 0.  A batch
+    size that is not an integer of at least 1, or an ``early_stop_tol``
+    that is negative or not finite, raises ValueError.
     """
     if data.n == 0:
         raise ValueError("training needs at least one sample, got an empty dataset")
@@ -397,9 +469,11 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     if batch_size is None:
         state = init_gaussian(shape, init_scale, rng, data.X)
         state.check_consistent(shape, data.X.shape[1])
-        # The coupling products of the current iterate: the objective's upen,
-        # the next sweep's b targets and the final tie count all read them.
-        # A forward-pass state's products are its U blocks.
+        for i in range(shape.h):
+            _check_finite(f"U[{i}]", state.U[i])
+        # The coupling products of the current iterate: the next sweep's b
+        # targets and the final tie count read them.  A forward-pass
+        # state's products are its U blocks.
         b = state.U
     else:
         # A mini-batch run keeps the weights, and of their forward pass the
@@ -415,11 +489,12 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         if batch_size is not None:
             dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, batch_size,
                                             shuffle_rng.permutation(data.n), bits)
+            coupling = None
         else:
-            dw, dv, b = bcd_iteration(state, data, hp, derive_beta, b)
+            dw, dv, b, coupling = bcd_iteration(state, data, hp, derive_beta, b)
         state.check_finite()
         seconds = time.perf_counter() - t0
-        records.append(_record(k, state, data, hp, dw, dv, seconds, b))
+        records.append(_record(k, state, data, hp, dw, dv, seconds, b, coupling))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)
         if early_stop_tol is not None and abs(records[-1].f - records[-2].f) < early_stop_tol:
             logger.info("early stop at iteration %d: |dF| < %g", k, early_stop_tol)

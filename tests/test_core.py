@@ -186,6 +186,25 @@ class TestCheckFinite:
             state.check_finite()
 
 
+class TestPackedState:
+    def test_hidden_u_blocks_may_be_packed(self, tiny_data):
+        # Between full-batch sweeps a hidden U_i is its step pattern, packed
+        # one bit per entry: 13 columns take 2 bytes a row.  U_h stays float.
+        shape = NetworkShape((4, 8, 6, 3))
+        state = init_gaussian(shape, 0.1, make_rng(5), tiny_data.X[:, :13])
+        state.U[:2] = [np.packbits(u > 0.0, axis=1) for u in state.U[:2]]
+        assert state.U[0].shape == (8, 2)
+        state.check_consistent(shape, 13)
+        state.check_finite()
+        state.U[1] = state.U[1][:, :1]
+        with pytest.raises(ValueError, match=r"U\[1\] has shape \(6, 1\), expected \(6, 2\)"):
+            state.check_consistent(shape, 13)
+        state.U[1] = state.U[0][:6]
+        state.U[2] = np.packbits(state.U[2] > 0.0, axis=1)
+        with pytest.raises(ValueError, match=r"U\[2\] has shape \(3, 2\), expected \(3, 13\)"):
+            state.check_consistent(shape, 13)
+
+
 class TestRng:
     def test_streams_reproducible_across_processes(self):
         script = textwrap.dedent(

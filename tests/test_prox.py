@@ -309,6 +309,20 @@ class TestProxStepMatrix:
         if certified:
             assert out is b
 
+    def test_kept_block_forms_no_full_size_boolean(self):
+        # The kept path compares the sides b > 0 and v > 1/2 one row block
+        # at a time; two whole 400x1000 booleans were 800 KB.
+        b = make_rng(35).standard_normal((400, 1000))
+        v = step(b)
+        tracemalloc.start()
+        try:
+            out = prox_step_matrix(v, b, 1e-6, 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is b
+        assert peak < b.size, f"the kept path adds {peak} B; a whole boolean is {b.size} B"
+
     def test_uncertified_kept_block_is_a_new_array(self):
         # b > 0 with v <= 1/2 fails the certificate, but tau b^2 outweighs
         # pi |t|, so the entrywise path keeps it, in a copy.

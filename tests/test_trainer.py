@@ -114,7 +114,7 @@ class TestBcdIteration:
         blocks = (state.W, state.U, state.V)
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.1, L=2)
         b = list(state.U)
-        dw, dv, products = bcd_iteration(state, tiny_data, hp, b=b)
+        dw, dv, products, coupling = bcd_iteration(state, tiny_data, hp, b=b)
         # The state's own lists now hold the new blocks, and the motions are
         # those of the new iterate against the old one, bit for bit.
         assert all(x is y for x, y in zip((state.W, state.U, state.V), blocks))
@@ -127,8 +127,8 @@ class TestBcdIteration:
         inputs = [tiny_data.X] + state.V
         assert [p.tobytes() for p in products] == [(w @ x).tobytes() for w, x in zip(state.W, inputs)]
         # The U list may serve as the targets: same bits as a copy of it.
-        dw_a, dv_a, products_a = bcd_iteration(aliased, tiny_data, hp, b=aliased.U)
-        assert (dw_a, dv_a) == (dw, dv)
+        dw_a, dv_a, products_a, coupling_a = bcd_iteration(aliased, tiny_data, hp, b=aliased.U)
+        assert (dw_a, dv_a, coupling_a) == (dw, dv, coupling)
         for x, y in zip(state.W + state.U + state.V + products, aliased.W + aliased.U + aliased.V + products_a):
             assert np.array_equal(x, y)
 
@@ -149,7 +149,7 @@ class TestBcdIteration:
             return v, wv, dv
 
         monkeypatch.setattr(trainer_mod, "solve_v", spied)
-        _, _, products = bcd_iteration(state, tiny_data, Hyperparams(), b=state.U)
+        _, _, products, _ = bcd_iteration(state, tiny_data, Hyperparams(), b=state.U)
         assert state.V[0] is v0
         assert all(p is wv for p, wv in zip(products[1:], handed, strict=True))
         inputs = [tiny_data.X] + state.V
@@ -158,7 +158,8 @@ class TestBcdIteration:
     def test_kept_targets_become_the_new_u_blocks(self, tiny_data, monkeypatch):
         # At the reference constants every step prox keeps its target and
         # returns it as the new U_i, the same array that the W_i step is
-        # handed as its product.  The step must leave it as it was.
+        # handed as its product.  The step must leave it as it was, and the
+        # sweep keeps U_i as its packed pattern.
         shape = NetworkShape((4, 6, 6, 3))
         state = init_gaussian(shape, 0.3, make_rng(24), tiny_data.X)
         b = trainer_mod._coupling_products(state, tiny_data)
@@ -175,8 +176,68 @@ class TestBcdIteration:
         bcd_iteration(state, tiny_data, Hyperparams(), b=b)
         assert fired == [True, True]
         for i in range(shape.h - 1):
-            assert state.U[i] is targets[i]
-            assert state.U[i].tobytes() == kept[i].tobytes()
+            assert targets[i].tobytes() == kept[i].tobytes()
+            assert np.array_equal(state.U[i], packed_pattern(kept[i]))
+
+    @pytest.mark.parametrize("regime", ["kept", "entrywise"])
+    def test_coupling_sums_are_the_objective_terms(self, regime, monkeypatch):
+        # The sweep sums each layer's coupling residuals as it settles the
+        # blocks and keeps each hidden U_i packed.  Run with float U
+        # blocks, as a mini-batch sweep runs, the same sweep leaves the
+        # float state, and objective_f's terms over it must have the sums'
+        # bits, layer by layer.  Two sweeps, the second from the packed
+        # state.  At the reference constants every step prox keeps its
+        # target; at tau=0.5 pi=0.2 each takes the entrywise path, and CG
+        # iterates on the square layer.
+        data = make_cluster_dataset(30, 5, 200, make_rng(31))
+        shape = NetworkShape((30, 60, 60, 5))
+        hp = Hyperparams() if regime == "kept" else Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2)
+        prox_step = trainer_mod.prox_step_matrix
+        kept = []
+
+        def spied(v, target, tau, pi):
+            out = prox_step(v, target, tau, pi)
+            kept.append(out is target)
+            return out
+
+        monkeypatch.setattr(trainer_mod, "prox_step_matrix", spied)
+        state = init_gaussian(shape, 0.01, make_rng(32), data.X)
+        ref = state.copy()
+        b, b_ref = state.U, ref.U
+        for _ in range(2):
+            _, _, b, (upen, vpen) = bcd_iteration(state, data, hp, b=b)
+            b_ref = trainer_mod._sweep(ref, data, hp, False, b_ref)
+            b_ref[0] = ref.W[0] @ data.X
+            for x, y in zip(state.W + state.V + b + state.U[-1:], ref.W + ref.V + b_ref + ref.U[-1:]):
+                assert x.tobytes() == y.tobytes()
+            assert all(np.array_equal(p, packed_pattern(u)) for p, u in zip(state.U[:-1], ref.U[:-1], strict=True))
+            assert upen == [trainer_mod._sq_motion(u, p) for u, p in zip(ref.U, b_ref)]
+            assert vpen == [trainer_mod._sq_step_gap(v, u) for u, v in zip(ref.U, ref.V)]
+            assert min(upen) > 0.0 and (min(vpen) > 0.0) == (regime == "entrywise")
+            _, terms = objective_f(ref, data, hp, b_ref)
+            assert (terms["upen"], terms["vpen"]) == trainer_mod._penalties(hp, upen, vpen)
+        assert set(kept) == {regime == "kept"}
+
+    def test_sweep_from_a_packed_state_matches_the_float_state(self):
+        # The sweep reads each old hidden U_i only as its step pattern, so a
+        # state that holds that pattern packed sweeps to the bits of the
+        # float state.  The state is off a forward pass, and its 203
+        # columns end each packed row in padding bits.
+        data = make_cluster_dataset(30, 5, 203, make_rng(33))
+        shape = NetworkShape((30, 60, 60, 5))
+        hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2)
+        state = init_gaussian(shape, 0.01, make_rng(34), data.X)
+        perturb = make_rng(35)
+        for m in (*state.U, *state.V):
+            m += 0.2 * perturb.standard_normal(m.shape)
+        packed = state.copy()
+        packed.U[:-1] = [packed_pattern(u) for u in state.U[:-1]]
+        packed.check_consistent(shape, data.n)
+        dw, dv, b, coupling = bcd_iteration(state, data, hp)
+        dw_p, dv_p, b_p, coupling_p = bcd_iteration(packed, data, hp)
+        assert dv > 0.0 and (dw_p, dv_p, coupling_p) == (dw, dv, coupling)
+        for x, y in zip(state.W + state.U + state.V + b, packed.W + packed.U + packed.V + b_p, strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_sq_motion(self):
         # The kernel's sum: each column's squares added row after row, then
@@ -211,8 +272,9 @@ class TestBcdIteration:
         real_prox_step = trainer_mod.prox_step_matrix
 
         def spy_hardmax(b, y, tau):
-            calls["hardmax"].append({"b": b.copy(), "y": y})
-            return real_hardmax(b, y, tau)
+            out = real_hardmax(b, y, tau)
+            calls["hardmax"].append({"b": b.copy(), "y": y, "out": out})
+            return out
 
         def spy_pgm(u, v, w0, tau, gamma, lam, L, beta, vw0):
             # pgm overwrites the carried product, and a later state solve
@@ -227,8 +289,10 @@ class TestBcdIteration:
             return real_solve_v(w_next, u_next, s_cur, tau, pi, v_init)
 
         def spy_prox_step(v_target, b, tau, pi):
-            calls["prox_step"].append({"v_target": v_target, "b": b.copy()})
-            return real_prox_step(v_target, b, tau, pi)
+            b_in = b.copy()
+            out = real_prox_step(v_target, b, tau, pi)
+            calls["prox_step"].append({"v_target": v_target, "b": b_in, "out": out})
+            return out
 
         monkeypatch.setattr(trainer_mod, "prox_hardmax_matrix", spy_hardmax)
         monkeypatch.setattr(trainer_mod, "pgm", spy_pgm)
@@ -238,9 +302,15 @@ class TestBcdIteration:
         old = state.copy()
         bcd_iteration(state, data, hp)
         new = state
+        # The sweep keeps each hidden U_i as its packed pattern, so the new
+        # float U blocks are the prox outputs, input layer first.
+        new_u = [c["out"] for c in reversed(calls["prox_step"])] + [calls["hardmax"][0]["out"]]
+        assert new.U[2] is new_u[2]
+        for i in range(2):
+            assert np.array_equal(new.U[i], packed_pattern(new_u[i]))
 
         # every block must actually have moved, otherwise old-vs-new is vacuous
-        for a, b in zip(old.W + old.U + old.V, new.W + new.U + new.V):
+        for a, b in zip(old.W + old.U + old.V, new.W + new_u + new.V):
             assert not np.array_equal(a, b)
 
         # output block: b-target from W_3^k V_2^k, both previous-sweep
@@ -251,7 +321,7 @@ class TestBcdIteration:
         # stale W, and the reused product is that of the stale W and V.  The
         # stale blocks are compared by value (the sweep has replaced them),
         # in pgm's transposed frame.
-        expected_pgm = [(new.U[2], old.V[1], old.W[2]), (new.U[1], old.V[0], old.W[1]), (new.U[0], data.X, old.W[0])]
+        expected_pgm = [(new_u[2], old.V[1], old.W[2]), (new_u[1], old.V[0], old.W[1]), (new_u[0], data.X, old.W[0])]
         assert len(calls["pgm"]) == 3
         for call, (u_ref, v_ref, w_ref) in zip(calls["pgm"], expected_pgm):
             assert np.shares_memory(call["u"], u_ref)
@@ -262,8 +332,8 @@ class TestBcdIteration:
         # state solves, i = h-1 .. 1: fresh downstream blocks, the pattern
         # step(U_i) of the stale own U packed one bit per entry, warm start
         expected_solve = [
-            (new.W[2], new.U[2], old.U[1], old.V[1]),
-            (new.W[1], new.U[1], old.U[0], old.V[0]),
+            (new.W[2], new_u[2], old.U[1], old.V[1]),
+            (new.W[1], new_u[1], old.U[0], old.V[0]),
         ]
         assert len(calls["solve_v"]) == 2
         for call, (w_ref, u_next_ref, u_cur_ref, v_init_ref), v_new in zip(
@@ -315,10 +385,14 @@ def cascade_columns(seed, hidden, n, tau, pi, scale):
     layers = []
     for i in range(shape.h - 2):
         move = state.V[i] - old.V[i]
-        changed = state.U[i + 1] != old.U[i + 1]
+        # The sweep keeps U_(i+1) packed; its float value is the prox of the
+        # forward-pass target against the new V_(i+1).
+        new_u = prox.prox_step_matrix(state.V[i + 1], old.U[i + 1], tau, pi)
+        assert np.array_equal(state.U[i + 1], packed_pattern(new_u))
+        changed = new_u != old.U[i + 1]
         k = changed.sum(axis=0)
         t_max = np.where(changed, np.abs(2.0 * state.V[i + 1] - 1.0), 0.0).max(axis=0)
-        rhs = tau * (state.W[i + 1].T @ state.U[i + 1]) + pi * step(old.U[i])
+        rhs = tau * (state.W[i + 1].T @ new_u) + pi * step(old.U[i])
         slack = 0.5 * np.sqrt(tau / pi * k) * EPS_TINY + solvers.V_TOL * np.linalg.norm(rhs, axis=0) / pi
         layers.append(((np.abs(move) > 0.5).sum(axis=0), np.linalg.norm(move, axis=0), k, t_max, slack))
     return layers
@@ -414,11 +488,18 @@ def _sweep_loop(data, shape, hp, rng, init_scale, batch_size, shuffle_rng):
             new = trainer_mod.TrainState(w, *forward_blocks(w, data.X))
         else:
             new = state.copy()
-            bcd_iteration(new, data, hp)
+            coupling = bcd_iteration(new, data, hp)[3]
         # The motions are summed by the package's one sum of squares.
         dw, dv = trainer_mod._sq_diff(new.W, state.W), trainer_mod._sq_diff(new.V, state.V)
         state = new
-        rows.append((k, *objective_f(state, data, hp), dw, dv))
+        if batch_size is None:
+            # The sweep keeps the hidden U blocks packed and sums their
+            # coupling terms itself; the objective reads W and U_h.
+            _, terms = objective_f(TrainState(state.W, [], []), data, hp, [state.U[-1]])
+            terms["upen"], terms["vpen"] = trainer_mod._penalties(hp, *coupling)
+            rows.append((k, sum(terms.values()), terms, dw, dv))
+        else:
+            rows.append((k, *objective_f(state, data, hp), dw, dv))
     return state, rows
 
 
@@ -460,14 +541,14 @@ class TestTrain:
 
     def test_full_batch_sweep_holds_one_state(self):
         # The sweep replaces each block in place, drops each b target once
-        # its prox has read it and releases each old U_i once its step
-        # pattern is taken, before the state solve.  Keeping the old state
-        # alive through a sweep puts the peak at about 3.6x the state; in
-        # place it is about 2.42x.  Here the square layer's start fails its
-        # check and CG iterates: the failed start's product is dropped
-        # before the right-hand side is formed, and CG updates its iterate
-        # in place.  Keeping the old U_i through the solve puts the peak at
-        # 2.6x, and either full-size temporary above 2.8x.
+        # its prox has read it and keeps each final hidden U_i as its
+        # packed step pattern, which the next sweep's solve reads.  Keeping
+        # the old state alive through a sweep puts the peak at about 3.6x
+        # the state; in place it is about 2.39x.  Here the square layer's
+        # start fails its check and CG iterates: the failed start's product
+        # is dropped before the right-hand side is formed, and CG updates
+        # its iterate in place.  Either full-size temporary puts the peak
+        # above 2.8x.
         data = make_cluster_dataset(30, 5, 200, make_rng(31))
         shape = NetworkShape((30, 60, 60, 5))  # V_1 by Woodbury, V_0 by CG
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=2)
@@ -484,11 +565,14 @@ class TestTrain:
         # With the reference constants both state solves keep their start:
         # the Woodbury iterate below the output layer, solved one chunk of
         # columns at a time, and the certified v_init of the square layer.
-        # The peak, about 1.53x the state, comes in the objective: the
-        # state, the new products and a row block's difference and square.
-        # Keeping the old U_i through the solve puts it at 1.67x, and a
-        # solve over all 1000 columns at once at 1.78x, where the
-        # right-hand side and the iterate are 400x1000 blocks, 0.22x each.
+        # The peak, about 1.31x the state, comes in the square layer's
+        # solve: the state without the old U_0, whose packed pattern the
+        # solve reads, the target W_0 X, the product W_1 V_0 the solve
+        # hands on and its check's row blocks.  A 400x1000 block is 0.22x.
+        # Each hidden U_i is packed once its new product is formed, and the
+        # report reads the weights and U_h alone: holding the float U_i
+        # until the objective put the peak there, at 1.53x, over the state
+        # and the new products.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
         shape = NetworkShape((30, 400, 400, 5))
         tracemalloc.start()
@@ -498,7 +582,7 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         state_bytes = sum(8 * r * c for _, (r, c) in TrainState.layout(shape, data.n))
-        assert peak <= 1.6 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+        assert peak <= 1.35 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
 
     def test_minibatch_epoch_holds_one_state(self):
         # A mini-batch run holds no hidden block over all N samples: the
@@ -594,6 +678,14 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match=r"U\[0\] contains non-finite"):
             train(data, NetworkShape((4, 6, 3)), Hyperparams(K=0), rng=make_rng(35), init_scale=1e300,
                   batch_size=100)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_full_batch_init_that_overflows_raises(self):
+        x = np.zeros((4, 600))
+        x[:, 520:] = 1e10
+        data = Dataset(x, np.eye(3)[:, np.arange(600) % 3])
+        with pytest.raises(FloatingPointError, match=r"U\[0\] contains non-finite"):
+            train(data, NetworkShape((4, 6, 3)), Hyperparams(K=0), rng=make_rng(35), init_scale=1e300)
 
     def test_sums_of_squares_form_no_full_size_buffer(self):
         # Every sum of squares is taken one row block at a time: the
