@@ -29,6 +29,7 @@ from .dataio import (
     write_csv,
 )
 from .metrics import METRICS_FIELDS, evaluate, filter_count, flops_estimate, param_count
+from .prox import _nonzero_cols
 from .solvers import CgError
 from .trainer import DEFAULT_INIT_SCALE, train
 
@@ -234,7 +235,7 @@ def cmd_inspect(args):
     print(f"hyperparams tau={hp.tau:g} pi={hp.pi:g} gamma={hp.gamma:g} lam={hp.lam:g} "
           f"beta={hp.beta:g} L={hp.L} K={hp.K}")
     for i, w in enumerate(state.W):
-        zero_cols = np.flatnonzero(~np.any(w != 0.0, axis=0))
+        zero_cols = np.flatnonzero(~_nonzero_cols(w))
         pattern = ",".join(map(str, zero_cols[:16])) + ("..." if zero_cols.size > 16 else "")
         print(f"W[{i}] {w.shape[0]}x{w.shape[1]}: {zero_cols.size} pruned columns"
               + (f" [{pattern}]" if zero_cols.size else ""))

@@ -89,21 +89,29 @@ def _hardmax_gap_miss(b, y_idx):
     return colmax - hot, n_max + 1.0 - 2.0 * (hot == colmax), n_max
 
 
-def norm_l20(w):
-    """Number of nonzero columns of ``w`` (the group-sparsity count).
+def _nonzero_cols(w):
+    """Boolean mask of the nonzero columns of ``w``.
 
     Taken one row block at a time, so no full-size boolean is formed; an
     F-ordered ``w``, as a weight block is after its proximal step, through
-    its C-ordered transpose, whose nonzero rows are counted.
+    its C-ordered transpose, whose nonzero rows are found.
     """
     w = np.asarray(w)
+    nonzero = np.zeros(w.shape[1], dtype=bool)
     if w.flags.f_contiguous:
         t = w.T
-        return sum(int(np.count_nonzero(np.any(t[lo:hi] != 0.0, axis=1))) for lo, hi in _row_blocks(*t.shape))
-    nonzero = np.zeros(w.shape[1], dtype=bool)
-    for lo, hi in _row_blocks(*w.shape):
-        nonzero |= np.any(w[lo:hi] != 0.0, axis=0)
-    return int(np.count_nonzero(nonzero))
+        for lo, hi in _row_blocks(*t.shape):
+            nonzero[lo:hi] = np.any(t[lo:hi] != 0.0, axis=1)
+    else:
+        for lo, hi in _row_blocks(*w.shape):
+            nonzero |= np.any(w[lo:hi] != 0.0, axis=0)
+    return nonzero
+
+
+def norm_l20(w):
+    """Number of nonzero columns of ``w`` (the group-sparsity count), from
+    ``_nonzero_cols``."""
+    return int(np.count_nonzero(_nonzero_cols(w)))
 
 
 def prox_hardmax_matrix(b, y, tau):

@@ -64,6 +64,10 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     (finite) product, as when the step prox kept the carried product: the
     residual is known to be zero, so it is not formed, and that buffer is
     not written.
+
+    The gradient is the one ``w``-sized buffer formed: ``gamma w`` is added
+    to it one row block of about ``prox.V_BLOCK`` entries at a time, as
+    ``_add_pi_x`` adds ``pi x``, so no ``w``-sized ``gamma w`` is formed.
     """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
@@ -81,7 +85,8 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     g = v.T @ vw
     del vw
     g *= tau
-    g += gamma * w
+    for lo, hi in _row_blocks(*g.shape):
+        g[lo:hi] += gamma * w[lo:hi]
     return g
 
 
@@ -99,13 +104,19 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     itself says the first residual is zero; it is then neither formed nor
     written (see ``grad_psi``).  ``u``, ``v`` and ``w0`` are never written;
     ``L = 0`` returns a copy of ``w0``.  Each step is taken and
-    thresholded in the gradient's own buffer.
+    thresholded in the gradient's own buffer, so a step holds two
+    ``w``-sized buffers, its iterate and its gradient.  The reference to
+    ``w0`` is dropped once the first step is formed: a caller that passes
+    a start it holds nowhere else has it released then.  A mini-batch
+    sweep so hands over its old ``W_i``; a sweep that raises may then
+    leave that ``W`` slot empty, as a ``CgError`` leaves a ``V_i`` partly
+    written.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
     if L == 0:
         return w0.copy()
-    w = w0
+    w, w0 = w0, None
     for _ in range(L):
         g = grad_psi(w, u, v, tau, gamma, vw0)
         vw0 = None

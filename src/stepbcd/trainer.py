@@ -52,7 +52,9 @@ pass over the data, the one product the report and the tie count read,
 and that pass's hidden ``V`` blocks as packed bits, one per activation.
 The init and each epoch's closing forward pass are taken one chunk of
 columns at a time straight into those, and ``dV`` counts the bits that
-changed.  An epoch releases the old weights before its closing pass.
+changed.  A batch's sweep hands each superseded ``W_i`` to its step
+without keeping it, and the epoch keeps its own start weights for
+``dW``.  An epoch releases the old weights before its closing pass.
 """
 
 from __future__ import annotations
@@ -197,8 +199,13 @@ def _sq_step_gap(v, u):
                          v.shape).sum())
 
 
-def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
+def _pgm_update(u_new, v_old, start, hp, derive_beta, wv_old):
     """Weight-block step in the transposed frame (rows = columns of W).
+
+    ``start`` is a one-element list holding the old block ``w_old``.  The
+    step empties it and passes the block to ``pgm`` in the call itself, so
+    no frame here keeps it: a caller that holds it nowhere else has it
+    released once ``pgm`` forms its first step.
 
     ``wv_old`` is the product ``w_old @ v_old``; the first gradient
     overwrites it, unless it is ``u_new`` itself (the prox kept it).  Then
@@ -212,7 +219,7 @@ def _pgm_update(u_new, v_old, w_old, hp, derive_beta, wv_old):
         beta = 0.9 / (hp.tau * sigma * sigma + hp.gamma)
     ut = u_new.T
     vw = ut if wv_old is u_new else wv_old.T
-    return pgm(ut, v_old.T, w_old.T, hp.tau, hp.gamma, hp.lam, hp.L, beta, vw).T
+    return pgm(ut, v_old.T, start.pop().T, hp.tau, hp.gamma, hp.lam, hp.L, beta, vw).T
 
 
 def _sq_motion(new, old=None):
@@ -317,9 +324,13 @@ def _sweep(state, data, hp, derive_beta, b, sums=None):
     ``vpen``).  They receive each block's squared motion and squared
     coupling residual, and each ``U_(i+1)`` is settled (``_settle_u``)
     once the ``V_i`` solve hands on its product.  A mini-batch epoch
-    passes none: its ``U`` blocks stay float and go with the batch.  Each
-    ``V_i`` is solved into its own buffer, and its motion comes from the
-    solve; a ``CgError`` leaves ``V_i`` partly written."""
+    passes none: its ``U`` blocks stay float and go with the batch, and
+    each superseded ``W_i`` goes to its step without being kept, so the
+    step lets go of it once its first step is formed and a sweep that
+    raises may leave that ``W`` slot empty (None).  A full-batch sweep
+    keeps the old ``W_i`` for its ``dW`` term.  Each ``V_i`` is solved into
+    its own buffer, and its motion comes from the solve; a ``CgError``
+    leaves ``V_i`` partly written."""
     h = len(state.W)
     products = [None] * h
     full = sums is not None
@@ -343,7 +354,13 @@ def _sweep(state, data, hp, derive_beta, b, sums=None):
                 vpen[i] = _sq_step_gap(state.V[i], u)
         wv, b[i] = b[i], None
         state.U[i] = u
-        w = _pgm_update(u, _layer_input(state, data, i), state.W[i], hp, derive_beta, wv)
+        start = [state.W[i]]
+        if not full:
+            # The epoch keeps its start weights for dW, so the superseded
+            # W_i goes to the step alone, which lets go of it after its
+            # first step.
+            state.W[i] = None
+        w = _pgm_update(u, _layer_input(state, data, i), start, hp, derive_beta, wv)
         del u, wv  # else the float U_i outlives its packing
         if full:
             dw[i] = _sq_motion(w, state.W[i])

@@ -620,3 +620,13 @@ def test_config_file_unreadable_exits_2(tmp_path, capsys, content):
     assert main(["train", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(config) in err
+
+
+def test_package_runs_as_a_module():
+    # ``python -m stepbcd`` runs the command line the console script runs,
+    # from the package this suite imports.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "stepbcd", "train", "-h"], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: stepbcd train")

@@ -244,6 +244,26 @@ class TestPgm:
         assert carried < u.nbytes
         assert carried <= peak(None)
 
+    def test_step_holds_its_iterate_and_its_gradient(self):
+        # The start is made in the call, so pgm alone holds it, as a
+        # mini-batch sweep hands over the old W_i.  With fewer samples than
+        # inputs the weight blocks are the step's largest: each step holds
+        # its iterate and its gradient, adds gamma w one row block at a
+        # time, and the start goes once the first step is formed.  Keeping
+        # the start, or forming gamma w whole, each adds a weight block.
+        rng = make_rng(23)
+        n, p, q = 50, 1000, 200
+        u = rng.standard_normal((n, q))
+        v = rng.standard_normal((n, p)) / np.sqrt(n)
+        tracemalloc.start()
+        try:
+            pgm(u, v, rng.standard_normal((p, q)), 1.0, 0.1, 0.05, 3, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * p * q
+        assert peak <= 2 * block + 8 * prox.V_BLOCK + u.nbytes, f"peak {peak / block:.2f} weight blocks"
+
 
 class TestStationarityResidual:
     def test_all_zero_is_stationary(self):
