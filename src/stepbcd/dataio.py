@@ -12,7 +12,7 @@ and ``Y`` as the C-contiguous one-hot matrix of classes x samples.  Each
 step of the input path copies
 the data once: ``to_dataset`` and ``load_csv_dataset`` make one transposing
 copy, ``Dataset.subset`` one column gather, and ``add_gaussian_noise`` adds
-the inputs into its noise draw.
+the inputs into its noise draw, or at sigma 0 into one new array.
 """
 
 from __future__ import annotations
@@ -207,15 +207,21 @@ def write_csv(path, header, rows):
 def add_gaussian_noise(data, sigma, rng, clamp=True):
     """Corrupt inputs with i.i.d. Gaussian noise; labels are untouched.
 
-    ``sigma = 0`` returns an exact copy (the draw is still consumed so
-    stream alignment does not depend on sigma).  Clamping back to [0, 1]
-    is on by default since pixels are intensities.  A negative or
-    non-finite ``sigma`` raises ValueError.
+    ``sigma = 0`` draws nothing from ``rng`` and returns ``X + 0.0``,
+    which has the bits of adding ``X`` into a draw of zeros: a ``-0.0``
+    entry becomes ``+0.0``.  Every caller passes a stream of its own
+    (``core.STAGE_NOISE`` per level, ``core.STAGE_TRAIN_NOISE``), so no
+    other stage's draws depend on whether this one draws.  Clamping back
+    to [0, 1] is on by default since pixels are intensities.  A negative
+    or non-finite ``sigma`` raises ValueError.
     """
     if not (sigma >= 0.0 and np.isfinite(sigma)):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    x = rng.normal(0.0, sigma, size=data.X.shape)
-    x += data.X
+    if sigma == 0.0:
+        x = np.add(data.X, 0.0, dtype=np.float64, order="C")
+    else:
+        x = rng.normal(0.0, sigma, size=data.X.shape)
+        x += data.X
     if clamp:
         np.clip(x, 0.0, 1.0, out=x)
     return Dataset(x, data.Y.copy())

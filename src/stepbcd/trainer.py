@@ -39,12 +39,23 @@ no ``d x N`` block but the product it hands on.
 A full-batch sweep also finishes each ``U_i`` as soon as it is final.
 Once the solve for ``V_(i-1)`` hands on ``W_i V_(i-1)`` (for ``U_0``,
 once ``W_0 X`` is formed), it sums the coupling residual
-``||U_i - W_i V_(i-1)||^2``, checks ``U_i`` finite and, below the output
-layer, keeps ``U_i`` only as its packed pattern, the one form the next
-sweep's solve reads; ``||V_i - step(U_i)||^2`` is summed once the ``U_i``
-prox returns.  ``bcd_iteration`` returns those per-layer sums beside
-``(dW, dV, b)``, and the report's upen and vpen are made from them, so
-the report reads the weights and ``U_h`` alone, in either mode.
+``||U_i - W_i V_(i-1)||^2`` and, below the output layer, keeps ``U_i``
+only as its packed pattern, the one form the next sweep's solve reads;
+``||V_i - step(U_i)||^2`` is summed once the ``U_i`` prox returns.
+``bcd_iteration`` returns those per-layer sums beside ``(dW, dV, b)``,
+and the report's upen and vpen are made from them, so the report reads
+the weights and ``U_h`` alone, in either mode.  Each sum is taken once:
+a square layer's solve that keeps its start has summed both terms in its
+check, and the sweep sums those column sums instead (``_sweep``).
+
+No block is scanned for a non-finite entry while a sum shows it finite.
+A non-finite entry makes every sum of squares over it NaN or infinite, so
+a ``U_i`` is finite where its upen term is, and a ``W_i`` or ``V_i``
+where its motion from the last iterate, which was finite, is: ``dW`` and
+``dV`` in a full-batch sweep, the epoch's ``dW`` in a mini-batch run.
+Only a sum that is not finite sends its blocks to the scan, which names
+the first non-finite block as before and passes a sum that overflowed on
+finite entries.
 
 A mini-batch run holds no hidden block over all N samples.  Between
 epochs it keeps the weights, the output block ``U_h`` of their forward
@@ -267,14 +278,14 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
 
     Each ``U_i`` is settled as soon as it is final and its new product
     ``W_i V_(i-1)`` is formed: the state solve for ``V_(i-1)`` hands that
-    product on, and ``W_0 X`` is formed after the sweep.  Settling sums
-    ``||U_i - W_i V_(i-1)||^2``, checks ``U_i`` finite one row block at a
-    time (``FloatingPointError`` naming it) and, below the output layer,
-    replaces it by its packed pattern.  ``||V_i - step(U_i)||^2`` is
-    summed once the ``U_i`` prox returns.  ``coupling`` is the pair of
-    those lists, ``h`` and ``h-1`` sums in layer order, each with the bits
-    of ``objective_f``'s term for that layer; ``_penalties`` turns them
-    into the report's upen and vpen.
+    product on, and ``W_0 X`` is formed after the loop (``_settle_u``).
+    ``||V_i - step(U_i)||^2`` is summed once the ``U_i`` prox returns.
+    ``coupling`` is the pair of those lists, ``h`` and ``h-1`` sums in
+    layer order, each with the bits of ``objective_f``'s term for that
+    layer; ``_penalties`` turns them into the report's upen and vpen.
+    Where a square layer's solve keeps its start, its check has summed
+    both terms already (``solvers.solve_v``), and the sweep sums those
+    column sums instead of taking the squares again (``_sweep``).
 
     ``b`` lists the targets, input layer first: the products this call
     returned for the previous iterate, or ``state.U`` itself when the state
@@ -297,45 +308,63 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     h = len(state.W)
     dw, dv, upen, vpen = [0.0] * h, [0.0] * (h - 1), [0.0] * h, [0.0] * (h - 1)
     b = _sweep(state, data, hp, derive_beta, b, (dw, dv, upen, vpen))
-    b[0] = state.W[0] @ data.X
-    _settle_u(state, 0, b[0], upen)
     return sum(dw), sum(dv), b, (upen, vpen)
 
 
-def _settle_u(state, i, wv, upen):
+def _settle_u(state, i, wv, upen, e2=None, bits=None):
     """Settle the final ``U_i`` of a full-batch sweep against its new
-    product ``wv``: sum ``||U_i - wv||^2`` into ``upen[i]``, check ``U_i``
-    finite and, below the output layer, replace it by its packed step
-    pattern, the one form of it the next sweep reads."""
+    product ``wv``: put ``||U_i - wv||^2`` into ``upen[i]`` and, below the
+    output layer, replace ``U_i`` by its packed step pattern, the one form
+    of it the next sweep reads.
+
+    ``e2``, from a solve that kept its start, holds the column sums of
+    squares of that very difference, taken by the same kernel over the
+    same row blocks, so their sum has the bits of ``_sq_motion``, except
+    for a block that is also F-ordered (one row or one column), which
+    ``_sq_motion`` sums through its transpose; ``e2`` is not used there.
+    ``bits``, when the sweep has packed ``U_i`` already, is that pattern.
+
+    ``U_i`` is checked finite (``core._check_finite``) only when the sum
+    is not: a non-finite entry makes the sum NaN or infinite, whatever
+    ``wv`` holds, and a sum that overflows on finite entries passes."""
     u = state.U[i]
-    _check_finite(f"U[{i}]", u)
-    upen[i] = _sq_motion(u, wv)
+    upen[i] = float(e2.sum()) if e2 is not None and not u.flags.f_contiguous else _sq_motion(u, wv)
+    if not np.isfinite(upen[i]):
+        _check_finite(f"U[{i}]", u)
     if i < len(state.W) - 1:
-        state.U[i] = _packed_step(u)
+        state.U[i] = _packed_step(u) if bits is None else bits
 
 
 def _sweep(state, data, hp, derive_beta, b, sums=None):
-    """``bcd_iteration``'s sweep; returns the new iterate's products with
-    slot 0 empty: each state solve hands on its ``W_(i+1) V_i``, and no
-    solve forms ``W_0 X``.
+    """``bcd_iteration``'s sweep; returns the new iterate's products: each
+    state solve hands on its ``W_(i+1) V_i``, and ``W_0 X`` is formed after
+    the loop of a full-batch sweep, while a mini-batch sweep leaves slot 0
+    empty.
 
     ``sums``, from a full-batch sweep, is four lists ``(dw, dv, upen,
     vpen)`` with one slot per layer (per hidden layer for ``dv`` and
     ``vpen``).  They receive each block's squared motion and squared
     coupling residual, and each ``U_(i+1)`` is settled (``_settle_u``)
-    once the ``V_i`` solve hands on its product.  A mini-batch epoch
-    passes none: its ``U`` blocks stay float and go with the batch, and
-    each superseded ``W_i`` goes to its step without being kept, so the
-    step lets go of it once its first step is formed and a sweep that
-    raises may leave that ``W`` slot empty (None).  A full-batch sweep
-    keeps the old ``W_i`` for its ``dW`` term.  Each ``V_i`` is solved into
-    its own buffer, and its motion comes from the solve; a ``CgError``
-    leaves ``V_i`` partly written."""
+    once the ``V_i`` solve hands on its product.  Where that solve kept
+    its start, its check's column sums ``e2`` give ``upen_(i+1)``.  Its
+    ``g2``, the gap between the kept ``V_i`` and the old pattern ``s`` of
+    ``U_i``, gives ``vpen_i`` when the ``U_i`` prox returned its target
+    itself and the new ``U_i`` packs to ``s``: the new ``U_i`` is packed
+    then, and that pattern is the one ``_settle_u`` keeps.
+
+    A mini-batch epoch passes none: its ``U`` blocks stay float and go
+    with the batch, and each superseded ``W_i`` goes to its step without
+    being kept, so the step lets go of it once its first step is formed
+    and a sweep that raises may leave that ``W`` slot empty (None).  A
+    full-batch sweep keeps the old ``W_i`` for its ``dW`` term.  Each
+    ``V_i`` is solved into its own buffer, and its motion comes from the
+    solve; a ``CgError`` leaves ``V_i`` partly written."""
     h = len(state.W)
     products = [None] * h
     full = sums is not None
     if full:
         dw, dv, upen, vpen = sums
+    bits = None  # the pattern of the U block settled next, when packed already
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
@@ -343,15 +372,19 @@ def _sweep(state, data, hp, derive_beta, b, sums=None):
             # The solve reads the old U_i only as step(U_i), packed one bit
             # per entry, and writes the new V_i into the old one's buffer.
             s = state.U[i] if state.U[i].dtype == np.uint8 else _packed_step(state.U[i])
-            state.V[i], products[i + 1], motion = solve_v(
+            state.V[i], products[i + 1], motion, kept = solve_v(
                 state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
-            del s
             if full:
                 dv[i] = motion
-                _settle_u(state, i + 1, products[i + 1], upen)
+                _settle_u(state, i + 1, products[i + 1], upen, None if kept is None else kept[0], bits)
             u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
             if full:
-                vpen[i] = _sq_step_gap(state.V[i], u)
+                bits = _packed_step(u) if kept is not None and u is b[i] else None
+                if bits is not None and np.array_equal(bits, s):
+                    vpen[i] = float(kept[1].sum())
+                else:
+                    vpen[i] = _sq_step_gap(state.V[i], u)
+            del s, kept
         wv, b[i] = b[i], None
         state.U[i] = u
         start = [state.W[i]]
@@ -365,6 +398,9 @@ def _sweep(state, data, hp, derive_beta, b, sums=None):
         if full:
             dw[i] = _sq_motion(w, state.W[i])
         state.W[i] = w
+    if full:
+        products[0] = state.W[0] @ data.X
+        _settle_u(state, 0, products[0], upen, None, bits)
     return products
 
 
@@ -466,7 +502,10 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     forward pass, so the coupling penalties read exactly zero.
 
     In either mode an init whose forward pass overflows raises
-    ``FloatingPointError`` naming the ``U`` block before row 0.  A batch
+    ``FloatingPointError`` naming the ``U`` block before row 0.  After
+    each outer iteration a non-finite block raises it too, naming the
+    first such block; the state is scanned only when ``dW`` or ``dV`` is
+    not finite (see the module docstring).  A batch
     size that is not an integer of at least 1, or an ``early_stop_tol``
     that is negative or not finite, raises ValueError.
     """
@@ -509,7 +548,11 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
             coupling = None
         else:
             dw, dv, b, coupling = bcd_iteration(state, data, hp, derive_beta, b)
-        state.check_finite()
+        # Each weight and state block is finite where its motion from the
+        # last, finite, iterate is; each full-batch U block was checked
+        # by its upen term as the sweep settled it.
+        if not (np.isfinite(dw) and np.isfinite(dv)):
+            state.check_finite()
         seconds = time.perf_counter() - t0
         records.append(_record(k, state, data, hp, dw, dv, seconds, b, coupling))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)

@@ -223,7 +223,7 @@ def test_criterion_4_cg_solver(monkeypatch):
             a = tau * (w.T @ w) + pi * np.eye(d)
             b = tau * (w.T @ u_next) + pi * step(u_cur)
             ref = np.linalg.solve(a, b)
-            v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
+            v, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
             assert np.linalg.norm(v - ref) / np.linalg.norm(ref) <= 1e-8
             col_res = np.linalg.norm(b - a @ v, axis=0) / np.linalg.norm(b, axis=0)
             # CG stops on its recursive residual, which rounding moves

@@ -489,3 +489,24 @@ class TestOneCopyDataPath:
         assert noisy.X.flags.c_contiguous and noisy.Y.flags.c_contiguous
         # The noisy X, the copy of Y, check_one_hot's temporaries and object headers.
         assert peak <= noisy.X.nbytes + 2 * noisy.Y.nbytes + 4096
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("clamp", [True, False])
+    def test_sigma_zero_draws_nothing(self, clamp, order):
+        # Zeros of both signs and entries outside [0, 1]: sigma 0 leaves the
+        # stream where it was and gives the bits of adding X into a draw,
+        # each -0.0 turned into +0.0, in a new C-ordered float64 array.
+        x = np.array([[-0.0, 0.0, -1.5, 2.5, 0.3], [0.25, -0.0, 1.0, -1e-300, 1.0 + 1e-15]], order=order)
+        data = Dataset(x, np.eye(2)[:, [0, 1, 0, 1, 0]])
+        rng = make_rng(21)
+        before = rng.bit_generator.state
+        out = add_gaussian_noise(data, 0.0, rng, clamp=clamp)
+        assert rng.bit_generator.state == before
+        drawn = make_rng(21).normal(0.0, 0.0, size=x.shape)
+        drawn += x
+        if clamp:
+            np.clip(drawn, 0.0, 1.0, out=drawn)
+        assert _same_bits(out.X, drawn)
+        assert not np.signbit(out.X[x == 0.0]).any()
+        assert out.X.flags.c_contiguous and out.X.dtype == np.float64
+        assert not np.shares_memory(out.X, x) and np.array_equal(out.Y, data.Y)

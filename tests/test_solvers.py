@@ -367,7 +367,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = np.zeros((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=1.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -377,7 +377,7 @@ class TestSolveV:
         u_cur = rng.standard_normal((6, 5))
         w = rng.standard_normal((4, 6))
         u_next = rng.standard_normal((4, 5))
-        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
+        out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau=0.0, pi=0.7, v_init=np.zeros((6, 5)))
         assert np.allclose(out, step(u_cur), atol=1e-10)
         assert cg_calls == [0]
 
@@ -385,15 +385,15 @@ class TestSolveV:
         v_tol(1e-10)
         w, u_next, u_cur, a, b = spd_system(13)
         ref = np.linalg.solve(a, b)
-        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-8
 
     def test_warm_start_independence(self, v_tol):
         w, u_next, u_cur, _, _ = spd_system(14, d=30, n=10)
         tol = 1e-10
         v_tol(tol)
-        cold, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
-        warm, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
+        cold, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=np.zeros_like(u_cur))
+        warm, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=make_rng(15).standard_normal(u_cur.shape))
         assert np.linalg.norm(cold - warm) / np.linalg.norm(cold) <= 10 * tol
 
     def test_float_pattern_is_rejected(self):
@@ -422,7 +422,7 @@ class TestSolveV:
             w = rng.standard_normal((m, d)) / np.sqrt(d)
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             tau, pi = 1.0, 0.5
-        v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
+        v, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         start = solvers._woodbury(w, rhs, tau, pi) if m < d else np.zeros_like(u_cur)
         ref, iters = cg_solve(w, tau, pi, rhs, start, solvers.V_TOL, 10 * d)
@@ -466,7 +466,7 @@ class TestSolveV:
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         u_next, u_cur = rng.standard_normal((m, n)), rng.standard_normal((d, n))
         tau, pi = 1.0, 0.5
-        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros((d, n)))
+        out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros((d, n)))
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         assert from_v_init == (m >= d)
         if not from_v_init:
@@ -476,7 +476,7 @@ class TestSolveV:
             assert len(cg_calls) == 1 and cg_calls[0] > 0
             exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
             cg_calls.clear()
-            again, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
+            again, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
             assert cg_calls == [0]
             assert np.array_equal(again, exact)
 
@@ -491,7 +491,7 @@ class TestSolveV:
         tau, pi = 1.0, 0.5
         rhs = tau * (w.T @ u_next) + pi * step(u_cur)
         exact = np.linalg.solve(tau * (w.T @ w) + pi * np.eye(d), rhs)
-        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
+        v, wv, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=exact)
         assert cg_calls == [0]
         assert v is exact or m < d
         assert wv.tobytes() == (w @ v).tobytes()
@@ -501,7 +501,7 @@ class TestSolveV:
         # The check certifies the start from w @ x alone: no right-hand side,
         # no CG call, and the product comes back with the bits of w @ v.
         w, u_next, u_cur, x = kept_start_system(28, m, d)
-        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
+        v, wv, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
         assert cg_calls == []
         assert v is x
         assert wv.tobytes() == (w @ v).tobytes()
@@ -512,7 +512,7 @@ class TestSolveV:
         w, _, u_cur, x = kept_start_system(29, m, d)
         x[3, 2] = 1.0 - x[3, 2]
         u_next = w @ x
-        v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
+        v, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=x)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert column_residuals(w, u_next, u_cur, v, 1.0, 0.5).max() <= solvers.V_TOL
 
@@ -526,7 +526,7 @@ class TestSolveV:
         u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
         rhs = w.T @ u_next + 0.5 * step(u_cur)
         exact = np.linalg.solve(w.T @ w + 0.5 * np.eye(d), rhs)
-        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=exact)
+        v, wv, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, 0.5, v_init=exact)
         assert cg_calls == [0]
         assert v is exact
         assert wv.tobytes() == (w @ exact).tobytes()
@@ -574,7 +574,7 @@ class TestSolveV:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "cg_solve", spy)
-            v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=x)
+            v, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=x)
         if not calls:
             assert v is x
             assert column_residuals(w, u_next, u_cur, v, tau, pi).max() <= solvers.V_TOL
@@ -596,7 +596,7 @@ class TestSolveV:
             u_next, u_cur = rng.standard_normal((m, 5)), rng.standard_normal((d, 5))
             pi = 0.5
         v_init = np.zeros_like(u_cur)
-        v, wv, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, pi, v_init=v_init)
+        v, wv, _, _ = solve_v(w, u_next, packed_pattern(u_cur), 1.0, pi, v_init=v_init)
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         assert v is v_init and v_init.any()
         assert wv.tobytes() == (w @ v).tobytes()
@@ -611,7 +611,7 @@ class TestSolveV:
         z = np.linalg.solve(pi * np.eye(w.shape[0]) + tau * (w @ w.T), w @ rhs)
         plain = (rhs - tau * (w.T @ z)) / pi
         assert column_residuals(w, u_next, u_cur, plain, tau, pi).max() > tol
-        out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
+        out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
         assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol
         assert len(cg_calls) == 1 and cg_calls[0] > 0
         a = tau * (w.T @ w) + pi * np.eye(w.shape[1])
@@ -633,7 +633,7 @@ class TestSolveV:
         v_tol(tol)
         for name, (w, u_next, u_cur, pi) in systems.items():
             cg_calls.clear()
-            out, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
+            out, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
             assert column_residuals(w, u_next, u_cur, out, tau, pi).max() <= tol, name
             assert len(cg_calls) == 1 and cg_calls[0] > 0, name
 
@@ -650,7 +650,7 @@ class TestSolveV:
         v_init, s_cur = np.zeros_like(u_cur), packed_pattern(u_cur)
         tracemalloc.start()
         try:
-            v, _, _ = solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
+            v, _, _, _ = solve_v(w, u_next, s_cur, 1.0, 1e-8, v_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -688,7 +688,7 @@ class TestSolveV:
         s = step(u_cur)
         for scale in (0.3, 1.0, 3.0):
             w = scale * rng.standard_normal((m, d)) / np.sqrt(d)
-            v, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
+            v, _, _, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init=np.zeros_like(u_cur))
             b = tau * (w.T @ u_next) + pi * s
             bound = (0.5 * np.sqrt(tau / pi) * np.linalg.norm(u_next - w @ s, axis=0)
                      + solvers.V_TOL * np.linalg.norm(b, axis=0) / pi)
@@ -700,7 +700,7 @@ def streamed(monkeypatch, chunk, w, u_next, u_cur, tau, pi, v0):
     it returns as ``v``; the motion is also summed from the whole arrays."""
     monkeypatch.setattr(solvers, "V_CHUNK", chunk)
     v_init = v0.copy()
-    v, wv, dv = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init)
+    v, wv, dv, _ = solve_v(w, u_next, packed_pattern(u_cur), tau, pi, v_init)
     assert v is v_init
     assert dv == float(solvers._col_sq(v - v0).sum())
     return v, wv, dv
@@ -772,7 +772,7 @@ class TestStreamedSolve:
         v_init, s_cur = make_rng(8).standard_normal((2000, 2000)), packed_pattern(u_cur)
         tracemalloc.start()
         try:
-            v, wv, _ = solve_v(w, u_next, s_cur, 1.0, 0.5, v_init)
+            v, wv, _, _ = solve_v(w, u_next, s_cur, 1.0, 0.5, v_init)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
