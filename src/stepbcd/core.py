@@ -179,10 +179,8 @@ class TrainState:
 def _check_finite(name, m):
     """Raise ``FloatingPointError`` naming ``name`` when the block ``m`` has
     a non-finite entry.  It is tested one row block at a time, so no
-    full-size boolean is formed; an F-ordered block through its C-ordered
-    transpose."""
-    t = m.T if m.flags.f_contiguous else m
-    if not all(np.isfinite(t[lo:hi]).all() for lo, hi in _row_blocks(*t.shape)):
+    full-size boolean is formed."""
+    if not all(np.isfinite(m[lo:hi]).all() for lo, hi in _row_blocks(*m.shape)):
         raise FloatingPointError(f"{name} contains non-finite entries")
 
 

@@ -241,7 +241,9 @@ def _weight_layout(shape):
 def _payload(header, layout, state):
     """The payload in file order: the header, then each ``layout`` block's u32
     rows and cols and its row-major little-endian f64 entries, one row block
-    at a time, copied only from a block that is not C-ordered."""
+    at a time.  A C-ordered block, as every weight the trainer makes is, is
+    written from its own buffer; one in another layout, which only an API
+    caller passes, is copied one row block at a time."""
     yield header
     for (_, rows_cols), m in zip(layout, state.W):
         yield struct.pack("<II", *rows_cols)

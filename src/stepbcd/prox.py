@@ -90,21 +90,12 @@ def _hardmax_gap_miss(b, y_idx):
 
 
 def _nonzero_cols(w):
-    """Boolean mask of the nonzero columns of ``w``.
-
-    Taken one row block at a time, so no full-size boolean is formed; an
-    F-ordered ``w``, as a weight block is after its proximal step, through
-    its C-ordered transpose, whose nonzero rows are found.
-    """
+    """Boolean mask of the nonzero columns of ``w``, taken one row block at
+    a time, so no full-size boolean is formed."""
     w = np.asarray(w)
     nonzero = np.zeros(w.shape[1], dtype=bool)
-    if w.flags.f_contiguous:
-        t = w.T
-        for lo, hi in _row_blocks(*t.shape):
-            nonzero[lo:hi] = np.any(t[lo:hi] != 0.0, axis=1)
-    else:
-        for lo, hi in _row_blocks(*w.shape):
-            nonzero |= np.any(w[lo:hi] != 0.0, axis=0)
+    for lo, hi in _row_blocks(*w.shape):
+        nonzero |= np.any(w[lo:hi] != 0.0, axis=0)
     return nonzero
 
 
@@ -214,7 +205,10 @@ def prox_l20_rows(h, beta, lam):
     the step buffer it owns.  Other inputs are converted to a new float64
     array first.  The row norms are taken one row block of about ``V_BLOCK``
     entries at a time, each with the bits of ``np.linalg.norm(h, axis=1)``:
-    rows are summed independently, so no full-size square is formed.
+    rows are summed independently, so no full-size square is formed.  The
+    block is squared by ``np.einsum`` in its own layout, as the norm squares
+    it; ``pgm``'s step is the transpose of a C-ordered block, whose row
+    blocks are strided, and a ufunc on those adds numpy's iterator buffers.
     """
     h = np.asarray(h, dtype=np.float64)
     if beta <= 0.0:
@@ -226,5 +220,5 @@ def prox_l20_rows(h, beta, lam):
         threshold = np.sqrt(2.0 * beta * lam)
         for lo, hi in _row_blocks(*h.shape):
             c = h[lo:hi]
-            c[np.sqrt(np.add.reduce(c * c, axis=1)) < threshold] = 0.0
+            c[np.sqrt(np.add.reduce(np.einsum("ij,ij->ij", c, c), axis=1)) < threshold] = 0.0
     return h

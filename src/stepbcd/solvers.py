@@ -4,6 +4,8 @@ norm that bounds the valid proximal step size.
 
 This module works in the transposed frame where rows of ``w`` are the
 sparsity groups; the trainer transposes weight blocks on the way in and out.
+Each gradient and iterate of the weight step is laid out as the transpose of
+a C-ordered block, so the trainer's weights come back C-ordered.
 """
 
 from __future__ import annotations
@@ -65,16 +67,17 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     residual is known to be zero, so it is not formed, and that buffer is
     not written.
 
-    The gradient is the one ``w``-sized buffer formed: ``gamma w`` is added
-    to it one row block of about ``prox.V_BLOCK`` entries at a time, as
+    The gradient is the one ``w``-sized buffer formed, the transpose of the
+    C-ordered product ``(v w - u)^T v``: ``gamma w`` is added to that
+    product one row block of about ``prox.V_BLOCK`` entries at a time, as
     ``_add_pi_x`` adds ``pi x``, so no ``w``-sized ``gamma w`` is formed.
     """
     if v.shape[1] != w.shape[0] or u.shape != (v.shape[0], w.shape[1]):
         raise ValueError(f"grad_psi shape mismatch: u {u.shape}, v {v.shape}, w {w.shape}")
     if vw is u:
         # The bits of tau * (+0.0) + gamma * w, laid out as the product
-        # ``v.T @ r`` would be: adding +0.0 turns a -0.0 into +0.0.
-        g = np.multiply(gamma, w, order="C")
+        # ``(r.T @ v).T`` would be: adding +0.0 turns a -0.0 into +0.0.
+        g = np.multiply(gamma, w.T, order="C").T
         g += 0.0
         return g
     if vw is None:
@@ -82,12 +85,12 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     elif vw.shape != u.shape:
         raise ValueError(f"grad_psi product {vw.shape} does not match u {u.shape}")
     vw -= u
-    g = v.T @ vw
+    gt = vw.T @ v
     del vw
-    g *= tau
-    for lo, hi in _row_blocks(*g.shape):
-        g[lo:hi] += gamma * w[lo:hi]
-    return g
+    gt *= tau
+    for lo, hi in _row_blocks(*gt.shape):
+        gt[lo:hi] += gamma * w.T[lo:hi]
+    return gt.T
 
 
 def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
@@ -103,19 +106,19 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     reuses it, overwriting it with its residual.  A ``vw0`` that is ``u``
     itself says the first residual is zero; it is then neither formed nor
     written (see ``grad_psi``).  ``u``, ``v`` and ``w0`` are never written;
-    ``L = 0`` returns a copy of ``w0``.  Each step is taken and
-    thresholded in the gradient's own buffer, so a step holds two
-    ``w``-sized buffers, its iterate and its gradient.  The reference to
-    ``w0`` is dropped once the first step is formed: a caller that passes
-    a start it holds nowhere else has it released then.  A mini-batch
-    sweep so hands over its old ``W_i``; a sweep that raises may then
-    leave that ``W`` slot empty, as a ``CgError`` leaves a ``V_i`` partly
-    written.
+    ``L = 0`` returns a copy of ``w0`` in its layout.  Each step is taken
+    and thresholded in the gradient's own buffer, laid out as ``grad_psi``
+    lays it out, so a step holds two ``w``-sized buffers, its iterate and
+    its gradient.  The reference to ``w0`` is dropped once the first step
+    is formed: a caller that passes a start it holds nowhere else has it
+    released then.  A mini-batch sweep so hands over its old ``W_i``; a
+    sweep that raises may then leave that ``W`` slot empty, as a
+    ``CgError`` leaves a ``V_i`` partly written.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
     if L == 0:
-        return w0.copy()
+        return w0.copy(order="K")
     w, w0 = w0, None
     for _ in range(L):
         g = grad_psi(w, u, v, tau, gamma, vw0)

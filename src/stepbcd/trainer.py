@@ -203,15 +203,22 @@ def _penalties(hp, upen_sq, vpen_sq):
 def _sq_step_gap(v, u):
     """``||V_i - step(U_i)||^2``, summed by ``solvers._col_sq`` one row
     block at a time.  ``step(U_i)`` is formed per block as a float block,
-    as ``step`` forms it.  Subtracting the boolean ``U_i > 0`` gives the
-    same bits, but made desk-full's objective about twice as slow on a
-    2-core Xeon."""
-    return float(_col_sq(lambda lo, hi: v[lo:hi] - np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi])),
-                         v.shape).sum())
+    as ``step`` forms it, and ``V_i`` is subtracted into that block, which
+    ``_col_sq`` then squares in place, so the sum holds one block at a
+    time, not a pattern block and its difference.  Subtracting the boolean
+    ``U_i > 0`` gives the same bits, but made desk-full's objective about
+    twice as slow on a 2-core Xeon."""
+    def gap(lo, hi):
+        s = np.greater(u[lo:hi], 0.0, out=np.empty_like(u[lo:hi]))
+        return np.subtract(v[lo:hi], s, out=s)
+    return float(_col_sq(gap, v.shape).sum())
 
 
 def _pgm_update(u_new, v_old, start, hp, derive_beta, wv_old):
     """Weight-block step in the transposed frame (rows = columns of W).
+    ``pgm`` returns the transpose of a C-ordered block (``grad_psi``), so
+    the closing transpose hands back a C-ordered ``W_i``, the layout of
+    every weight block from the init to the checkpoint.
 
     ``start`` is a one-element list holding the old block ``w_old``.  The
     step empties it and passes the block to ``pgm`` in the call itself, so
@@ -236,12 +243,9 @@ def _pgm_update(u_new, v_old, start, hp, derive_beta, wv_old):
 def _sq_motion(new, old=None):
     """Squared Frobenius distance of one block from its previous value, or
     from 0 without one, summed by ``solvers._col_sq`` one row block at a
-    time: an F-ordered weight block through its C-ordered transpose.  A
-    block kept as the same array has not moved."""
+    time.  A block kept as the same array has not moved."""
     if new is old:
         return 0.0
-    if new.flags.f_contiguous:
-        new, old = new.T, None if old is None else old.T
     if old is None:
         return float(_col_sq(new).sum())
     return float(_col_sq(lambda lo, hi: new[lo:hi] - old[lo:hi], new.shape).sum())
@@ -319,16 +323,14 @@ def _settle_u(state, i, wv, upen, e2=None, bits=None):
 
     ``e2``, from a solve that kept its start, holds the column sums of
     squares of that very difference, taken by the same kernel over the
-    same row blocks, so their sum has the bits of ``_sq_motion``, except
-    for a block that is also F-ordered (one row or one column), which
-    ``_sq_motion`` sums through its transpose; ``e2`` is not used there.
+    same row blocks, so their sum has the bits of ``_sq_motion``.
     ``bits``, when the sweep has packed ``U_i`` already, is that pattern.
 
     ``U_i`` is checked finite (``core._check_finite``) only when the sum
     is not: a non-finite entry makes the sum NaN or infinite, whatever
     ``wv`` holds, and a sum that overflows on finite entries passes."""
     u = state.U[i]
-    upen[i] = float(e2.sum()) if e2 is not None and not u.flags.f_contiguous else _sq_motion(u, wv)
+    upen[i] = _sq_motion(u, wv) if e2 is None else float(e2.sum())
     if not np.isfinite(upen[i]):
         _check_finite(f"U[{i}]", u)
     if i < len(state.W) - 1:

@@ -167,12 +167,12 @@ class TestCheckFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["W", "U", "V"])
     def test_names_the_block_and_forms_no_full_size_mask(self, bad, where):
-        # An F-ordered W (as after a proximal step) and C-ordered U and V;
-        # one non-finite entry in the last row.  Each block is tested one
-        # row block at a time: a whole 784x2000 mask is 1.5 MB, three blocks.
+        # C-ordered blocks, as the package lays out every block; one
+        # non-finite entry in the last row.  Each block is tested one row
+        # block at a time: a whole 784x2000 mask is 1.5 MB, three blocks.
+        # The block is named whatever its layout, an F-ordered W included.
         rng = make_rng(3)
-        state = TrainState([np.asfortranarray(rng.standard_normal((784, 2000)))],
-                           [rng.standard_normal((784, 2000))], [rng.standard_normal((784, 2000))])
+        state = TrainState(*([rng.standard_normal((784, 2000))] for _ in "WUV"))
         block = prox.V_BLOCK * 8
         tracemalloc.start()
         try:
@@ -182,6 +182,9 @@ class TestCheckFinite:
             tracemalloc.stop()
         assert peak <= 0.2 * block, f"check_finite adds {peak / block:.2f} blocks"
         getattr(state, where)[0][-1, -1] = bad
+        with pytest.raises(FloatingPointError, match=rf"{where}\[0\] contains non-finite"):
+            state.check_finite()
+        state.W = [np.asfortranarray(state.W[0])]
         with pytest.raises(FloatingPointError, match=rf"{where}\[0\] contains non-finite"):
             state.check_finite()
 

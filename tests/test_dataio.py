@@ -271,8 +271,9 @@ class TestCheckpoint:
         assert path.stat().st_size == len(CHECKPOINT_MAGIC) + 8 + header + blocks + 4
 
     def test_f_ordered_weights_round_trip_bit_exact(self, saved_checkpoint, tmp_path):
-        # Weights are F-ordered after their proximal step; the file is
-        # row-major either way.  A negative zero keeps its sign bit.
+        # The trainer's weights are C-ordered, but an API caller may pass
+        # any layout; the file is row-major either way.  A negative zero
+        # keeps its sign bit.
         path, state, shape, hp = saved_checkpoint
         state.W[1][2, 3] = -0.0
         fortran = TrainState([np.asfortranarray(w) for w in state.W], [], [], state.n_samples)
@@ -310,7 +311,7 @@ class TestCheckpoint:
         assert peak <= 2.1 * size, f"peak {peak / size:.2f}x the file"
 
     def test_save_copies_one_row_block_at_a_time(self, tmp_path):
-        # Weights are F-ordered after their proximal step, and the file is
+        # An API caller may pass F-ordered weights, and the file is
         # row-major: each row block is copied and written before the next.
         # Staging the payload held about 1.2x the file, a whole-block copy 1x
         # the largest block.

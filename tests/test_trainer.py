@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stepbcd.trainer as trainer_mod
 from stepbcd import prox, solvers
 from stepbcd.core import Hyperparams, NetworkShape, TrainState, forward_blocks, init_gaussian, make_rng
-from stepbcd.dataio import Dataset, to_dataset
+from stepbcd.dataio import Dataset, load_checkpoint, save_checkpoint, to_dataset
 from stepbcd.prox import EPS_TINY, step
 from stepbcd.trainer import BcdReport, bcd_iteration, objective_f, train
 
@@ -242,12 +242,11 @@ class TestBcdIteration:
 
     def test_sq_motion(self):
         # The kernel's sum: each column's squares added row after row, then
-        # the column sums totalled; an F-ordered block goes through its
-        # C-ordered transpose, so its sum has the same bits.
+        # the column sums totalled, whatever the layout of the block.
         a = make_rng(25).standard_normal((5, 4))
         b = a + 0.5
         assert trainer_mod._sq_motion(b, a) == float(((b - a) ** 2).sum(axis=0).sum())
-        assert trainer_mod._sq_motion(b.T, a.T) == trainer_mod._sq_motion(b, a)
+        assert trainer_mod._sq_motion(b.T, a.T) == float((np.ascontiguousarray(b.T - a.T) ** 2).sum(axis=0).sum())
         assert trainer_mod._sq_motion(b) == float((b ** 2).sum(axis=0).sum())
         # A block kept as the same array takes no pass: None - None would raise.
         kept = np.full((2, 2), None, dtype=object)
@@ -643,6 +642,33 @@ class TestTrain:
         assert all(np.array_equal(p, packed_pattern(v)) for p, v in zip(bits, new_v, strict=True))
         assert len(b) == 1 and np.array_equal(b[-1], new_u[-1])
 
+    def test_weights_stay_c_ordered(self, tmp_path):
+        # Every weight block is C-ordered, as core promises, from the init
+        # through each sweep and epoch to the checkpoint.  Every width
+        # exceeds 1, so no block is both C- and F-ordered.
+        data = make_cluster_dataset(4, 3, 45, make_rng(21))
+        shape = NetworkShape((4, 6, 5, 3))
+        hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=2)
+
+        def c_ordered(w_list):
+            return len(w_list) == shape.h and all(w.flags.c_contiguous for w in w_list)
+
+        state = init_gaussian(shape, 0.3, make_rng(5), data.X)
+        assert c_ordered(state.W)
+        b = None
+        for _ in range(2):
+            _, _, b, _ = bcd_iteration(state, data, hp, b=b)
+            assert c_ordered(state.W)
+        weights = TrainState(list(state.W), [], [], data.n)
+        _, bits = trainer_mod._forward_pass(weights.W, data.X)
+        trainer_mod._epoch_over_batches(weights, data, hp, False, 8, make_rng(6).permutation(data.n), bits)
+        assert c_ordered(weights.W)
+        for batch_size in (None, 8):
+            trained, _ = train(data, shape, hp, make_rng(7), init_scale=0.3, batch_size=batch_size)
+            assert c_ordered(trained.W)
+            save_checkpoint(trained, shape, hp, tmp_path / "ckpt.bin")
+            assert c_ordered(load_checkpoint(tmp_path / "ckpt.bin")[0].W)
+
     @pytest.mark.parametrize("n", [1, 255, 257, 513, 1999])
     def test_minibatch_train_matches_public_calls_at_any_sample_count(self, n):
         # The init and each epoch's closing pass are taken in 256-column
@@ -694,12 +720,13 @@ class TestTrain:
 
     def test_sums_of_squares_form_no_full_size_buffer(self):
         # Every sum of squares is taken one row block at a time: the
-        # objective adds at most about two blocks of prox.V_BLOCK entries
-        # to its inputs (a step pattern block and its gap to V), and a
-        # block motion and a kept square-layer solve about one beside the
-        # product the solve hands on, since each difference is squared in
-        # its own buffer; squared into a second buffer, each took two.
-        # Squaring one 400x1000 difference whole adds 3.2 MB, six blocks.
+        # objective, a block motion and a kept square-layer solve each add
+        # about one block of prox.V_BLOCK entries (beside the product the
+        # solve hands on), since each difference is squared in its own
+        # buffer, and the objective's gap to V is subtracted into its step
+        # pattern block; squared into a second buffer, or with the gap
+        # formed beside the pattern, each took two.  Squaring one 400x1000
+        # difference whole adds 3.2 MB, six blocks.
         data = make_cluster_dataset(30, 5, 1000, make_rng(31))
         state = init_gaussian(NetworkShape((30, 400, 400, 5)), 0.01, make_rng(32), data.X)
         hp = Hyperparams()
@@ -716,7 +743,7 @@ class TestTrain:
 
         block = prox.V_BLOCK * 8
         _, peak = added(objective_f, state, data, hp, b)
-        assert peak <= 2.05 * block, f"objective_f adds {peak / block:.2f} blocks"
+        assert peak <= 1.1 * block, f"objective_f adds {peak / block:.2f} blocks"
         _, peak = added(trainer_mod._sq_motion, moved, state.V[0])
         assert peak <= 1.1 * block, f"_sq_motion adds {peak / block:.2f} blocks"
         (v, wv, _, _), peak = added(solvers.solve_v, state.W[1], state.U[1], packed_pattern(state.U[0]), hp.tau, hp.pi, state.V[0])
