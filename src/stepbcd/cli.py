@@ -1,9 +1,9 @@
 """Command-line entry point: train, eval, robustness, inspect.
 
 Every command is deterministic given its flags, seed, and input files.
-Randomized stages (init, subsampling shuffle, training noise, the noise
-levels of a robustness sweep) draw from independent sub-streams of the
-master seed, so enabling one stage never shifts another's draws.  Exit
+Randomized stages (init, subsampling shuffle, the noise levels of a
+robustness sweep) draw from independent sub-streams of the master seed,
+so enabling one stage never shifts another's draws.  Exit
 codes: 0 success, 2 usage or data error, 3 numerical failure.
 """
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, STAGE_TRAIN_NOISE, Hyperparams, NetworkShape, make_rng
+from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, Hyperparams, NetworkShape, make_rng
 from .dataio import (
     add_gaussian_noise,
     load_checkpoint,
@@ -77,20 +77,15 @@ def _positive_float(text):
     return value
 
 
-def _nonnegative_float(text):
-    """Argparse type for a noise level or tolerance: a finite number of at least 0."""
-    value = float(text)
-    if not (value >= 0.0 and np.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative number")
-    return value
-
-
 def _sigma_list(text):
     """Argparse type for ``--sigmas``: comma-separated finite nonnegative noise levels."""
     try:
-        return [_nonnegative_float(p) for p in text.split(",")]
+        sigmas = [float(p) for p in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of numbers") from None
+        sigmas = None
+    if sigmas is None or not all(s >= 0.0 and np.isfinite(s) for s in sigmas):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of finite nonnegative numbers")
+    return sigmas
 
 
 def _add_data_args(p, *splits):
@@ -176,8 +171,6 @@ def cmd_train(args):
     _check_output("--checkpoint", ckpt, made=out_dir)
     train_data = _load_split(args, "train", shape, required=True)
     test_data = _load_split(args, "test", shape, required=False)
-    if args.train_noise_sigma > 0.0:
-        train_data = add_gaussian_noise(train_data, args.train_noise_sigma, make_rng(args.seed, STAGE_TRAIN_NOISE))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_config(out_dir / "run_config.json", args)
@@ -188,7 +181,6 @@ def cmd_train(args):
         rng=make_rng(args.seed, STAGE_INIT),
         init_scale=args.scale,
         derive_beta=args.derive_beta,
-        early_stop_tol=args.early_stop_tol,
         batch_size=args.batch_size,
         shuffle_rng=make_rng(args.seed, STAGE_SHUFFLE, 2),
     )
@@ -239,8 +231,7 @@ def cmd_inspect(args):
         pattern = ",".join(map(str, zero_cols[:16])) + ("..." if zero_cols.size > 16 else "")
         print(f"W[{i}] {w.shape[0]}x{w.shape[1]}: {zero_cols.size} pruned columns"
               + (f" [{pattern}]" if zero_cols.size else ""))
-    print(f"filter_count outgoing={filter_count(state.W, 'outgoing')} "
-          f"incoming={filter_count(state.W, 'incoming')}")
+    print(f"filter_count {filter_count(state.W)}")
     print(f"param_count raw={param_count(state.W)} pruned={param_count(state.W, count_pruned=False)}")
     print(f"flops_estimate {flops_estimate(state.W):.0f}")
     return EXIT_OK
@@ -310,11 +301,7 @@ def _add_train_args(p):
     p.add_argument("--scale", type=_positive_float, default=DEFAULT_INIT_SCALE, help="Gaussian init std")
     p.add_argument("--derive-beta", action="store_true",
                    help="use 0.9/(tau*||V||^2+gamma) per weight block instead of --beta")
-    p.add_argument("--early-stop-tol", type=_nonnegative_float, default=None,
-                   help="stop once |F(k) - F(k-1)| falls below this")
     p.add_argument("--batch-size", type=_positive_int, default=None, help="mini-batch mode (default full batch)")
-    p.add_argument("--train-noise-sigma", type=_nonnegative_float, default=0.0,
-                   help="corrupt training inputs (noise is test-only by default)")
     p.add_argument("--out-dir", default="run_out")
     p.add_argument("--checkpoint", default=None, help="checkpoint path (default <out-dir>/checkpoint.bin)")
 

@@ -18,7 +18,6 @@ __all__ = [
     "STAGE_INIT",
     "STAGE_NOISE",
     "STAGE_SHUFFLE",
-    "STAGE_TRAIN_NOISE",
     "make_rng",
     "NetworkShape",
     "Hyperparams",
@@ -30,11 +29,10 @@ __all__ = [
 # Stage codes for derived random streams.  Each randomized stage draws from
 # its own stream keyed by (seed, stage, ...), so toggling one stage never
 # shifts another stage's draws.  STAGE_NOISE keys the noise levels of a
-# robustness sweep, STAGE_TRAIN_NOISE the noise on the training inputs.
+# robustness sweep.
 STAGE_INIT = 0
 STAGE_NOISE = 1
 STAGE_SHUFFLE = 2
-STAGE_TRAIN_NOISE = 3
 
 
 def make_rng(seed, *path):

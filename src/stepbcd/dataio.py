@@ -210,10 +210,10 @@ def add_gaussian_noise(data, sigma, rng, clamp=True):
     ``sigma = 0`` draws nothing from ``rng`` and returns ``X + 0.0``,
     which has the bits of adding ``X`` into a draw of zeros: a ``-0.0``
     entry becomes ``+0.0``.  Every caller passes a stream of its own
-    (``core.STAGE_NOISE`` per level, ``core.STAGE_TRAIN_NOISE``), so no
-    other stage's draws depend on whether this one draws.  Clamping back
-    to [0, 1] is on by default since pixels are intensities.  A negative
-    or non-finite ``sigma`` raises ValueError.
+    (``core.STAGE_NOISE`` per level), so no other stage's draws depend on
+    whether this one draws.  Clamping back to [0, 1] is on by default since
+    pixels are intensities.  A negative or non-finite ``sigma`` raises
+    ValueError.
     """
     if not (sigma >= 0.0 and np.isfinite(sigma)):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")

@@ -59,23 +59,18 @@ def evaluate(w_list, data):
     return EvalResult(1.0 - correct / data.n, correct, data.n)
 
 
-def filter_count(w_list, convention="outgoing"):
-    """Number of hidden units that survive column pruning.
+def filter_count(w_list):
+    """Number of hidden units that survive column pruning (``fil_num``).
 
-    ``outgoing`` (reported by default): hidden unit j of layer i is live
-    iff column j of the next weight block is nonzero, so the count sums
-    nonzero columns over the second through last blocks.  A single-block
-    network has no hidden layers; its lone block's columns are counted so
-    the degenerate case still reflects pruning.  ``incoming``: a unit is
-    live iff its own row (the weights feeding it) is nonzero.
+    Hidden unit j of layer i is live iff column j of the next weight block
+    is nonzero, so the count sums nonzero columns over the second through
+    last blocks.  A single-block network has no hidden layers; its lone
+    block's columns are counted so the degenerate case still reflects
+    pruning.
     """
-    if convention == "outgoing":
-        if len(w_list) == 1:
-            return norm_l20(w_list[0])
-        return sum(norm_l20(w) for w in w_list[1:])
-    if convention == "incoming":
-        return sum(int(np.any(w != 0.0, axis=1).sum()) for w in w_list[:-1])
-    raise ValueError(f"unknown convention {convention!r}")
+    if len(w_list) == 1:
+        return norm_l20(w_list[0])
+    return sum(norm_l20(w) for w in w_list[1:])
 
 
 def param_count(w_list, count_pruned=True):

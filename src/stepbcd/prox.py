@@ -32,12 +32,19 @@ EPS_TINY = 1e-10
 V_BLOCK = 1 << 16
 
 
-def _row_blocks(d, n):
+def _row_blocks(d, n, min_rows=1):
     """``(lo, hi)`` bounds of the row blocks of a ``d x n`` array, about
     ``V_BLOCK`` entries each.  A one-column array is one block: numpy sums
-    it pairwise, not row after row."""
-    k = max(d, 1) if n == 1 else max(1, V_BLOCK // max(n, 1))
-    return ((lo, min(lo + k, d)) for lo in range(0, d, k))
+    it pairwise, not row after row.  With ``min_rows=2`` no block of a
+    multi-row array has one row, a one-row tail joining the block before
+    it, so a block may pass ``V_BLOCK``: numpy sums one row of an F-ordered
+    array pairwise too."""
+    k = max(d, 1) if n == 1 else max(min_rows, V_BLOCK // max(n, 1))
+    lo = 0
+    while lo < d:
+        hi = d if d - lo < k + min_rows else lo + k
+        yield lo, hi
+        lo = hi
 
 
 def check_one_hot(y):
@@ -204,8 +211,9 @@ def prox_l20_rows(h, beta, lam):
     A float64 ``h`` is thresholded in place and returned: ``pgm`` passes
     the step buffer it owns.  Other inputs are converted to a new float64
     array first.  The row norms are taken one row block of about ``V_BLOCK``
-    entries at a time, each with the bits of ``np.linalg.norm(h, axis=1)``:
-    rows are summed independently, so no full-size square is formed.  The
+    entries, and of at least two rows, at a time, each with the bits of
+    ``np.linalg.norm(h, axis=1)`` in either layout: rows are summed
+    independently, so no full-size square is formed.  The
     block is squared by ``np.einsum`` in its own layout, as the norm squares
     it; ``pgm``'s step is the transpose of a C-ordered block, whose row
     blocks are strided, and a ufunc on those adds numpy's iterator buffers.
@@ -218,7 +226,7 @@ def prox_l20_rows(h, beta, lam):
     # At lam == 0 the threshold is 0 and no norm lies below it.
     if lam > 0.0:
         threshold = np.sqrt(2.0 * beta * lam)
-        for lo, hi in _row_blocks(*h.shape):
+        for lo, hi in _row_blocks(*h.shape, min_rows=2):
             c = h[lo:hi]
             c[np.sqrt(np.add.reduce(np.einsum("ij,ij->ij", c, c), axis=1)) < threshold] = 0.0
     return h

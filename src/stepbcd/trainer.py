@@ -482,12 +482,13 @@ def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm, bits):
 
 
 def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
-          derive_beta=False, early_stop_tol=None, batch_size=None, shuffle_rng=None):
+          derive_beta=False, batch_size=None, shuffle_rng=None):
     """Initialize and run K outer iterations; returns ``(state, report)``.
 
     The returned state holds the trained weights alone: its ``U`` and ``V``
     lists are empty in both modes, and its ``n_samples`` is ``data.n``.
-    Prediction, evaluation and checkpoints read nothing else.
+    Prediction, evaluation and checkpoints read nothing else.  The report
+    holds K+1 rows, one per outer iteration after row 0.
 
     Full-batch by default: each outer iteration is one ``bcd_iteration``,
     which leaves the hidden ``U`` blocks as packed step patterns and
@@ -508,8 +509,7 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     each outer iteration a non-finite block raises it too, naming the
     first such block; the state is scanned only when ``dW`` or ``dV`` is
     not finite (see the module docstring).  A batch
-    size that is not an integer of at least 1, or an ``early_stop_tol``
-    that is negative or not finite, raises ValueError.
+    size that is not an integer of at least 1 raises ValueError.
     """
     if data.n == 0:
         raise ValueError("training needs at least one sample, got an empty dataset")
@@ -519,8 +519,6 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         raise ValueError(f"architecture output width {shape.dims[-1]} != label dim {data.Y.shape[0]}")
     if batch_size is not None and not (_is_integer(batch_size) and batch_size >= 1):
         raise ValueError(f"batch_size must be an integer of at least 1, got {batch_size!r}")
-    if early_stop_tol is not None and not (early_stop_tol >= 0.0 and np.isfinite(early_stop_tol)):
-        raise ValueError(f"early_stop_tol must be finite and nonnegative, got {early_stop_tol}")
     if batch_size is not None and shuffle_rng is None:
         shuffle_rng = rng.spawn(1)[0]
 
@@ -558,9 +556,6 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
         seconds = time.perf_counter() - t0
         records.append(_record(k, state, data, hp, dw, dv, seconds, b, coupling))
         logger.debug("iteration %d: F=%.6g dW=%.3g dV=%.3g", k, records[-1].f, dw, dv)
-        if early_stop_tol is not None and abs(records[-1].f - records[-2].f) < early_stop_tol:
-            logger.info("early stop at iteration %d: |dF| < %g", k, early_stop_tol)
-            break
 
     tied = int((_hardmax_gap_miss(b[-1], data.labels())[2] > 1).sum())
     if tied:

@@ -140,12 +140,7 @@ class TestFilterCount:
         w1 = np.ones((4, 3))
         w2 = np.ones((2, 4))
         w2[:, 1] = 0.0  # unit 1 of the hidden layer feeds nothing
-        assert filter_count([w1, w2], "outgoing") == 3
-        w1_in = w1.copy()
-        w1_in[2, :] = 0.0  # unit 2 receives nothing
-        assert filter_count([w1_in, w2], "incoming") == 3
-        with pytest.raises(ValueError):
-            filter_count([w1, w2], "sideways")
+        assert filter_count([w1, w2]) == 3
 
     def test_never_exceeds_hidden_width_sum(self):
         rng = make_rng(5)

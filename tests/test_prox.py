@@ -401,7 +401,8 @@ class TestProxL20Rows:
 
     @pytest.mark.parametrize("shape, order", [((2000, 2000), "C"), ((784, 2000), "C"), ((200, 200), "C"),
                                               ((784, 200), "C"), ((2000, 10), "C"), ((784, 200), "F"),
-                                              ((300, 2), "C")])
+                                              ((300, 2), "C"), ((3, 40000), "F"), ((5, 70000), "F"),
+                                              ((328, 200), "F")])
     def test_row_norms_have_the_bits_of_numpy_norm(self, shape, order):
         # Each row is scaled to unit norm, so its computed norm lands on the
         # threshold 1 = sqrt(2 * 0.5 * 1) or an ulp or two beside it: a norm

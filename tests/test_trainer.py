@@ -770,11 +770,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="must be an integer"):
             train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), batch_size=batch_size)
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
-    def test_bad_early_stop_tol_rejected(self, tiny_data, tol):
-        with pytest.raises(ValueError, match="early_stop_tol must be finite and nonnegative"):
-            train(tiny_data, NetworkShape((4, 8, 3)), Hyperparams(K=1), rng=make_rng(10), early_stop_tol=tol)
-
     def test_empty_dataset_rejected(self):
         # The loss term divides by the sample count.
         empty = Dataset(np.zeros((4, 0)), np.zeros((3, 0)))
@@ -813,12 +808,6 @@ class TestTrain:
             train(tiny_data, NetworkShape((5, 8, 3)), Hyperparams(K=1), rng=make_rng(0))
         with pytest.raises(ValueError, match="output width"):
             train(tiny_data, NetworkShape((4, 8, 4)), Hyperparams(K=1), rng=make_rng(0))
-
-    def test_early_stop(self, tiny_data):
-        shape = NetworkShape((4, 8, 3))
-        hp = theory_hp(K=50)
-        _, report = train(tiny_data, shape, hp, rng=make_rng(14), early_stop_tol=1e-12)
-        assert len(report.records) < 51
 
     def test_minibatch_mode_runs_and_is_deterministic(self, tiny_data):
         shape = NetworkShape((4, 8, 3))
