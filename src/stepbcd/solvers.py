@@ -59,8 +59,8 @@ def grad_psi(w, u, v, tau, gamma, vw=None):
     """Gradient of ``(tau/2) ||u - v w||^2 + (gamma/2) ||w||^2`` in ``w``.
 
     ``vw``, when given, is the product ``v @ w`` the caller already holds;
-    it is overwritten with the residual ``v w - u``.  Either way the
-    residual is formed in the product's own buffer.
+    it is overwritten with the residual ``v w - u``, which ``pgm`` may carry
+    on.  Either way the residual is formed in the product's own buffer.
 
     A ``vw`` that is ``u`` itself, the same array, says the target is the
     (finite) product, as when the step prox kept the carried product: the
@@ -114,18 +114,41 @@ def pgm(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
     released then.  A mini-batch sweep so hands over its old ``W_i``; a
     sweep that raises may then leave that ``W`` slot empty, as a
     ``CgError`` leaves a ``V_i`` partly written.
+
+    At ``lam = 0``, where the prox keeps every row, and where the products
+    it saves outweigh the ``n x n`` Gram ``K = v v^T``, ``(L - 1) m (d - n)
+    > n d`` for ``v`` of ``n x d`` and ``u`` of ``n x m``, each later step
+    carries its product, beside ``K``, in the last residual ``r``'s buffer:
+    ``v h = (1 - beta gamma)(r + u) - beta tau K r`` for the step ``h``
+    (``(1 - beta gamma) u``, in a new buffer, after a kept first residual).
+    This moves the last bits; otherwise each product is formed afresh.
     """
     if L < 0 or beta <= 0.0:
         raise ValueError(f"pgm needs L >= 0 and beta > 0, got L={L} beta={beta}")
     if L == 0:
         return w0.copy(order="K")
+    (n, d), m = v.shape, u.shape[1]
+    carry = lam == 0.0 and (L - 1) * m * (d - n) > n * d
+    gram = v @ v.T if carry else None
     w, w0 = w0, None
-    for _ in range(L):
+    for k in range(L):
+        if carry and vw0 is None:
+            vw0 = v @ w
         g = grad_psi(w, u, v, tau, gamma, vw0)
-        vw0 = None
         g *= beta
         np.subtract(w, g, out=g)
         w = prox_l20_rows(g, beta, lam)
+        if not carry or k == L - 1:
+            vw0 = None
+        elif vw0 is u:
+            vw0 = (1.0 - beta * gamma) * u
+        else:
+            kr = gram @ vw0
+            kr *= beta * tau
+            vw0 += u
+            vw0 *= 1.0 - beta * gamma
+            vw0 -= kr
+            del kr
     return w
 
 

@@ -14,10 +14,12 @@ iteration, a full-batch sweep (``bcd_iteration``) or a mini-batch epoch,
 updates the state in place and returns ``(dW, dV, b)``: the summed block
 motions and the new iterate's products.  ``train`` hands ``b`` to the
 next sweep as its targets, where the ``U_i`` prox reads each one and the
-``W_i`` step's first gradient reuses its buffer as the residual.  A step
-prox that provably keeps every entry returns the target itself as the
-new ``U_i``; the ``W_i`` step then takes its first residual as zero,
-forms none, and leaves that buffer, now ``U_i``, as it is.  Each state solve hands on
+``W_i`` step's first gradient reuses its buffer as the residual; in a
+mini-batch sweep the step may carry it on as each later step's product,
+through the batch Gram (``pgm``).  A step prox that provably keeps every
+entry returns the target itself as the new ``U_i``; the ``W_i`` step
+then takes its first residual as zero, forms none, and leaves that
+buffer, now ``U_i``, as it is.  Each state solve hands on
 ``W_(i+1) V_i`` of the new iterate; where it keeps a square layer's start,
 that is the product its check was made from, the one ``d x d x N``
 product the solve forms, and otherwise one product of the whole new

@@ -3,14 +3,16 @@
 The package ships the matrix solvers a run calls; the tests check them
 against these straight-line references: the single-column and scalar
 prox minimizers, their objectives and brute-force minima, the step
-prox's entrywise path, the composite weight-block objective, its
-proximal stationarity residual, the descent inequality of the outer
-loop, and the packed step pattern the state solve takes.
+prox's entrywise path, the weight step with every product formed afresh,
+the composite weight-block objective, its proximal stationarity
+residual, the descent inequality of the outer loop, and the packed step
+pattern the state solve takes.
 """
 
 import numpy as np
 
-from stepbcd.prox import EPS_TINY
+from stepbcd.prox import EPS_TINY, prox_l20_rows
+from stepbcd.solvers import grad_psi
 
 
 def packed_pattern(u):
@@ -125,6 +127,20 @@ def step_grid_min(a, b, rho):
 def step_oracle_min(a, b, rho):
     """The grid minimum plus the one-sided-limit candidate at ``EPS_TINY``."""
     return min(step_grid_min(a, b, rho), step_objective(EPS_TINY, a, b, rho))
+
+
+def pgm_fresh(u, v, w0, tau, gamma, lam, L, beta, vw0=None):
+    """``solvers.pgm`` with the product ``v @ w`` formed afresh at every
+    step after the first, in ``grad_psi``: each of the ``L`` steps is that
+    of an ``L = 1`` call from the last iterate, bit for bit."""
+    w = w0
+    for _ in range(L):
+        g = grad_psi(w, u, v, tau, gamma, vw0)
+        vw0 = None
+        g *= beta
+        np.subtract(w, g, out=g)
+        w = prox_l20_rows(g, beta, lam)
+    return w
 
 
 def composite_objective(w, u, v, tau, gamma, lam):

@@ -10,7 +10,7 @@ from stepbcd.core import make_rng
 from stepbcd.prox import step
 from stepbcd.solvers import CgError, cg_solve, grad_psi, pgm, solve_v, spectral_norm
 
-from oracles import composite_objective, p_stationarity_residual, packed_pattern
+from oracles import composite_objective, p_stationarity_residual, packed_pattern, pgm_fresh
 
 
 def ridge_solution(u, v, tau, gamma):
@@ -28,13 +28,47 @@ def random_instance(seed, n=8, p=6, q=4, scale=None):
     return u, v, w0
 
 
-class NoProducts(np.ndarray):
-    """An array whose every matrix product raises: proof that none is formed."""
+class CountsProducts(np.ndarray):
+    """An array that records the operand shapes of every matrix product it
+    enters, its views sharing the record; each product is formed from
+    plain arrays, with their bits."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", [])
 
     def __matmul__(self, other):
-        raise AssertionError("a matrix product was formed")
+        self.products.append((self.shape, np.shape(other)))
+        return np.asarray(self) @ np.asarray(other)
 
-    __rmatmul__ = __matmul__
+    def __rmatmul__(self, other):
+        self.products.append((np.shape(other), self.shape))
+        return np.asarray(other) @ np.asarray(self)
+
+
+def products_with(u, v, *args):
+    """``pgm(u, v, *args)`` and the operand shapes of the products it formed
+    with ``v``, the ``n x d`` input."""
+    counted = v.view(CountsProducts)
+    return pgm(u, counted, *args), counted.products
+
+
+def pgm_peak(lam):
+    """Traced peak of three ``pgm`` steps on a 50-sample, 1000 x 200 block
+    whose start is made in the call, the block's bytes, and the peak bound
+    of a step that holds its iterate, its gradient, one row block and
+    ``u``."""
+    rng = make_rng(23)
+    n, p, q = 50, 1000, 200
+    u = rng.standard_normal((n, q))
+    v = rng.standard_normal((n, p)) / np.sqrt(n)
+    tracemalloc.start()
+    try:
+        pgm(u, v, rng.standard_normal((p, q)), 1.0, 0.1, lam, 3, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * p * q
+    return peak, block, 2 * block + 8 * prox.V_BLOCK + u.nbytes
 
 
 def zero_residual_instance(seed, n=9, p=7, q=5):
@@ -126,7 +160,9 @@ class TestGradPsi:
         if frame == "transposed":
             u, v, w = (np.ascontiguousarray(a.T).T for a in (u, v, w))
         kept = u.copy()
-        g = grad_psi(w, u, v.view(NoProducts), 0.7, 0.3, u)
+        counted = v.view(CountsProducts)
+        g = grad_psi(w, u, counted, 0.7, 0.3, u)
+        assert counted.products == []
         expected = grad_psi(w, u, v, 0.7, 0.3)
         assert g.tobytes() == expected.tobytes()
         assert g.flags.c_contiguous == expected.flags.c_contiguous
@@ -207,10 +243,9 @@ class TestPgm:
         beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
         kept = u.copy()
         expected = pgm(u, v, w0, tau, gamma, lam, L, beta)
-        assert pgm(u, v, w0, tau, gamma, lam, L, beta, u).tobytes() == expected.tobytes()
-        if L == 1:  # later iterations form their products
-            out = pgm(u, v.view(NoProducts), w0, tau, gamma, lam, L, beta, u)
-            assert out.tobytes() == expected.tobytes()
+        out, products = products_with(u, v, w0, tau, gamma, lam, L, beta, u)
+        assert out.tobytes() == expected.tobytes()
+        assert len(products) == 2 * (L - 1)  # later iterations form their products
         assert u.tobytes() == kept.tobytes()
 
     def test_carried_product_of_wrong_shape_rejected(self):
@@ -251,18 +286,70 @@ class TestPgm:
         # its iterate and its gradient, adds gamma w one row block at a
         # time, and the start goes once the first step is formed.  Keeping
         # the start, or forming gamma w whole, each adds a weight block.
-        rng = make_rng(23)
-        n, p, q = 50, 1000, 200
-        u = rng.standard_normal((n, q))
-        v = rng.standard_normal((n, p)) / np.sqrt(n)
-        tracemalloc.start()
-        try:
-            pgm(u, v, rng.standard_normal((p, q)), 1.0, 0.1, 0.05, 3, 0.01)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        block = 8 * p * q
-        assert peak <= 2 * block + 8 * prox.V_BLOCK + u.nbytes, f"peak {peak / block:.2f} weight blocks"
+        peak, block, bound = pgm_peak(0.05)
+        assert peak <= bound, f"peak {peak / block:.2f} weight blocks"
+
+    def test_carried_step_holds_its_product_and_the_gram(self):
+        # As above at lam = 0, where the step carries its product through
+        # the batch Gram: it holds that n x q product and the n x n Gram
+        # across each gradient too, and nothing more.
+        peak, block, bound = pgm_peak(0.0)
+        n, q = 50, 200
+        assert peak <= bound + 8 * (n * q + n * n), f"peak {peak / block:.2f} weight blocks"
+
+    @pytest.mark.parametrize("L", [2, 5, 200])
+    def test_carried_product_follows_the_fresh_products(self, L):
+        # Fewer samples than inputs: every step after the first takes its
+        # product from the last through the Gram, and the iterates keep to
+        # those of products formed afresh.
+        u, v, w0 = random_instance(40, n=10, p=60, q=40)
+        tau, gamma = 1.0, 0.2
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        out = pgm(u, v, w0, tau, gamma, 0.0, L, beta)
+        ref = pgm_fresh(u, v, w0, tau, gamma, 0.0, L, beta)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, L, lam", [(60, 5, 0.0), (30, 5, 0.0), (10, 1, 0.0), (10, 5, 25.0)])
+    def test_no_carry_gives_the_fresh_product_bits(self, n, L, lam):
+        # As many samples as inputs, or one step: the Gram saves nothing.
+        # At lam > 0 the prox zeroes rows, here from the first step on,
+        # which a carried product would miss.
+        u, v, w0 = random_instance(41, n=n, p=30, q=20)
+        tau, gamma = 1.0, 0.2
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        ref = pgm_fresh(u, v, w0, tau, gamma, lam, L, beta)
+        out, products = products_with(u, v, w0, tau, gamma, lam, L, beta)
+        assert out.tobytes() == ref.tobytes()
+        assert len(products) == 2 * L
+        assert lam == 0.0 or not np.all(np.any(out != 0.0, axis=1))
+
+    def test_kept_first_step_carries_its_target(self):
+        # The first residual is zero, so the next product is
+        # (1 - beta gamma) u, in a buffer of its own.
+        u, v, w0 = zero_residual_instance(42, n=6, p=30, q=10)
+        tau, gamma = 1.0, 0.2
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        inputs = [a.copy() for a in (u, v, w0)]
+        out, products = products_with(u, v, w0, tau, gamma, 0.0, 3, beta, u)
+        ref = pgm_fresh(u, v, w0, tau, gamma, 0.0, 3, beta, u)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # The Gram and one gradient product for each of the later steps.
+        assert len(products) == 3
+        for a, before in zip((u, v, w0), inputs):
+            assert a.tobytes() == before.tobytes()
+
+    def test_carried_step_forms_one_input_wide_product(self):
+        # Each step after the first forms only its gradient's product with
+        # v, the n x d input; the Gram and v @ w are formed once, before
+        # the first step.
+        n, p, q, L = 10, 60, 40, 5
+        u, v, w0 = random_instance(43, n=n, p=p, q=q)
+        tau, gamma = 1.0, 0.2
+        beta = 0.9 / (tau * spectral_norm(v) ** 2 + gamma)
+        out, products = products_with(u, v, w0, tau, gamma, 0.0, L, beta)
+        gradient = ((q, n), (n, p))
+        assert products == [((n, p), (p, n)), ((n, p), (p, q))] + [gradient] * L
+        assert out.tobytes() == pgm(u, v, w0, tau, gamma, 0.0, L, beta).tobytes()
 
 
 class TestStationarityResidual:
