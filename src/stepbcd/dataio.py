@@ -283,7 +283,8 @@ def load_checkpoint(path):
     ``state`` holds the weights and the header's N as ``n_samples``.
 
     Bad magic, truncation, checksum failure, and version mismatch raise
-    distinct errors.  The CRC is checked before the header is read, the
+    distinct errors, and a header whose widths or hyperparameters are
+    invalid a ``CheckpointError``; each message starts with ``path``.  The CRC is checked before the header is read, the
     header's block sizes before any block is allocated, and each block's
     stored ``(rows, cols)`` against the header's before it is read."""
     with open(path, "rb") as f:
@@ -312,8 +313,10 @@ def load_checkpoint(path):
     if header.size > len(payload):
         raise TruncatedCheckpointError(f"{path}: payload ends inside the header")
     _, _, *dims, n, tau, pi, gamma, lam, beta, big_l, big_k = header.unpack_from(payload)
-    shape = NetworkShape(dims)
-    hp = Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k)
+    try:
+        shape, hp = NetworkShape(dims), Hyperparams(tau=tau, pi=pi, gamma=gamma, lam=lam, beta=beta, L=big_l, K=big_k)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
     layout = _weight_layout(shape)
     claimed = header.size + sum(8 + 8 * r * c for _, (r, c) in layout)
     if claimed != len(payload):

@@ -27,28 +27,11 @@ product the solve forms, and otherwise one product of the whole new
 a forward pass (the init, a mini-batch, the closing pass of a mini-batch
 epoch) the products are the ``U`` blocks themselves.
 
-Every sweep, full-batch or per mini-batch, runs the one private sweep.  A
-sweep runs in place: each block is replaced in the state's own lists as
-soon as its update is made, and each target is dropped from ``b`` once
-its prox has read it, so a sweep holds one state, not an old and a new
-one.  Each old block goes once nothing reads it: the state solve reads
-the old ``U_i`` only as its pattern ``U_i > 0``, packed one bit per
-entry, which is how a full-batch state keeps it (below).  The state
-solve works through chunks of columns and writes the new ``V_i`` into
-the old one's buffer, summing its motion ``dV`` as it goes, so it forms
-no ``d x N`` block but the product it hands on.
-
-A full-batch sweep also finishes each ``U_i`` as soon as it is final.
-Once the solve for ``V_(i-1)`` hands on ``W_i V_(i-1)`` (for ``U_0``,
-once ``W_0 X`` is formed), it sums the coupling residual
-``||U_i - W_i V_(i-1)||^2`` and, below the output layer, keeps ``U_i``
-only as its packed pattern, the one form the next sweep's solve reads;
-``||V_i - step(U_i)||^2`` is summed once the ``U_i`` prox returns.
-``bcd_iteration`` returns those per-layer sums beside ``(dW, dV, b)``,
-and the report's upen and vpen are made from them, so the report reads
-the weights and ``U_h`` alone, in either mode.  Each sum is taken once:
-a square layer's solve that keeps its start has summed both terms in its
-check, and the sweep sums those column sums instead (``_sweep``).
+A full-batch sweep is ``bcd_iteration``: it updates the state in place,
+keeps each hidden ``U_i`` as its packed step pattern once it is final,
+and sums the motions and the coupling terms the report reads as it goes.
+A mini-batch sweep is ``_sweep``, the same updates in the same order on
+a batch's float blocks, taking no sum.
 
 No block is scanned for a non-finite entry while a sum shows it finite.
 A non-finite entry makes every sum of squares over it NaN or infinite, so
@@ -65,9 +48,8 @@ pass over the data, the one product the report and the tie count read,
 and that pass's hidden ``V`` blocks as packed bits, one per activation.
 The init and each epoch's closing forward pass are taken one chunk of
 columns at a time straight into those, and ``dV`` counts the bits that
-changed.  A batch's sweep hands each superseded ``W_i`` to its step
-without keeping it, and the epoch keeps its own start weights for
-``dW``.  An epoch releases the old weights before its closing pass.
+changed.  The epoch keeps its own start weights for ``dW`` and releases
+them before its closing pass.
 """
 
 from __future__ import annotations
@@ -258,10 +240,10 @@ def _sq_diff(new, old):
 
 
 def bcd_iteration(state, data, hp, derive_beta=False, b=None):
-    """One outer sweep in place; returns ``(dW, dV, b, coupling)``: the
-    squared block motions, the new iterate's products ``W_i V_(i-1)``,
-    input layer first, and the new iterate's per-layer squared coupling
-    residuals.
+    """One full-batch outer sweep in place; returns ``(dW, dV, b,
+    coupling)``: the squared block motions, the new iterate's products
+    ``W_i V_(i-1)``, input layer first, and the new iterate's per-layer
+    squared coupling residuals.
 
     Update order for h layers: U_h, W_h, then for i = h-1 down to 1 the
     triple V_i, U_i, W_i.  Staleness discipline: each ``b = W_i V_(i-1)``
@@ -280,18 +262,22 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     is packed one row block at a time.  The solve writes the new ``V_i``
     into the old one's buffer, one chunk of columns at a time, and returns
     its motion.  A sweep that raises (``CgError``) may so leave a ``V_i``
-    whose first chunks are new and the rest old.
+    whose first chunks are new and the rest old.  The old ``W_i`` is kept
+    until its ``dW`` term is summed.
 
-    Each ``U_i`` is settled as soon as it is final and its new product
-    ``W_i V_(i-1)`` is formed: the state solve for ``V_(i-1)`` hands that
-    product on, and ``W_0 X`` is formed after the loop (``_settle_u``).
+    Each ``U_i`` is settled (``_settle_u``) as soon as it is final and its
+    new product ``W_i V_(i-1)`` is formed: the state solve for ``V_(i-1)``
+    hands that product on, and ``W_0 X`` is formed after the loop.
     ``||V_i - step(U_i)||^2`` is summed once the ``U_i`` prox returns.
     ``coupling`` is the pair of those lists, ``h`` and ``h-1`` sums in
     layer order, each with the bits of ``objective_f``'s term for that
     layer; ``_penalties`` turns them into the report's upen and vpen.
-    Where a square layer's solve keeps its start, its check has summed
-    both terms already (``solvers.solve_v``), and the sweep sums those
-    column sums instead of taking the squares again (``_sweep``).
+    Each sum is taken once: where a square layer's solve keeps its start,
+    its check's column sums ``e2`` give ``upen_(i+1)``, and its ``g2``, the
+    gap between the kept ``V_i`` and the old pattern ``s`` of ``U_i``,
+    gives ``vpen_i`` when the ``U_i`` prox returned its target itself and
+    the new ``U_i`` packs to ``s``; that pattern is then the one
+    ``_settle_u`` keeps.
 
     ``b`` lists the targets, input layer first: the products this call
     returned for the previous iterate, or ``state.U`` itself when the state
@@ -304,17 +290,38 @@ def bcd_iteration(state, data, hp, derive_beta=False, b=None):
     then knows its first residual is zero and writes nothing.  The motions
     are summed in layer order, as ``_sq_diff`` sums them; each ``dV`` term
     has the bits of ``_sq_motion`` of the new ``V_i`` against the old.
-
-    The returned products have the bits of ``W_i V_(i-1)`` formed afresh:
-    each state solve supplies its ``W_(i+1) V_i``, and ``W_0 X`` is formed
-    here.
+    The returned products have the bits of ``W_i V_(i-1)`` formed afresh.
     """
     if b is None:
         b = _coupling_products(state, data)
     h = len(state.W)
     dw, dv, upen, vpen = [0.0] * h, [0.0] * (h - 1), [0.0] * h, [0.0] * (h - 1)
-    b = _sweep(state, data, hp, derive_beta, b, (dw, dv, upen, vpen))
-    return sum(dw), sum(dv), b, (upen, vpen)
+    products = [None] * h
+    bits = None  # the pattern of the U block settled next, when packed already
+    for i in range(h - 1, -1, -1):
+        if i == h - 1:
+            u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
+        else:
+            s = state.U[i] if state.U[i].dtype == np.uint8 else _packed_step(state.U[i])
+            state.V[i], products[i + 1], dv[i], kept = solve_v(
+                state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
+            _settle_u(state, i + 1, products[i + 1], upen, None if kept is None else kept[0], bits)
+            u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
+            bits = _packed_step(u) if kept is not None and u is b[i] else None
+            if bits is not None and np.array_equal(bits, s):
+                vpen[i] = float(kept[1].sum())
+            else:
+                vpen[i] = _sq_step_gap(state.V[i], u)
+            del s, kept
+        wv, b[i] = b[i], None
+        state.U[i] = u
+        w = _pgm_update(u, _layer_input(state, data, i), [state.W[i]], hp, derive_beta, wv)
+        del u, wv  # else the float U_i outlives its packing
+        dw[i] = _sq_motion(w, state.W[i])
+        state.W[i] = w
+    products[0] = state.W[0] @ data.X
+    _settle_u(state, 0, products[0], upen, None, bits)
+    return sum(dw), sum(dv), products, (upen, vpen)
 
 
 def _settle_u(state, i, wv, upen, e2=None, bits=None):
@@ -339,72 +346,32 @@ def _settle_u(state, i, wv, upen, e2=None, bits=None):
         state.U[i] = _packed_step(u) if bits is None else bits
 
 
-def _sweep(state, data, hp, derive_beta, b, sums=None):
-    """``bcd_iteration``'s sweep; returns the new iterate's products: each
-    state solve hands on its ``W_(i+1) V_i``, and ``W_0 X`` is formed after
-    the loop of a full-batch sweep, while a mini-batch sweep leaves slot 0
-    empty.
+def _sweep(state, data, hp, derive_beta, b):
+    """The plain sweep of a mini-batch, in place, in ``bcd_iteration``'s
+    order and staleness; returns the new iterate's products but ``W_0 X``:
+    each state solve hands on its ``W_(i+1) V_i``, and slot 0 is None.
 
-    ``sums``, from a full-batch sweep, is four lists ``(dw, dv, upen,
-    vpen)`` with one slot per layer (per hidden layer for ``dv`` and
-    ``vpen``).  They receive each block's squared motion and squared
-    coupling residual, and each ``U_(i+1)`` is settled (``_settle_u``)
-    once the ``V_i`` solve hands on its product.  Where that solve kept
-    its start, its check's column sums ``e2`` give ``upen_(i+1)``.  Its
-    ``g2``, the gap between the kept ``V_i`` and the old pattern ``s`` of
-    ``U_i``, gives ``vpen_i`` when the ``U_i`` prox returned its target
-    itself and the new ``U_i`` packs to ``s``: the new ``U_i`` is packed
-    then, and that pattern is the one ``_settle_u`` keeps.
-
-    A mini-batch epoch passes none: its ``U`` blocks stay float and go
-    with the batch, and each superseded ``W_i`` goes to its step without
-    being kept, so the step lets go of it once its first step is formed
-    and a sweep that raises may leave that ``W`` slot empty (None).  A
-    full-batch sweep keeps the old ``W_i`` for its ``dW`` term.  Each
-    ``V_i`` is solved into its own buffer, and its motion comes from the
-    solve; a ``CgError`` leaves ``V_i`` partly written."""
+    The ``U`` blocks stay float, and no motion or coupling sum is taken.
+    Each block replaces its old value in ``state``'s lists, and each target
+    is dropped from ``b`` once its prox has read it, as in
+    ``bcd_iteration``.  Each superseded ``W_i`` goes to its step alone, so
+    the step lets go of it once its first step is formed, and a sweep that
+    raises may leave that ``W`` slot empty (None).  Each ``V_i`` is solved
+    into its own buffer; a ``CgError`` leaves it partly written."""
     h = len(state.W)
     products = [None] * h
-    full = sums is not None
-    if full:
-        dw, dv, upen, vpen = sums
-    bits = None  # the pattern of the U block settled next, when packed already
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            # The solve reads the old U_i only as step(U_i), packed one bit
-            # per entry, and writes the new V_i into the old one's buffer.
-            s = state.U[i] if state.U[i].dtype == np.uint8 else _packed_step(state.U[i])
-            state.V[i], products[i + 1], motion, kept = solve_v(
-                state.W[i + 1], state.U[i + 1], s, hp.tau, hp.pi, v_init=state.V[i])
-            if full:
-                dv[i] = motion
-                _settle_u(state, i + 1, products[i + 1], upen, None if kept is None else kept[0], bits)
+            state.V[i], products[i + 1] = solve_v(
+                state.W[i + 1], state.U[i + 1], _packed_step(state.U[i]), hp.tau, hp.pi, v_init=state.V[i])[:2]
             u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
-            if full:
-                bits = _packed_step(u) if kept is not None and u is b[i] else None
-                if bits is not None and np.array_equal(bits, s):
-                    vpen[i] = float(kept[1].sum())
-                else:
-                    vpen[i] = _sq_step_gap(state.V[i], u)
-            del s, kept
         wv, b[i] = b[i], None
         state.U[i] = u
-        start = [state.W[i]]
-        if not full:
-            # The epoch keeps its start weights for dW, so the superseded
-            # W_i goes to the step alone, which lets go of it after its
-            # first step.
-            state.W[i] = None
-        w = _pgm_update(u, _layer_input(state, data, i), start, hp, derive_beta, wv)
-        del u, wv  # else the float U_i outlives its packing
-        if full:
-            dw[i] = _sq_motion(w, state.W[i])
-        state.W[i] = w
-    if full:
-        products[0] = state.W[0] @ data.X
-        _settle_u(state, 0, products[0], upen, None, bits)
+        start, state.W[i] = [state.W[i]], None
+        state.W[i] = _pgm_update(u, _layer_input(state, data, i), start, hp, derive_beta, wv)
+        del u, wv  # else the step's spent residual lives through the next solve
     return products
 
 
@@ -526,7 +493,6 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
 
     if batch_size is None:
         state = init_gaussian(shape, init_scale, rng, data.X)
-        state.check_consistent(shape, data.X.shape[1])
         for i in range(shape.h):
             _check_finite(f"U[{i}]", state.U[i])
         # The coupling products of the current iterate: the next sweep's b

@@ -1,4 +1,4 @@
-"""Synthetic corpora, IDX writers and a retired checkpoint writer for the tests.
+"""Synthetic corpora, IDX writers and hand-made checkpoints for the tests.
 
 The package only reads IDX files and ingests real data; the tests build
 their inputs with these helpers.
@@ -44,6 +44,27 @@ def write_v1_checkpoint(path, state, shape, hp):
                           hp.lam, hp.beta, hp.L, hp.K, 1e-10)
     for m in (*state.W, *state.U, *state.V):
         payload += struct.pack("<II", *m.shape) + np.ascontiguousarray(m, dtype="<f8").tobytes()
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload
+                + struct.pack("<I", zlib.crc32(payload)))
+
+
+# Headers a version-2 file may carry that no net or run accepts, as
+# ``(dims, tau, the error's message)``.
+INVALID_HEADERS = {
+    "h-0": ((5,), 1.0, "need at least input and output widths, got (5,)"),
+    "zero-width": ((5, 0), 1.0, "all widths must be >= 1, got (5, 0)"),
+    "nan-tau": ((5, 3), float("nan"), "tau must be positive and finite, got nan"),
+}
+
+
+def write_checkpoint_header(path, dims, tau=1.0):
+    """Write a version-2 checkpoint that holds a header alone, with a valid
+    length and CRC-32: u32 version 2, h, the widths ``dims`` and N = 1;
+    f64 tau, pi, gamma, lam, beta; u32 L, K.  ``dims`` may be a net no
+    package call builds."""
+    h = len(dims) - 1
+    payload = struct.pack(f"<{h + 4}I5d2I", 2, h, *dims, 1, tau, 1.0, 1.0, 0.0, 1.0, 1, 1)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(payload)) + payload
                 + struct.pack("<I", zlib.crc32(payload)))

@@ -11,7 +11,14 @@ from stepbcd.cli import build_parser, main
 from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
 from stepbcd.dataio import load_checkpoint, save_checkpoint
 
-from datagen import make_synthetic_images, write_idx_images, write_idx_labels, write_v1_checkpoint
+from datagen import (
+    INVALID_HEADERS,
+    make_synthetic_images,
+    write_checkpoint_header,
+    write_idx_images,
+    write_idx_labels,
+    write_v1_checkpoint,
+)
 
 
 @pytest.fixture(scope="session")
@@ -577,6 +584,13 @@ class TestInspectCommand:
         data = ["--train-images", str(corpus["train_images"]), "--train-labels", str(corpus["train_labels"])]
         assert main([command, "--checkpoint", str(old), *(data if command == "eval" else [])]) == 2
         assert "format version 1, expected 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims, tau, message", INVALID_HEADERS.values(), ids=INVALID_HEADERS)
+    def test_invalid_header_exits_2_naming_the_file(self, tmp_path, capsys, dims, tau, message):
+        path = tmp_path / "bad.bin"
+        write_checkpoint_header(path, dims, tau)
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("content", [None, "[1, 2]", '{"tau": null}', '{"arch": 64}', '{"k": 2.5}',

@@ -26,8 +26,10 @@ from stepbcd.dataio import (
 from stepbcd.prox import V_BLOCK
 
 from datagen import (
+    INVALID_HEADERS,
     make_cluster_dataset,
     make_synthetic_images,
+    write_checkpoint_header,
     write_idx_images,
     write_idx_labels,
     write_v1_checkpoint,
@@ -365,6 +367,16 @@ class TestCheckpoint:
         # The file's bytes alone; its weight blocks would add 182 KB, and a
         # 2^31-wide layer would claim terabytes.
         assert peak <= path.stat().st_size + 65536
+
+    @pytest.mark.parametrize("dims, tau, message", INVALID_HEADERS.values(), ids=INVALID_HEADERS)
+    def test_invalid_header_names_the_file(self, tmp_path, dims, tau, message):
+        # A CRC-valid header whose widths or hyperparameters no net or run
+        # accepts raises a CheckpointError that starts with the file.
+        path = tmp_path / "bad.bin"
+        write_checkpoint_header(path, dims, tau)
+        with pytest.raises(CheckpointError) as e:
+            load_checkpoint(path)
+        assert str(e.value) == f"{path}: {message}"
 
 
 def _rewrite_payload(path, payload):

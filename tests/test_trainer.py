@@ -670,18 +670,27 @@ class TestTrain:
             assert c_ordered(load_checkpoint(tmp_path / "ckpt.bin")[0].W)
 
     @pytest.mark.parametrize("n", [1, 255, 257, 513, 1999])
-    def test_minibatch_train_matches_public_calls_at_any_sample_count(self, n):
+    def test_minibatch_train_matches_public_calls_at_any_sample_count(self, n, monkeypatch):
         # The init and each epoch's closing pass are taken in 256-column
         # chunks straight into U_h and packed bits: one chunk with padding
         # bits (1, 255), a one-column tail joined to the chunk before it
         # (257, 513), and a short last chunk of 207 columns (1999).  The
         # report rows but the time, and the weights, have the bits of the
-        # loop of public calls over whole blocks.
+        # loop of public calls over whole blocks.  A batch's sweep takes no
+        # coupling sum and packs no U block for a settle, so the run makes
+        # neither call.
         data = make_cluster_dataset(4, 3, n, make_rng(40 + n))
         shape = NetworkShape((4, 6, 8, 3))
         hp = Hyperparams(tau=0.5, pi=0.2, gamma=0.1, lam=0.01, beta=0.05, L=2, K=2)
+
+        def refused(*args):
+            raise AssertionError("a mini-batch sweep took a full-batch sum")
+
+        monkeypatch.setattr(trainer_mod, "_settle_u", refused)
+        monkeypatch.setattr(trainer_mod, "_sq_step_gap", refused)
         state, report = train(data, shape, hp, rng=make_rng(23), init_scale=0.3, batch_size=64,
                               shuffle_rng=make_rng(22))
+        monkeypatch.undo()
         ref_state, rows = _sweep_loop(data, shape, hp, make_rng(23), 0.3, 64, make_rng(22))
         assert [rec.row()[:-1] for rec in report.records] == [
             (k, f, *terms.values(), dw, dv) for k, f, terms, dw, dv in rows]
