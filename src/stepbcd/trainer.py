@@ -11,8 +11,9 @@ the previous sweep.
 
 Each iterate's products ``W_i V_(i-1)`` are computed once.  Every outer
 iteration, a full-batch sweep (``bcd_iteration``) or a mini-batch epoch,
-updates the state in place and returns ``(dW, dV, b)``: the summed block
-motions and the new iterate's products.  ``train`` hands ``b`` to the
+updates the state in place and returns ``(dW, dV, b, coupling)``: the
+summed block motions, the new iterate's products and a full-batch
+sweep's coupling sums (None from an epoch).  ``train`` hands ``b`` to the
 next sweep as its targets, where the ``U_i`` prox reads each one and the
 ``W_i`` step's first gradient reuses its buffer as the residual; in a
 mini-batch sweep the step may carry it on as each later step's product,
@@ -23,7 +24,8 @@ buffer, now ``U_i``, as it is.  Each state solve hands on
 ``W_(i+1) V_i`` of the new iterate; where it keeps a square layer's start,
 that is the product its check was made from, the one ``d x d x N``
 product the solve forms, and otherwise one product of the whole new
-``V_i``.  ``bcd_iteration`` forms only ``W_0 X``.  After
+``V_i``; a mini-batch sweep drops it, as the next batch starts from a
+forward pass.  ``bcd_iteration`` forms only ``W_0 X``.  After
 a forward pass (the init, a mini-batch, the closing pass of a mini-batch
 epoch) the products are the ``U`` blocks themselves.
 
@@ -348,10 +350,10 @@ def _settle_u(state, i, wv, upen, e2=None, bits=None):
 
 def _sweep(state, data, hp, derive_beta, b):
     """The plain sweep of a mini-batch, in place, in ``bcd_iteration``'s
-    order and staleness; returns the new iterate's products but ``W_0 X``:
-    each state solve hands on its ``W_(i+1) V_i``, and slot 0 is None.
+    order and staleness; returns nothing.
 
-    The ``U`` blocks stay float, and no motion or coupling sum is taken.
+    The ``U`` blocks stay float, no motion or coupling sum is taken, and
+    each product ``W_(i+1) V_i`` a state solve hands on is dropped at once.
     Each block replaces its old value in ``state``'s lists, and each target
     is dropped from ``b`` once its prox has read it, as in
     ``bcd_iteration``.  Each superseded ``W_i`` goes to its step alone, so
@@ -359,20 +361,18 @@ def _sweep(state, data, hp, derive_beta, b):
     raises may leave that ``W`` slot empty (None).  Each ``V_i`` is solved
     into its own buffer; a ``CgError`` leaves it partly written."""
     h = len(state.W)
-    products = [None] * h
     for i in range(h - 1, -1, -1):
         if i == h - 1:
             u = prox_hardmax_matrix(b[i], data.Y, hp.tau)
         else:
-            state.V[i], products[i + 1] = solve_v(
-                state.W[i + 1], state.U[i + 1], _packed_step(state.U[i]), hp.tau, hp.pi, v_init=state.V[i])[:2]
+            state.V[i] = solve_v(
+                state.W[i + 1], state.U[i + 1], _packed_step(state.U[i]), hp.tau, hp.pi, v_init=state.V[i])[0]
             u = prox_step_matrix(state.V[i], b[i], hp.tau, hp.pi)
         wv, b[i] = b[i], None
         state.U[i] = u
         start, state.W[i] = [state.W[i]], None
         state.W[i] = _pgm_update(u, _layer_input(state, data, i), start, hp, derive_beta, wv)
         del u, wv  # else the step's spent residual lives through the next solve
-    return products
 
 
 def _record(k, state, data, hp, dw, dv, seconds, b, coupling=None):
@@ -417,9 +417,9 @@ def _forward_pass(w_list, x):
 
 
 def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm, bits):
-    """One mini-batch epoch in place; returns ``(dW, dV, b)`` as
-    ``bcd_iteration`` does, ``b`` holding the closing pass's ``U_h`` alone,
-    and no coupling sums: that pass's residuals are zero.
+    """One mini-batch epoch in place; returns ``(dW, dV, b, None)`` in
+    ``bcd_iteration``'s shape, ``b`` holding the closing pass's ``U_h``
+    alone, and no coupling sums: that pass's residuals are zero.
 
     ``state`` holds the weights alone, and ``bits`` the packed hidden
     patterns of their forward pass over ``data`` (``_forward_pass``).  The
@@ -447,7 +447,7 @@ def _epoch_over_batches(state, data, hp, derive_beta, batch_size, perm, bits):
     dv = float(sum(np.count_nonzero(np.unpackbits(old[lo:hi] ^ cur[lo:hi]))
                    for old, cur in zip(bits, new) for lo, hi in _row_blocks(*old.shape)))
     bits[:] = new
-    return dw, dv, [u_out]
+    return dw, dv, [u_out], None
 
 
 def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
@@ -511,9 +511,8 @@ def train(data, shape, hp, rng, init_scale=DEFAULT_INIT_SCALE,
     for k in range(1, hp.K + 1):
         t0 = time.perf_counter()
         if batch_size is not None:
-            dw, dv, b = _epoch_over_batches(state, data, hp, derive_beta, batch_size,
-                                            shuffle_rng.permutation(data.n), bits)
-            coupling = None
+            dw, dv, b, coupling = _epoch_over_batches(state, data, hp, derive_beta, batch_size,
+                                                      shuffle_rng.permutation(data.n), bits)
         else:
             dw, dv, b, coupling = bcd_iteration(state, data, hp, derive_beta, b)
         # Each weight and state block is finite where its motion from the

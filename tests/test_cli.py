@@ -8,8 +8,16 @@ import pytest
 
 from stepbcd import cli
 from stepbcd.cli import build_parser, main
-from stepbcd.core import Hyperparams, NetworkShape, init_gaussian, make_rng
-from stepbcd.dataio import load_checkpoint, save_checkpoint
+from stepbcd.core import STAGE_NOISE, Hyperparams, NetworkShape, init_gaussian, make_rng
+from stepbcd.dataio import (
+    add_gaussian_noise,
+    load_checkpoint,
+    load_idx_images,
+    load_idx_labels,
+    save_checkpoint,
+    to_dataset,
+)
+from stepbcd.metrics import evaluate
 
 from datagen import (
     INVALID_HEADERS,
@@ -476,6 +484,22 @@ class TestRobustnessCommand:
         assert main(self.rob_args(corpus, trained, a)) == 0
         assert main(self.rob_args(corpus, trained, b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_no_clamp_reaches_the_noise(self, corpus, trained, tmp_path):
+        # --no-clamp leaves the noisy pixels outside [0, 1], which changes
+        # the error at these levels; each row must be the error of the
+        # unclamped noise drawn on that level's stream.
+        sigmas = (1.0, 2.0, 4.0)
+        clamped, raw = tmp_path / "clamped.csv", tmp_path / "raw.csv"
+        assert main(self.rob_args(corpus, trained, clamped, "1,2,4")) == 0
+        assert main(self.rob_args(corpus, trained, raw, "1,2,4") + ["--no-clamp"]) == 0
+        state, _, _ = load_checkpoint(trained / "checkpoint.bin")
+        data = to_dataset(load_idx_images(corpus["test_images"]), load_idx_labels(corpus["test_labels"]), 10)
+        expected = [evaluate(state.W, add_gaussian_noise(data, sigma, make_rng(5, STAGE_NOISE, i), clamp=False))
+                    .error_rate for i, sigma in enumerate(sigmas)]
+        rows = [[float(x) for x in line.split(",")] for line in raw.read_text().splitlines()[1:]]
+        assert rows == [[sigma, err] for sigma, err in zip(sigmas, expected)]
+        assert raw.read_text() != clamped.read_text()
 
     def test_empty_split_exits_2_before_output(self, trained, tmp_path, capsys):
         images, labels = write_empty_split(tmp_path)

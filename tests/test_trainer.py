@@ -207,8 +207,8 @@ class TestBcdIteration:
         b, b_ref = state.U, ref.U
         for _ in range(2):
             _, _, b, (upen, vpen) = bcd_iteration(state, data, hp, b=b)
-            b_ref = trainer_mod._sweep(ref, data, hp, False, b_ref)
-            b_ref[0] = ref.W[0] @ data.X
+            trainer_mod._sweep(ref, data, hp, False, b_ref)
+            b_ref = trainer_mod._coupling_products(ref, data)
             for x, y in zip(state.W + state.V + b + state.U[-1:], ref.W + ref.V + b_ref + ref.U[-1:]):
                 assert x.tobytes() == y.tobytes()
             assert all(np.array_equal(p, packed_pattern(u)) for p, u in zip(state.U[:-1], ref.U[:-1], strict=True))
@@ -589,7 +589,7 @@ class TestTrain:
         # A mini-batch run holds no hidden block over all N samples: the
         # init and each epoch's closing forward pass go in column chunks
         # straight into U_h and packed bits, and an epoch releases the old
-        # weights before its closing pass.  The peak, about 0.43x the W/U/V
+        # weights before its closing pass.  The peak, about 0.45x the W/U/V
         # state, comes in a weight step of a batch's sweep, which holds its
         # iterate and its gradient and lets go of the superseded W_i; the
         # state solve peaks at 0.39x and the closing pass at 0.35x.  Keeping
@@ -609,6 +609,29 @@ class TestTrain:
             tracemalloc.stop()
         state_bytes = sum(8 * r * c for _, (r, c) in TrainState.layout(shape, data.n))
         assert peak <= 0.50 * state_bytes, f"peak {peak / state_bytes:.2f}x the state"
+
+    def test_batch_sweep_drops_each_handed_on_product(self):
+        # A batch's sweep returns nothing, and it lets go of the product
+        # W_(i+1) V_i each state solve hands on as soon as the solve
+        # returns: the next batch starts from a forward pass.  The sweep's
+        # added peak, about 1.82x a 400x1000 block, comes in the W_1 step,
+        # which holds the new U_1 beside the old one, now the step's
+        # residual, and its iterate and gradient.  Holding each product to
+        # the sweep's end put it at 2.46x, in the W_0 step.
+        data = make_cluster_dataset(10, 5, 1000, make_rng(31))
+        shape = NetworkShape((10, 400, 400, 5))
+        hp = Hyperparams(tau=1.0, pi=0.5, gamma=1e-8, lam=0.0, beta=0.00072, L=5)
+        state = init_gaussian(shape, 0.01, make_rng(32), data.X)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = trainer_mod._sweep(state, data, hp, True, state.U)
+            added = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert out is None
+        block = 8 * 400 * data.n
+        assert added <= 2.1 * block, f"added peak {added / block:.2f}x a 400x{data.n} block"
 
     @pytest.mark.parametrize("regime", ["witness", "padded"])
     def test_minibatch_dv_counts_the_changed_activations(self, regime):
@@ -633,14 +656,14 @@ class TestTrain:
         old = init_gaussian(shape, 0.01, rng, data.X)
         state = TrainState([w.copy() for w in old.W], [], [], data.n)  # the weights alone, as train keeps them
         _, bits = trainer_mod._forward_pass(state.W, data.X)
-        dw, dv, b = trainer_mod._epoch_over_batches(state, data, hp, True, batch_size, perm, bits)
+        dw, dv, b, coupling = trainer_mod._epoch_over_batches(state, data, hp, True, batch_size, perm, bits)
         new_u, new_v = forward_blocks(state.W, data.X)
         flips = sum(int((a != c).sum()) for a, c in zip(new_v, old.V))
         assert flips > 0
         assert dv == trainer_mod._sq_diff(new_v, old.V) == flips
         assert dw == trainer_mod._sq_diff(state.W, old.W)
         assert all(np.array_equal(p, packed_pattern(v)) for p, v in zip(bits, new_v, strict=True))
-        assert len(b) == 1 and np.array_equal(b[-1], new_u[-1])
+        assert len(b) == 1 and np.array_equal(b[-1], new_u[-1]) and coupling is None
 
     def test_weights_stay_c_ordered(self, tmp_path):
         # Every weight block is C-ordered, as core promises, from the init
@@ -851,8 +874,8 @@ def _recomputed_sums_loop(data, shape, hp, rng):
     rows = [(0, f, *terms.values(), 0.0, 0.0)]
     for k in range(1, hp.K + 1):
         old = state.copy()
-        b = trainer_mod._sweep(state, data, hp, False, b)
-        b[0] = state.W[0] @ data.X
+        trainer_mod._sweep(state, data, hp, False, b)
+        b = trainer_mod._coupling_products(state, data)
         f, terms = objective_f(state, data, hp, b)
         rows.append((k, f, *terms.values(),
                      trainer_mod._sq_diff(state.W, old.W), trainer_mod._sq_diff(state.V, old.V)))
@@ -931,8 +954,8 @@ class TestSumsTakenOnce:
             monkeypatch.setattr(trainer_mod, "_sq_step_gap", spy_gap)
             _, _, b, (upen, vpen) = bcd_iteration(state, data, Hyperparams(), b=b)
             monkeypatch.undo()
-            b_ref = trainer_mod._sweep(ref, data, Hyperparams(), False, b_ref)
-            b_ref[0] = ref.W[0] @ data.X
+            trainer_mod._sweep(ref, data, Hyperparams(), False, b_ref)
+            b_ref = trainer_mod._coupling_products(ref, data)
             assert upen == [trainer_mod._sq_motion(u, p) for u, p in zip(ref.U, b_ref)]
             assert vpen == [trainer_mod._sq_step_gap(v, u) for u, v in zip(ref.U, ref.V)]
             assert vpen[0] > 0.0 and upen[1] > 0.0
