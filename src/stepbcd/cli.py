@@ -21,7 +21,6 @@ from .core import STAGE_INIT, STAGE_NOISE, STAGE_SHUFFLE, Hyperparams, NetworkSh
 from .dataio import (
     add_gaussian_noise,
     load_checkpoint,
-    load_csv_dataset,
     load_idx_images,
     load_idx_labels,
     save_checkpoint,
@@ -93,14 +92,14 @@ def _add_data_args(p, *splits):
     for split in splits:
         p.add_argument(f"--{split}-images", help=f"IDX image file for the {split} split")
         p.add_argument(f"--{split}-labels", help=f"IDX label file for the {split} split")
-        p.add_argument(f"--{split}-csv", help=f"CSV file (features..., label) for the {split} split")
         p.add_argument(f"--{split}-n", type=_positive_int, default=None,
                        help=f"{split} subsample size after seeded shuffle")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
 
 
 def _load_split(args, split, shape, required):
-    """The ``split`` ("train" or "test") its flags name, or None if absent and not required.
+    """The ``split`` ("train" or "test") read from the IDX image and label files its
+    flags name, or None if absent and not required.
 
     ``--{split}-n`` keeps that many samples, drawn on the split's own shuffle
     sub-stream (train 0, test 1).  Labels name one of the ``shape.dims[-1]`` output units; a
@@ -109,20 +108,15 @@ def _load_split(args, split, shape, required):
     """
     images = getattr(args, f"{split}_images")
     labels = getattr(args, f"{split}_labels")
-    csv_path = getattr(args, f"{split}_csv")
     n = getattr(args, f"{split}_n")
-    if csv_path is not None and (images is not None or labels is not None):
-        raise ValueError(f"--{split}-csv and --{split}-images/--{split}-labels name two sources; give one")
-    if csv_path is not None:
-        data = load_csv_dataset(csv_path, shape.dims[-1])
-    elif images is not None and labels is not None:
+    if images is not None and labels is not None:
         data = to_dataset(load_idx_images(images), load_idx_labels(labels), shape.dims[-1], f"{labels}: ")
     elif images is not None or labels is not None:
         raise ValueError(f"--{split}-images and --{split}-labels must be given together")
     elif required:
-        raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels or --{split}-csv)")
+        raise ValueError(f"{split} data is required (--{split}-images/--{split}-labels)")
     elif n is not None:
-        raise ValueError(f"--{split}-n {n} names no {split} data (--{split}-images/--{split}-labels or --{split}-csv)")
+        raise ValueError(f"--{split}-n {n} names no {split} data (--{split}-images/--{split}-labels)")
     else:
         return None
     if data.n == 0:
@@ -200,8 +194,7 @@ def cmd_eval(args):
     loaded = [(split, _load_split(args, split, shape, required=False)) for split in ("train", "test")]
     splits = [(split, data) for split, data in loaded if data is not None]
     if not splits:
-        raise ValueError("no data to evaluate: give --train-images/--train-labels, --train-csv, "
-                         "--test-images/--test-labels or --test-csv")
+        raise ValueError("no data to evaluate: give --train-images/--train-labels or --test-images/--test-labels")
     _report_metrics(state.W, splits, args.out)
     return EXIT_OK
 

@@ -1,18 +1,18 @@
 """Every file format the package reads or writes; dataset assembly; noise corruption.
 
-IDX and CSV datasets share one label encoder, and ``write_csv`` writes all
-CSV outputs (``report.csv``, ``metrics.csv``, ``robustness.csv``).  IDX
-headers are big-endian regardless of host byte order.  Checkpoints hold
+Datasets are read from IDX files, whose headers are big-endian regardless
+of host byte order, and ``write_csv`` writes all CSV outputs
+(``report.csv``, ``metrics.csv``, ``robustness.csv``).  Checkpoints hold
 the weights alone, in a fixed little-endian layout with a trailing CRC-32
 so round trips are bit-exact and corruption is detected.
 
 Layout contract: every ``Dataset`` this module returns holds ``X`` as a
 C-contiguous float64 matrix of features x samples (one column per sample)
 and ``Y`` as the C-contiguous one-hot matrix of classes x samples.  Each
-step of the input path copies
-the data once: ``to_dataset`` and ``load_csv_dataset`` make one transposing
-copy, ``Dataset.subset`` one column gather, and ``add_gaussian_noise`` adds
-the inputs into its noise draw, or at sigma 0 into one new array.
+step of the input path copies the data once: ``to_dataset`` makes one
+transposing copy, ``Dataset.subset`` one column gather, and
+``add_gaussian_noise`` adds the inputs into its noise draw, or at sigma 0
+into one new array.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "load_idx_images",
     "load_idx_labels",
     "to_dataset",
-    "load_csv_dataset",
     "write_csv",
     "add_gaussian_noise",
     "save_checkpoint",
@@ -83,9 +82,9 @@ class Dataset:
     """Input matrix (columns are samples) and one-hot label matrix.
 
     One-hot validity of ``Y`` is checked on construction.  The [0, 1]
-    input range is enforced where normalization happens (``to_dataset``,
-    CSV import), not here, so noise-corrupted variants with clamping
-    disabled remain representable.
+    input range is enforced where normalization happens (``to_dataset``),
+    not here, so noise-corrupted variants with clamping disabled remain
+    representable.
     """
 
     X: np.ndarray
@@ -153,46 +152,28 @@ def load_idx_labels(path):
     return _read_idx(path, LABEL_MAGIC, 1)
 
 
-def _one_hot(labels, num_classes, where=""):
-    """One-hot ``(num_classes, n)`` matrix of ``labels``; a label that is not an integer
-    in ``[0, num_classes)`` raises ValueError naming it, its index and ``where``."""
-    labels = np.asarray(labels)
-    bad = ~((labels >= 0) & (labels < num_classes) & (labels == np.trunc(labels)))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(f"{where}label {labels[i]:g} at index {i} is not a class in [0, {num_classes})")
-    y = np.zeros((num_classes, labels.shape[0]), dtype=np.float64)
-    y[labels.astype(np.intp), np.arange(labels.shape[0])] = 1.0
-    return y
-
-
 def to_dataset(images, labels, num_classes, where=""):
     """Flatten, scale to [0, 1], and one-hot encode into a Dataset.
 
     Columns of X are samples (pixels / 255); Y[c, s] = 1 iff label s is c.
-    A label error starts with ``where``, such as the label file's name.
+    A label that is not an integer in ``[0, num_classes)`` raises
+    ValueError naming it and its index, after ``where``, such as the label
+    file's name.
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError(f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels")
-    y = _one_hot(labels, num_classes, where)
     n = images.shape[0]
+    if n != labels.shape[0]:
+        raise ValueError(f"count mismatch: {n} images vs {labels.shape[0]} labels")
+    bad = ~((labels >= 0) & (labels < num_classes) & (labels == np.trunc(labels)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"{where}label {labels[i]:g} at index {i} is not a class in [0, {num_classes})")
+    y = np.zeros((num_classes, n), dtype=np.float64)
+    y[labels.astype(np.intp), np.arange(n)] = 1.0
     x = images.reshape(n, int(np.prod(images.shape[1:]))).T.astype(np.float64, order="C")
     x /= 255.0
     return Dataset(x, y)
-
-
-def load_csv_dataset(path, num_classes):
-    """Read one sample per line, features first, integer label last.
-
-    Features are taken as already normalized and must lie in [0, 1].
-    """
-    raw = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    features = np.ascontiguousarray(raw[:, :-1].T)
-    if not np.all((features >= 0.0) & (features <= 1.0)):
-        raise ValueError(f"{path}: a feature is NaN or outside [0, 1]")
-    return Dataset(features, _one_hot(raw[:, -1], num_classes, f"{path}: "))
 
 
 def write_csv(path, header, rows):

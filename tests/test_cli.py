@@ -76,7 +76,7 @@ def refuse_to_load(monkeypatch):
     """Make every data and checkpoint loader of the CLI fail the test if called."""
     def refuse(*args, **kwargs):
         raise AssertionError("an input was loaded before the output paths were checked")
-    for name in ("load_idx_images", "load_idx_labels", "load_csv_dataset", "load_checkpoint"):
+    for name in ("load_idx_images", "load_idx_labels", "load_checkpoint"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -93,6 +93,14 @@ def trained(tmp_path_factory, corpus):
     out = tmp_path_factory.mktemp("run")
     assert main(train_args(corpus, out)) == 0
     return out
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "robustness"])
+def test_csv_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--checkpoint", "c.bin", "--test-csv", "test.csv"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --test-csv test.csv" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -141,16 +149,6 @@ class TestTrainCommand:
         assert code == 2
         assert "together" in capsys.readouterr().err
 
-    def test_csv_and_idx_for_one_split_exit_2(self, corpus, tmp_path, capsys):
-        rng = make_rng(3)
-        rows = np.column_stack([rng.random((20, 64)), np.arange(20) % 10])
-        np.savetxt(tmp_path / "train.csv", rows, delimiter=",")
-        out = tmp_path / "out"
-        assert main(train_args(corpus, out, extra=["--train-csv", str(tmp_path / "train.csv")])) == 2
-        err = capsys.readouterr().err
-        assert "--train-csv" in err and "--train-images" in err
-        assert not (out / "checkpoint.bin").exists()
-
     def test_misfit_test_split_exits_2_before_training(self, corpus, tmp_path, capsys):
         imgs, labels = make_synthetic_images(20, 10, make_rng(5), rows=4, cols=4, block=4)
         write_idx_images(tmp_path / "small-images.idx", imgs)
@@ -192,15 +190,15 @@ class TestTrainCommand:
     def test_config_holds_the_train_flags(self, trained):
         stored = json.loads((trained / "run_config.json").read_text())
         assert set(stored) == {
-            "train_images", "train_labels", "train_csv", "train_n",
-            "test_images", "test_labels", "test_csv", "test_n", "seed",
+            "train_images", "train_labels", "train_n",
+            "test_images", "test_labels", "test_n", "seed",
             "arch", "tau", "pi", "gamma", "lam", "beta", "l", "k", "scale",
             "derive_beta", "batch_size", "out_dir", "checkpoint",
         }
 
     @pytest.mark.parametrize("key, value", [
         ("warmup_epochs", 3), ("warmup_batch", 256), ("cg_tol", 1e-8), ("classes", 10), ("verbose", 0),
-        ("lamda", 5), ("early_stop_tol", None), ("train_noise_sigma", 0.0),
+        ("lamda", 5), ("early_stop_tol", None), ("train_noise_sigma", 0.0), ("train_csv", None), ("test_csv", None),
     ])
     def test_config_key_that_is_no_train_flag_exits_2_before_output(self, trained, tmp_path, capsys, key, value):
         # Options of older configs, a global flag and a typo: replay cannot
@@ -214,6 +212,21 @@ class TestTrainCommand:
         out, err = capsys.readouterr()
         assert out == "" and key in err and str(old) in err
         assert not replay.exists()
+
+    def test_config_with_the_csv_keys_replays_once_they_are_deleted(self, trained, tmp_path, capsys):
+        # Every config written while --{split}-csv was a flag holds both keys as null.
+        stored = json.loads((trained / "run_config.json").read_text())
+        old = tmp_path / "old_config.json"
+        old.write_text(json.dumps({**stored, "train_csv": None, "test_csv": None}))
+        refused = tmp_path / "refused"
+        assert main(["train", "--config", str(old), "--out-dir", str(refused)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "_csv is not a train flag" in err and str(old) in err
+        assert not refused.exists()
+        old.write_text(json.dumps(stored))
+        replay = tmp_path / "replay"
+        assert main(["train", "--config", str(old), "--out-dir", str(replay)]) == 0
+        assert (replay / "checkpoint.bin").read_bytes() == (trained / "checkpoint.bin").read_bytes()
 
     @pytest.mark.parametrize("flag, value", [
         ("--train-n", "0"), ("--train-n", "-3"), ("--test-n", "0"), ("--batch-size", "0"),
@@ -265,23 +278,14 @@ class TestTrainCommand:
         assert str(corpus["train_labels"]) in err and "is not a class in [0, 3)" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("feature, label", [("nan", "1"), ("0.5", "2.7")], ids=["nan-feature", "fractional-label"])
-    def test_bad_csv_row_exits_2(self, tmp_path, capsys, feature, label):
-        csv_path = tmp_path / "train.csv"
-        csv_path.write_text("0.25,0.5,0\n" + f"{feature},0.5,{label}\n")
-        out = tmp_path / "out"
-        assert main(["train", "--train-csv", str(csv_path), "--arch", "2,4,10", "--k", "1",
-                     "--out-dir", str(out)]) == 2
-        assert str(csv_path) in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_iterate_exits_3(self, tmp_path, capsys):
-        rng = make_rng(3)
-        csv_path = tmp_path / "train.csv"
-        np.savetxt(csv_path, np.column_stack([rng.random((20, 4)), np.arange(20) % 3]), delimiter=",")
-        code = main(["train", "--train-csv", str(csv_path), "--arch", "4,5,3", "--k", "30", "--tau", "1",
-                     "--pi", "1", "--beta", "1e200", "--lambda", "0", "--out-dir", str(tmp_path / "out")])
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(images, make_rng(3).integers(0, 256, (20, 2, 2)))
+        write_idx_labels(labels, np.arange(20) % 3)
+        code = main(["train", "--train-images", str(images), "--train-labels", str(labels), "--arch", "4,5,3",
+                     "--k", "30", "--tau", "1", "--pi", "1", "--beta", "1e200", "--lambda", "0",
+                     "--out-dir", str(tmp_path / "out")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
@@ -418,7 +422,7 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(trained / "checkpoint.bin"), "--out", str(out_csv)]) == 2
         captured = capsys.readouterr()
         assert "no data to evaluate" in captured.err and captured.out == ""
-        for flag in ("--train-images", "--train-csv", "--test-images", "--test-csv"):
+        for flag in ("--train-images", "--train-labels", "--test-images", "--test-labels"):
             assert flag in captured.err
         assert not out_csv.exists()
 

@@ -17,7 +17,6 @@ from stepbcd.dataio import (
     VersionError,
     add_gaussian_noise,
     load_checkpoint,
-    load_csv_dataset,
     load_idx_images,
     load_idx_labels,
     save_checkpoint,
@@ -130,34 +129,6 @@ class TestToDataset:
     def test_negative_or_fractional_label_is_rejected(self, label):
         with pytest.raises(ValueError, match=f"label {label:g} at index 0"):
             to_dataset(np.zeros((1, 2, 2), dtype=np.uint8), np.array([label]), 10)
-
-
-class TestCsvImport:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.0,0.5,1.0,2\n1.0,0.25,0.0,0\n")
-        data = load_csv_dataset(path, 3)
-        assert data.X.shape == (3, 2)
-        assert np.array_equal(data.X[:, 0], [0.0, 0.5, 1.0])
-        assert data.Y[2, 0] == 1.0 and data.Y[0, 1] == 1.0
-
-    def test_range_and_label_validation(self, tmp_path):
-        bad_range = tmp_path / "bad1.csv"
-        bad_range.write_text("0.0,1.5,0\n")
-        with pytest.raises(ValueError, match="outside"):
-            load_csv_dataset(bad_range, 2)
-        bad_label = tmp_path / "bad2.csv"
-        bad_label.write_text("0.0,0.5,9\n")
-        with pytest.raises(ValueError, match="label 9"):
-            load_csv_dataset(bad_label, 2)
-
-    @pytest.mark.parametrize("row, match", [("nan,0.5,1", "NaN"), ("0.0,0.5,2.7", "label 2.7")],
-                             ids=["nan-feature", "fractional-label"])
-    def test_nan_feature_and_fractional_label_rejected(self, tmp_path, row, match):
-        path = tmp_path / "bad.csv"
-        path.write_text(row + "\n")
-        with pytest.raises(ValueError, match=match):
-            load_csv_dataset(path, 3)
 
 
 class TestNoise:
